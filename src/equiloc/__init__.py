@@ -11,8 +11,7 @@ from .jets import (JetCurve, ReparamJet, compose, compose_reparam, gk_matrix,
                    invariant_minors, rho)
 from .localization import (FlagFixedPoint, GrassFixedPoint, flag_fixed_sum,
                            flag_residue, grass_integrate, run_flag_trials)
-from .residue import (AffineForm, ResidueForm, expand_inverse,
-                      iterated_residue, residue_job)
+from .residue import AffineForm, ResidueForm, iterated_residue, residue_job
 from .thom import (QTable, ThomResult, positivity_check, ratio_check,
                    thom_polynomial)
 

@@ -3,7 +3,8 @@
 Variables come in four disjoint alphabets:
 
 * residue variables ``z1, z2, ...`` (the only ones that may carry negative
-  exponents, and only inside :class:`LaurentSeries`),
+  exponents, and only inside :class:`LaurentSeries`, the polynomial
+  subclass that allows them),
 * weight variables ``l1, l2, ...`` (torus weights),
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
@@ -196,8 +197,10 @@ def _format_terms(terms) -> str:
 
 
 def _add_into(acc: dict, terms, scale=1):
+    if scale != 1:
+        terms = {m: c * scale for m, c in terms.items()}
     for m, c in terms.items():
-        nc = acc.get(m, 0) + c * scale
+        nc = acc.get(m, 0) + c
         if nc:
             acc[m] = nc
         elif m in acc:
@@ -267,7 +270,7 @@ class Polynomial:
         other = _coerce(other)
         acc = dict(self.terms)
         _add_into(acc, other.terms)
-        return Polynomial(acc)
+        return type(self)(acc)
 
     __radd__ = __add__
 
@@ -275,13 +278,13 @@ class Polynomial:
         other = _coerce(other)
         acc = dict(self.terms)
         _add_into(acc, other.terms, -1)
-        return Polynomial(acc)
+        return type(self)(acc)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -347,7 +350,7 @@ class Polynomial:
             if m.exponent(v) == k:
                 rest = Monomial(tuple(p for p in m.exps if p[0] is not v))
                 acc[rest] = acc.get(rest, 0) + c
-        return Polynomial({m: c for m, c in acc.items() if c})
+        return type(self)({m: c for m, c in acc.items() if c})
 
     def subs(self, mapping) -> "Polynomial":
         """Substitute variables by polynomials or rationals, exactly."""
@@ -371,7 +374,7 @@ class Polynomial:
         return _format_terms(self.terms)
 
     def __repr__(self):
-        return f"Polynomial({self})"
+        return f"{type(self).__name__}({self})"
 
 
 def _coerce(x) -> Polynomial:
@@ -382,94 +385,26 @@ def _coerce(x) -> Polynomial:
     raise TypeError(f"cannot coerce {x!r} to Polynomial")
 
 
-class LaurentSeries:
-    """Truncated Laurent expansion: residue variables may have negative
-    exponents, every other alphabet stays polynomial.
+class LaurentSeries(Polynomial):
+    """Laurent polynomial: residue variables may carry negative exponents,
+    every other alphabet stays polynomial.  Sums, negation and coefficients
+    stay Laurent series; products with a plain polynomial on either side
+    come here first (a subclass's reflected operator wins)."""
 
-    ``window`` maps a residue variable to an inclusive degree interval
-    ``(lo, hi)``; ``None`` in either slot means unbounded on that side, and
-    a variable missing from the window is unconstrained (exact support).
-    Adding or multiplying two series intersects their validity windows.
-    """
+    __slots__ = ()
 
-    __slots__ = ("terms", "window")
-
-    def __init__(self, terms: dict, window: dict | None = None):
-        self.window = dict(window) if window else {}
+    def __init__(self, terms: dict):
         for m in terms:
             for v, e in m.exps:
                 if e < 0 and v.kind != RESIDUE:
                     raise ValueError(
                         f"negative exponent on non-residue variable {v.name}")
-        self.terms = {m: c for m, c in terms.items() if self._inside(m)}
-
-    def _inside(self, m: Monomial) -> bool:
-        for v, (lo, hi) in self.window.items():
-            e = m.exponent(v)
-            if lo is not None and e < lo:
-                return False
-            if hi is not None and e > hi:
-                return False
-        return True
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, window: dict | None = None):
-        return cls(dict(p.terms), window)
-
-    @staticmethod
-    def _meet(wa: dict, wb: dict) -> dict:
-        out = dict(wa)
-        for v, (lo, hi) in wb.items():
-            if v in out:
-                alo, ahi = out[v]
-                lo = alo if lo is None else (lo if alo is None else max(lo, alo))
-                hi = ahi if hi is None else (hi if ahi is None else min(hi, ahi))
-            out[v] = (lo, hi)
-        return out
-
-    @staticmethod
-    def _coerce(other) -> "LaurentSeries":
-        if isinstance(other, LaurentSeries):
-            return other
-        return LaurentSeries.from_polynomial(_coerce(other))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        acc = dict(self.terms)
-        _add_into(acc, other.terms)
-        return LaurentSeries(acc, self._meet(self.window, other.window))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        acc = dict(self.terms)
-        _add_into(acc, other.terms, -1)
-        return LaurentSeries(acc, self._meet(self.window, other.window))
+        self.terms = terms
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return LaurentSeries(_mul_terms(self.terms, other.terms),
-                             self._meet(self.window, other.window))
+        return LaurentSeries(_mul_terms(self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentSeries)
-                and self.terms == other.terms and self.window == other.window)
-
-    def coefficient(self, v: Var, k: int) -> "LaurentSeries":
-        acc: dict = {}
-        for m, c in self.terms.items():
-            if m.exponent(v) == k:
-                rest = Monomial(tuple(p for p in m.exps if p[0] is not v))
-                acc[rest] = acc.get(rest, 0) + c
-        w = {u: b for u, b in self.window.items() if u is not v}
-        return LaurentSeries({m: c for m, c in acc.items() if c}, w)
-
-    def __str__(self):
-        return _format_terms(self.terms)
-
-    def __repr__(self):
-        return f"LaurentSeries({self})"
 
 
 # -- exact division ----------------------------------------------------
@@ -500,6 +435,16 @@ def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
 
 
 # -- symmetric reduction ----------------------------------------------
+
+def vandermonde(vs) -> Polynomial:
+    """prod_{i<j} (v_i - v_j) over the variables in the given order."""
+    ps = [Polynomial.var(v) for v in vs]
+    out = Polynomial.one()
+    for i, a in enumerate(ps):
+        for b in ps[i + 1:]:
+            out = out * (a - b)
+    return out
+
 
 def elementary_symmetric(i: int, vs) -> Polynomial:
     """e_i of the given variables."""

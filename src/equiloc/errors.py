@@ -47,6 +47,10 @@ class RepeatedWeights(DomainError):
     code = "repeated-weights"
 
 
+class InconsistentDraws(DomainError):
+    code = "inconsistent-draws"
+
+
 class MissingQ(DomainError):
     code = "missing-q"
 

@@ -1,12 +1,11 @@
 """Intersection polynomial and Euler characteristics of the invariant-jet
 tower of a smooth degree-d hypersurface in P^(n+1).
 
-All residues here reuse the calibration of the singularity module: z_n is
-the most dominant variable and the global sign (-1)^n is applied, so the
-value read off is the plain ``(z_1...z_n)^-1`` coefficient.  The n = 1
-case is pinned independently by classical curve geometry (canonical degree
-and Riemann-Roch), which fixes the sign of the ``z_1 + ... + z_n`` block
-inside the positivity form R.
+Every residue here is that of the order-n form built by
+:func:`equiloc.thom.curvilinear_form`, signed by :func:`equiloc.thom.calibrate`.
+The n = 1 case is pinned independently by classical curve geometry
+(canonical degree and Riemann-Roch), which fixes the sign of the
+``z_1 + ... + z_n`` block inside the positivity form R.
 
 The hyperplane class h is nilpotent of order n (h^(n+1) == 0); pairing
 with the fundamental class replaces the surviving h^n by d.
@@ -19,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentSeries, Monomial, Polynomial, Var, svar, zvar
-from .errors import InputError
-from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
-from .thom import QTable, denominator_triples
+from .errors import DomainError, InputError
+from .residue import DEFAULT_CAP, iterated_residue
+from .thom import QTable, calibrate, curvilinear_form
 
 D_VAR = svar("d")
 DELTA_VAR = svar("delta")
@@ -51,24 +50,12 @@ class EulerResult:
     chi: Polynomial
 
 
-def _sign(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
-def _vandermonde_q(n: int, q: QTable) -> LaurentSeries:
-    acc = LaurentSeries.from_polynomial(q.get(n))
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            acc = acc * (Polynomial.var(zvar(a)) - Polynomial.var(zvar(b)))
-    return acc
-
-
-def _denominators(n: int):
-    return tuple(
-        AffineForm.from_polynomial(Polynomial.var(zvar(i))
-                                   + Polynomial.var(zvar(j))
-                                   - Polynomial.var(zvar(l)))
-        for i, j, l in denominator_triples(n))
+def _tower_residue(n: int, qn: Polynomial, cap: int, *factors) -> Polynomial:
+    """Calibrated residue of the order-n curvilinear form times the given
+    numerator factors.  Callers look ``qn`` up first, so a missing table
+    entry fails before any factor is assembled."""
+    return calibrate(n, iterated_residue(curvilinear_form(n, qn, *factors),
+                                         cap=cap))
 
 
 def _zshift(n: int, power: int) -> LaurentSeries:
@@ -119,28 +106,20 @@ def leading_constant(n: int, q: QTable | None = None,
     ``prod(z_i - z_j) Q_n (z_1+...+z_n)^(n^2) / [prod(z_i+z_j-z_l)
     (z_1...z_n)^n]`` under the calibrated contour; this is the constant
     multiplying the top d-coefficient of the intersection polynomial."""
-    q = q or QTable.builtin()
-    numerator = (_vandermonde_q(n, q) * _zsum(n) ** (n * n)
-                 * _zshift(n, n + 1))
-    zs = tuple(zvar(l) for l in range(1, n + 1))
-    value = iterated_residue(ResidueForm(numerator, _denominators(n), zs),
-                             cap=cap) * _sign(n)
-    return value.constant_value()
+    qn = (q or QTable.builtin()).get(n)
+    return _tower_residue(n, qn, cap, _zsum(n) ** (n * n),
+                          _zshift(n, n + 1)).constant_value()
 
 
 def intersection_polynomial(n: int, q: QTable | None = None,
                             cap: int = DEFAULT_CAP) -> GGResult:
     """p(n, d, delta): the h^n coefficient of the calibrated residue of the
     positivity form against the hypersurface tail."""
-    q = q or QTable.builtin()
+    qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
-    numerator = (_vandermonde_q(n, q) * _positivity_form(n, h)
-                 * _hypersurface_tail(n, h, Polynomial.var(D_VAR))
-                 * _zshift(n, n))
-    zs = tuple(zvar(l) for l in range(1, n + 1))
-    residue = iterated_residue(ResidueForm(numerator, _denominators(n), zs),
-                               cap=cap) * _sign(n)
-    p = residue.coefficient(h, n)
+    p = _tower_residue(n, qn, cap, _positivity_form(n, h),
+                       _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
+                       _zshift(n, n)).coefficient(h, n)
     theta = leading_constant(n, q, cap=cap)
     leading = p.coefficient(D_VAR, n)
     return GGResult(n, p, theta, leading)
@@ -162,7 +141,9 @@ def positivity_threshold(result: GGResult, delta) -> int:
     bound = 1 + max((abs(c / lead) for c in coeffs[:-1]), default=Fraction(0))
     d0 = math.floor(bound) + 1
     check = sum(c * Fraction(d0) ** i for i, c in enumerate(coeffs))
-    assert check > 0
+    if check <= 0:
+        raise DomainError(f"p(n, {d0}, {delta}) = {check} is not positive "
+                          "beyond the root bound")
     return d0
 
 
@@ -235,8 +216,7 @@ def euler_characteristic(n: int, d=None, q: QTable | None = None,
     """Euler characteristic of the weight-m invariant-jet sheaf on a smooth
     degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
     ``d=None`` keeps the degree symbolic."""
-    q = q or QTable.builtin()
-    q.get(n)  # fail fast before any series is assembled
+    qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
     if d is None:
         d_poly = Polynomial.var(D_VAR)
@@ -251,11 +231,8 @@ def euler_characteristic(n: int, d=None, q: QTable | None = None,
     for p in range(max(0, n * n - n), n * n + 1):
         ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
     td = _todd_class(n, _hypersurface_chern(n, h, d_poly))
-    numerator = (_vandermonde_q(n, q) * ch * td
-                 * _hypersurface_tail(n, h, d_poly) * _zshift(n, n))
-    zs = tuple(zvar(l) for l in range(1, n + 1))
-    residue = iterated_residue(ResidueForm(numerator, _denominators(n), zs),
-                               cap=cap) * _sign(n)
+    residue = _tower_residue(n, qn, cap, ch, td,
+                             _hypersurface_tail(n, h, d_poly), _zshift(n, n))
     chi = residue.coefficient(h, n) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 
@@ -266,12 +243,9 @@ def top_intersection(n: int, q: QTable | None = None,
     hypersurface tail (the positivity form replaced by its degree-only
     block); equals (n^2)! times the leading m-coefficient of the Euler
     characteristic."""
-    q = q or QTable.builtin()
+    qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
-    numerator = (_vandermonde_q(n, q) * _zsum(n) ** (n * n)
-                 * _hypersurface_tail(n, h, Polynomial.var(D_VAR))
-                 * _zshift(n, n))
-    zs = tuple(zvar(l) for l in range(1, n + 1))
-    residue = iterated_residue(ResidueForm(numerator, _denominators(n), zs),
-                               cap=cap) * _sign(n)
+    residue = _tower_residue(n, qn, cap, _zsum(n) ** (n * n),
+                             _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
+                             _zshift(n, n))
     return residue.coefficient(h, n) * Polynomial.var(D_VAR)

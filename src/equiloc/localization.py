@@ -17,8 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CHERN, Polynomial, cvar, exact_divide, wvar, zvar
-from .errors import DegreeMismatch, InputError, RepeatedWeights
+from .algebra import (CHERN, Polynomial, cvar, exact_divide, vandermonde,
+                      wvar, zvar)
+from .errors import (DegreeMismatch, InconsistentDraws, InputError,
+                     RepeatedWeights)
 from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
 
 _WEIGHT_POOL = range(-999_983, 1_000_003)
@@ -129,7 +131,7 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     values = [grass_sum_at(n, k, cls, draw_weights(n, rng))
               for _ in range(draws)]
     if any(v != values[0] for v in values[1:]):
-        raise ArithmeticError(
+        raise InconsistentDraws(
             "fixed-point sum varied across weight draws; this is a bug")
     return values[0]
 
@@ -174,9 +176,7 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights=None):
     lam = {i: Polynomial.var(wvar(i)) for i in range(1, n + 1)}
     all_pairs = [(a, b) for a in range(1, n + 1)
                  for b in range(a + 1, n + 1)]
-    common = Polynomial.one()
-    for a, b in all_pairs:
-        common = common * (lam[a] - lam[b])
+    common = vandermonde(wvar(i) for i in range(1, n + 1))
     total = Polynomial.zero()
     for pt in points:
         seq = list(pt.sequence) + [j for j in range(1, n + 1)
@@ -197,11 +197,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights=None,
     iterated residue of the Vandermonde-weighted form with z_1 least and
     z_d most dominant."""
     zs = [zvar(l) for l in range(1, d + 1)]
-    numerator = Q
-    for a in range(d):
-        for b in range(a + 1, d):
-            numerator = numerator * (Polynomial.var(zs[a])
-                                     - Polynomial.var(zs[b]))
+    numerator = Q * vandermonde(zs)
     if weights is not None:
         weights = [Fraction(w) for w in weights]
         if len(set(weights)) != len(weights):
@@ -250,6 +246,10 @@ def run_flag_trials(n: int, d: int, trials: int, seed: int = 0,
                     cap: int = DEFAULT_CAP) -> dict:
     """Check the fixed-point/residue identity on random classes, each at
     three independent weight draws; returns a JSON-able report."""
+    if not 1 <= d < n:
+        raise InputError(f"need 1 <= d < n, got d={d}, n={n}")
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     results = []
     all_ok = True

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .algebra import (RESIDUE, ONE_MONO, LaurentSeries, Monomial, Polynomial,
-                      Var, _mul_terms, _num)
+from .algebra import RESIDUE, Monomial, Polynomial, Var, _add_into, _num
 from .errors import InputError, NoDominantVariable, WindowOverflow
 
 DEFAULT_CAP = 256
@@ -91,12 +90,15 @@ class ResidueForm:
     """Numerator with a multiset of affine denominators and the dominance
     order of the residue variables, least dominant first."""
 
-    numerator: Polynomial | LaurentSeries
+    numerator: Polynomial
     denominators: tuple[AffineForm, ...]
     order: tuple[Var, ...]
 
     def __post_init__(self):
         allowed = set(self.order)
+        if len(allowed) != len(self.order):
+            names = ", ".join(v.name for v in self.order)
+            raise InputError(f"repeated residue variable in the order: {names}")
         seen = {v for m in self.numerator.terms for v in m.variables()
                 if v.kind == RESIDUE}
         for w in self.denominators:
@@ -105,48 +107,6 @@ class ResidueForm:
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise InputError(f"residue variables not in the order: {names}")
-
-
-def _clip_above(terms: dict, upper: dict) -> dict:
-    if not upper:
-        return terms
-    out = {}
-    for m, c in terms.items():
-        if all(m.exponent(v) <= hi for v, hi in upper.items()):
-            out[m] = c
-    return out
-
-
-def expand_inverse(form: AffineForm, window: dict,
-                   order: tuple[Var, ...]) -> LaurentSeries:
-    """Geometric-series expansion of ``1/form`` on the regime where its
-    dominant variable (under ``order``) outgrows everything else, truncated
-    to the given per-variable degree windows ``{var: (lo, hi)}``."""
-    zq, a = form.dominant(order)
-    lo, _ = window.get(zq, (None, None))
-    if lo is None:
-        raise InputError(
-            f"window must bound {zq.name} below to truncate the expansion")
-    upper = {v: hi for v, (_, hi) in window.items()
-             if hi is not None and v is not zq}
-    base = AffineForm(form.constant,
-                      tuple(t for t in form.linear if t[0] is not zq))
-    base_terms = base.as_polynomial().terms
-    inv_a = Fraction(1) / a
-    acc: dict = {}
-    power: dict = {ONE_MONO: 1}
-    coeff = inv_a
-    jmax = -lo - 1
-    for j in range(jmax + 1):
-        zq_mono = Monomial.make([(zq, -1 - j)])
-        for m, c in power.items():
-            mm = m * zq_mono
-            if mm is not None:
-                acc[mm] = acc.get(mm, 0) + c * coeff
-        if j < jmax:
-            power = _clip_above(_mul_terms(power, base_terms), upper)
-            coeff = coeff * (-inv_a)
-    return LaurentSeries({m: _num(c) for m, c in acc.items() if c}, window)
 
 
 # -- dense workspace -----------------------------------------------------
@@ -203,18 +163,6 @@ class _Workspace:
                     del out[m]
         return out
 
-    def scale(self, a: dict, c) -> dict:
-        return {m: v * c for m, v in a.items()}
-
-    @staticmethod
-    def add_into(acc: dict, b: dict):
-        for m, c in b.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            elif m in acc:
-                del acc[m]
-
 
 def _peel(ws: _Workspace, num: dict, factors, zi: int, cap: int) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
@@ -240,23 +188,23 @@ def _peel(ws: _Workspace, num: dict, factors, zi: int, cap: int) -> dict:
     prod = [one]
     for base, a in factors:
         inv_a = _num(Fraction(1) / a)
+        step = {m: c * -inv_a for m, c in base.items()}
         tails = [{(0,) * len(ws.vars): inv_a}]
         for _ in range(jtot):
-            tails.append(ws.scale(ws.mul(tails[-1], base), -inv_a)
-                         if base else {})
+            tails.append(ws.mul(tails[-1], step) if step else {})
         new = [dict() for _ in range(jtot + 1)]
         for t_old, pterms in enumerate(prod):
             if not pterms:
                 continue
             for j in range(jtot + 1 - t_old):
                 if tails[j]:
-                    ws.add_into(new[t_old + j], ws.mul(pterms, tails[j]))
+                    _add_into(new[t_old + j], ws.mul(pterms, tails[j]))
         prod = new
     out: dict = {}
     for t, sl in slices.items():
         torder = t + 1 - s
         if 0 <= torder <= jtot and prod[torder]:
-            ws.add_into(out, ws.mul(sl, prod[torder]))
+            _add_into(out, ws.mul(sl, prod[torder]))
     return out
 
 
@@ -264,6 +212,8 @@ def iterated_residue(form: ResidueForm, cap: int = DEFAULT_CAP) -> Polynomial:
     """The iterated residue at infinity of the form under its dominance
     order: ``(-1)^d`` times the ``z_1^-1 ... z_d^-1`` coefficient of the
     expanded product.  The result contains no residue variables."""
+    if cap < 0:
+        raise InputError(f"expansion cap must be >= 0, got {cap}")
     order = tuple(form.order)
     d = len(order)
     groups: dict[Var, list[AffineForm]] = {}
@@ -299,10 +249,15 @@ def residue_job(job: dict, cap: int = DEFAULT_CAP) -> dict:
 
     try:
         num_text = job["numerator"]
-        den_texts = list(job["denominators"])
-        order_names = list(job["order"])
+        den_texts = job["denominators"]
+        order_names = job["order"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed residue job: {exc}") from exc
+    if not (isinstance(num_text, str) and isinstance(den_texts, list)
+            and all(isinstance(t, str) for t in den_texts)
+            and isinstance(order_names, list)):
+        raise InputError("malformed residue job: the numerator must be a "
+                         "string, denominators and order lists")
     order = []
     for name in order_names:
         if not (isinstance(name, str) and name.startswith("z")

@@ -1,25 +1,19 @@
 """Thom polynomials of corank-one (curvilinear) singularity loci via the
 iterated-residue formula, with positivity and coefficient-ratio reports.
 
-Calibration
------------
-The residue form has numerator ``prod_{i<j}(z_i - z_j) * Q_k * prod_l
-c(1/z_l) z_l^codim`` and denominators ``z_i + z_j - z_l`` over all triples
-``1 <= i <= j`` and ``i + j <= l <= k``.  The contour is realized with
-``z_k`` most dominant, and a global sign ``(-1)^k`` is applied on top of
-the residue engine's orientation; together these make the k = 1 family
-come out as ``+c_(codim+1)`` and are equivalent to reading off the plain
-``(z_1...z_k)^-1`` coefficient of the expansion.  The same calibration is
-asserted against classical values for k = 2, 3 in the test suite.
+The residue form, its contour and its sign are built in one place,
+:func:`curvilinear_form` and :func:`calibrate`; the hyperbolicity
+module reads its tower residues through the same two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial, cvar, zvar
+from .algebra import (CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial,
+                      cvar, vandermonde, zvar)
 from .errors import InputError, MissingQ
 from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
 
@@ -81,6 +75,35 @@ def denominator_triples(k: int) -> list[tuple[int, int, int]]:
             for l in range(i + j, k + 1)]
 
 
+def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
+    """The calibrated residue form of order k: numerator ``Q_k *
+    prod_{i<j}(z_i - z_j)`` (``qk`` is the table entry) times the given
+    factors, multiplied in order; denominators ``z_i + z_j - z_l`` over
+    :func:`denominator_triples`; contour ``z_1..z_k``, ``z_k`` most dominant.
+
+    With :func:`calibrate` applied on top of the engine's orientation, its
+    residue is the plain ``(z_1...z_k)^-1`` coefficient of the expansion.
+    This makes the k = 1 family come out as ``+c_(codim+1)`` and is
+    asserted against classical values for k = 2, 3 in the tests.
+    """
+    zs = tuple(zvar(l) for l in range(1, k + 1))
+    numerator = LaurentSeries(qk.terms) * vandermonde(zs)
+    for f in factors:
+        numerator = numerator * f
+    dens = tuple(
+        AffineForm.from_polynomial(Polynomial.var(zs[i - 1])
+                                   + Polynomial.var(zs[j - 1])
+                                   - Polynomial.var(zs[l - 1]))
+        for i, j, l in denominator_triples(k))
+    return ResidueForm(numerator, dens, zs)
+
+
+def calibrate(k: int, value):
+    """``value`` times the global sign ``(-1)^k`` that calibrates the
+    residue of :func:`curvilinear_form` (see there)."""
+    return value * (-1 if k % 2 else 1)
+
+
 def _chern_tail(l: int, codim: int, cmax: int) -> LaurentSeries:
     """c(1/z_l) * z_l^codim with the Chern series cut at c_cmax."""
     terms = {}
@@ -96,26 +119,19 @@ def _prune_chern(series: LaurentSeries, cmax: int) -> LaurentSeries:
     kept = {m: c for m, c in series.terms.items()
             if m.weighted_degree(lambda v: v.index if v.kind == CHERN else 0)
             <= cmax}
-    return LaurentSeries(kept, series.window)
+    return LaurentSeries(kept)
 
 
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
-    """The calibrated residue form for (k, codim)."""
-    zs = [zvar(l) for l in range(1, k + 1)]
+    """The calibrated residue form for (k, codim): :func:`curvilinear_form`
+    times ``prod_l c(1/z_l) z_l^codim``, cut at Chern weight k(codim+1)
+    after each factor."""
+    form = curvilinear_form(k, q.get(k))
     cmax = k * (codim + 1)
-    numerator = LaurentSeries.from_polynomial(q.get(k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            numerator = numerator * (Polynomial.var(zs[a])
-                                     - Polynomial.var(zs[b]))
+    numerator = form.numerator
     for l in range(1, k + 1):
         numerator = _prune_chern(numerator * _chern_tail(l, codim, cmax), cmax)
-    dens = tuple(
-        AffineForm.from_polynomial(Polynomial.var(zs[i - 1])
-                                   + Polynomial.var(zs[j - 1])
-                                   - Polynomial.var(zs[l - 1]))
-        for i, j, l in denominator_triples(k))
-    return ResidueForm(numerator, dens, tuple(zs))
+    return replace(form, numerator=numerator)
 
 
 def thom_polynomial(k: int, codim: int, q: QTable | None = None,
@@ -128,9 +144,8 @@ def thom_polynomial(k: int, codim: int, q: QTable | None = None,
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
     form = residue_form(k, codim, q)
-    sign = -1 if k % 2 else 1
-    poly = iterated_residue(form, cap=cap) * sign
-    return ThomResult(k, codim, poly, sign)
+    poly = calibrate(k, iterated_residue(form, cap=cap))
+    return ThomResult(k, codim, poly, calibrate(k, 1))
 
 
 @dataclass(frozen=True)
@@ -157,22 +172,10 @@ def generating_coefficient(k: int, exponents, q: QTable | None = None,
     generating function ``prod(z_i - z_j) Q_k / prod(z_i + z_j - z_l)`` on
     the calibrated contour (z_k most dominant)."""
     q = q or QTable.builtin()
-    zs = [zvar(l) for l in range(1, k + 1)]
-    numerator = LaurentSeries.from_polynomial(q.get(k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            numerator = numerator * (Polynomial.var(zs[a])
-                                     - Polynomial.var(zs[b]))
-    shift = Monomial.make([(zs[i], -exponents[i] - 1) for i in range(k)])
-    numerator = numerator * LaurentSeries({shift: 1})
-    dens = tuple(
-        AffineForm.from_polynomial(Polynomial.var(zs[i - 1])
-                                   + Polynomial.var(zs[j - 1])
-                                   - Polynomial.var(zs[l - 1]))
-        for i, j, l in denominator_triples(k))
-    sign = -1 if k % 2 else 1
-    value = iterated_residue(ResidueForm(numerator, dens, tuple(zs)),
-                             cap=cap) * sign
+    shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
+                           for i in range(k)])
+    form = curvilinear_form(k, q.get(k), LaurentSeries({shift: 1}))
+    value = calibrate(k, iterated_residue(form, cap=cap))
     return value.constant_value()
 
 
@@ -201,8 +204,8 @@ def ratio_check(k: int, codim: int = 0, q: QTable | None = None,
     """
     q = q or QTable.builtin()
     gen_degree = {m.degree for m in q.get(k).terms}
-    vandermonde = k * (k - 1) // 2
-    levels = {vandermonde + g - len(denominator_triples(k))
+    vandermonde_degree = k * (k - 1) // 2
+    levels = {vandermonde_degree + g - len(denominator_triples(k))
               for g in gen_degree}
     coeffs: dict[tuple[int, ...], Fraction] = {}
 

@@ -190,17 +190,14 @@ class TestLaurentSeries:
         with pytest.raises(ValueError):
             LaurentSeries({Monomial.make([(cvar(1), -1)]): 1})
 
-    def test_window_clips_and_intersects(self):
-        z = zvar(1)
+    def test_arithmetic_stays_laurent(self):
         from equiloc.algebra import Monomial
-        a = LaurentSeries({Monomial.make([(z, e)]): 1 for e in (-2, -1, 0)},
-                          {z: (-2, 0)})
-        b = LaurentSeries({Monomial.make([(z, e)]): 1 for e in (-1, 0, 1)},
-                          {z: (-1, 1)})
-        total = a + b
-        assert total.window == {z: (-1, 0)}
-        exps = sorted(m.exponent(z) for m in total.terms)
-        assert exps == [-1, 0]
-        prod = a * b
-        assert prod.window == {z: (-1, 0)}
-        assert all(-1 <= m.exponent(z) <= 0 for m in prod.terms)
+        z = zvar(1)
+        a = LaurentSeries({Monomial.make([(z, e)]): 1 for e in (-2, -1, 0)})
+        p = Polynomial.var(z) + 1
+        for value in (a + p, a - p, -a, a * p, p * a, a.coefficient(z, -1)):
+            assert type(value) is LaurentSeries
+        assert (p * a).terms == (a * p).terms
+        coeffs = {m.exponent(z): c for m, c in (a * p).terms.items()}
+        assert coeffs == {-2: 1, -1: 2, 0: 2, 1: 1}
+        assert a.coefficient(z, -2) == 1

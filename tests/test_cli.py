@@ -4,6 +4,10 @@ round-trip of JSON outputs through the input grammars."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,47 @@ class TestResidueJobs:
         assert json.loads(out) == {"residue": "1"}
 
 
+    @pytest.mark.parametrize("job", [
+        {"numerator": "1", "denominators": ["z1"], "order": ["z1", "z1"]},
+        {"numerator": "1", "denominators": "z1", "order": ["z1"]},
+        {"numerator": 5, "denominators": ["z1"], "order": ["z1"]},
+        {"numerator": "1", "denominators": [1], "order": ["z1"]},
+        {"numerator": "1", "denominators": ["z1"], "order": "z1"},
+        ["1", ["z1"], ["z1"]],
+    ])
+    def test_malformed_job_exits_2(self, capsys, tmp_path, job):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+
+class TestArgumentGuards:
+    @pytest.mark.parametrize("extra", [
+        ("--n", "3", "--d", "5"),
+        ("--n", "3", "--d", "3"),
+        ("--n", "3", "--d", "0"),
+        ("--n", "3", "--d", "1", "--trials", "0"),
+        ("--n", "3", "--d", "1", "--cap", "-5"),
+    ])
+    def test_flag_check_rejects_bad_arguments(self, capsys, extra):
+        code, out, err = run(capsys, "flag-check", *extra)
+        assert code == 2
+        assert "all_match" not in out
+        assert json.loads(err)["error"] == "parse-error"
+
+    def test_varying_draws_exit_1(self, capsys, monkeypatch):
+        from equiloc import localization
+        draws = iter(range(1, 100))
+        monkeypatch.setattr(localization, "grass_sum_at",
+                            lambda *args: next(draws))
+        code, out, err = run(capsys, "grass-integrate", "--n", "4", "--k",
+                             "2", "--class", "c1^2*c2")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "inconsistent-draws"
+
+
 class TestDeterminism:
     def test_flag_check_repeats_byte_identically(self, capsys):
         args = ("flag-check", "--n", "3", "--d", "2", "--trials", "3",
@@ -101,6 +146,29 @@ class TestDeterminism:
         _, b, _ = run(capsys, "grass-integrate", "--n", "3", "--k", "1",
                       "--class", "c1^2", "--seed", "2")
         assert a == b == "1\n"
+
+
+    def test_stdout_independent_of_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        commands = [
+            ("thom", "--k", "3", "--codim", "1"),
+            ("gg", "--n", "2", "--delta", "1/24", "--d", "100"),
+            ("euler", "--n", "2", "--d", "50"),
+            ("flag-check", "--n", "4", "--d", "2", "--trials", "3"),
+        ]
+        for argv in commands:
+            outputs = set()
+            for hash_seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                           PYTHONPATH=os.pathsep.join(
+                               filter(None, [src,
+                                             os.environ.get("PYTHONPATH")])))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "equiloc.cli", *argv], env=env,
+                    capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1, argv
 
 
 class TestJsonRoundTrip:

@@ -10,8 +10,8 @@ import pytest
 from equiloc.algebra import (LaurentSeries, Monomial, Polynomial,
                              parse_polynomial, wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
-from equiloc.residue import (AffineForm, ResidueForm, expand_inverse,
-                             iterated_residue, residue_job)
+from equiloc.residue import (AffineForm, ResidueForm, iterated_residue,
+                             residue_job)
 from oracles import brute_residue
 
 P = Polynomial
@@ -25,46 +25,6 @@ def form_of(text: str) -> AffineForm:
 def res(numerator, den_texts, order, cap=256):
     dens = tuple(form_of(t) for t in den_texts)
     return iterated_residue(ResidueForm(numerator, dens, order), cap=cap)
-
-
-class TestExpandInverse:
-    def test_z1_minus_z2_with_z2_dominant(self):
-        s = expand_inverse(form_of("z1 - z2"), {Z2: (-4, -1), Z1: (0, 3)},
-                           (Z1, Z2))
-        expected = {}
-        for i in range(4):
-            expected[Monomial.make([(Z1, i), (Z2, -i - 1)])] = -1
-        assert s.terms == expected
-
-    def test_parameter_minus_z(self):
-        lam, z = wvar(1), Z1
-        s = expand_inverse(form_of("l1 - z1"), {z: (-3, -1)}, (z,))
-        expected = {Monomial.make([(lam, j), (z, -j - 1)]): -1
-                    for j in range(3)}
-        assert s.terms == expected
-
-    def test_two_z1_minus_z2(self):
-        s = expand_inverse(form_of("2*z1 - z2"), {Z2: (-3, -1), Z1: (0, 2)},
-                           (Z1, Z2))
-        expected = {Monomial.make([(Z1, j), (Z2, -j - 1)]): -(2 ** j)
-                    for j in range(3)}
-        assert s.terms == expected
-
-    def test_pure_parameter_rejected(self):
-        with pytest.raises(NoDominantVariable):
-            expand_inverse(form_of("l1 + 2"), {Z1: (-2, -1)}, (Z1,))
-
-    def test_unbounded_window_rejected(self):
-        with pytest.raises(InputError):
-            expand_inverse(form_of("z1 - z2"), {Z1: (0, 3)}, (Z1, Z2))
-
-    def test_window_enlargement_agrees_on_overlap(self):
-        w = form_of("3*l1 + z1 - z2")
-        small = expand_inverse(w, {Z2: (-3, -1), Z1: (0, 2)}, (Z1, Z2))
-        large = expand_inverse(w, {Z2: (-6, -1), Z1: (0, 5)}, (Z1, Z2))
-        clipped = {m: c for m, c in large.terms.items()
-                   if -3 <= m.exponent(Z2) and m.exponent(Z1) <= 2}
-        assert clipped == small.terms
 
 
 class TestIteratedResidue:
@@ -94,6 +54,27 @@ class TestIteratedResidue:
     def test_variable_missing_from_order(self):
         with pytest.raises(InputError):
             res(P.one(), ["z1", "z1 - z2"], (Z1,))
+
+    def test_geometric_expansion_coefficients(self):
+        # with z2 dominant, 1/(a*z1 - z2) = -sum_j a^j z1^j / z2^(j+1); the
+        # residue of z1^(-j-1) z2^j against it reads that coefficient back
+        for a in (1, 2):
+            for j in range(4):
+                num = LaurentSeries(
+                    {Monomial.make([(Z1, -j - 1), (Z2, j)]): 1})
+                assert res(num, [f"{a}*z1 - z2"], (Z1, Z2)) == -(a ** j)
+        # 1/(l1 - z1) = -sum_j l1^j / z1^(j+1); the d = 1 sign flips it
+        for j in range(4):
+            assert res(P.var(Z1) ** j, ["l1 - z1"], (Z1,)) == \
+                P.var(wvar(1)) ** j
+
+    def test_repeated_order_entry_rejected(self):
+        with pytest.raises(InputError):
+            ResidueForm(P.one(), (form_of("z1"),), (Z1, Z1))
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(InputError):
+            res(P.one(), ["z1"], (Z1,), cap=-1)
 
     def test_window_overflow(self):
         num = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
