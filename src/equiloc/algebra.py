@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials over partitioned variable alphabets.
+"""Exact multivariate polynomials over partitioned variable alphabets.
 
 Variables come in four disjoint alphabets:
 
@@ -9,18 +9,24 @@ Variables come in four disjoint alphabets:
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
 
-A scalar may be declared nilpotent of order ``t`` (``x^(t+1) == 0``); the
-reduction happens when monomials are built, so a polynomial never stores a
-dead power.  Coefficients are exact rationals (stored as ``int`` when the
-denominator is 1).  The canonical term order used for serialization is
-graded lexicographic over the fixed variable order, largest first, which
-makes all printed output byte-stable.
+Terms are stored sparsely, keyed by :class:`Monomial`.  Every product in
+the package is computed by one kernel, :func:`mul_dense`, on terms keyed
+by dense exponent tuples over a :class:`Slate` of variables.
+
+A scalar may be declared nilpotent of order ``t`` (``x^(t+1) == 0``).  A
+dead power is dropped in two places, so a polynomial never stores one:
+when a monomial is built (:meth:`Monomial.make`) and in the product
+kernel (the slate's ``caps``).  Coefficients are exact rationals (stored
+as ``int`` when the denominator is 1).  The canonical term order used for
+serialization is graded lexicographic over the fixed variable order,
+largest first, which makes all printed output byte-stable.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import InputError, NotDivisible, NotSymmetric
 
@@ -118,13 +124,6 @@ class Monomial:
     def __eq__(self, other):
         return self.exps == other.exps
 
-    def __mul__(self, other) -> "Monomial | None":
-        if not self.exps:
-            return other
-        if not other.exps:
-            return self
-        return Monomial.make(self.exps + other.exps)
-
     def exponent(self, v: Var) -> int:
         for w, e in self.exps:
             if w is v:
@@ -140,18 +139,6 @@ class Monomial:
 
     def variables(self):
         return [v for v, _ in self.exps]
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(e <= it.get(v, 0) for v, e in self.exps)
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        quot = dict(self.exps)
-        for v, e in other.exps:
-            quot[v] = quot.get(v, 0) - e
-        m = Monomial.make(quot.items())
-        assert m is not None
-        return m
 
     def __repr__(self):
         if not self.exps:
@@ -207,21 +194,71 @@ def _add_into(acc: dict, terms, scale=1):
             del acc[m]
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
+# -- the product kernel ------------------------------------------------
+
+class Slate:
+    """A fixed variable list, sorted; over it a term is keyed by its dense
+    exponent tuple.  ``caps`` holds ``(slot, t)`` for each variable
+    nilpotent of order ``t``."""
+
+    __slots__ = ("vars", "index", "caps")
+
+    def __init__(self, variables):
+        self.vars = tuple(sorted(variables, key=lambda v: v.sort_key))
+        self.index = {v: i for i, v in enumerate(self.vars)}
+        self.caps = tuple((i, v.nilpotency) for i, v in enumerate(self.vars)
+                          if v.nilpotency is not None)
+
+    def dense(self, terms: dict) -> dict:
+        out = {}
+        n = len(self.vars)
+        for m, c in terms.items():
+            key = [0] * n
+            for v, e in m.exps:
+                key[self.index[v]] = e
+            out[tuple(key)] = c
+        return out
+
+    def sparse(self, dense: dict) -> dict:
+        out = {}
+        for key, c in dense.items():
+            m = Monomial(tuple((v, e) for v, e in zip(self.vars, key) if e))
+            out[m] = c
+        return out
+
+
+def mul_dense(a: dict, b: dict, caps=()) -> dict:
+    """The product of two term dicts keyed by exponent tuples of one length;
+    coefficients need only ``+`` and ``*``.  A product term is dropped when
+    its exponent at ``slot`` exceeds ``t`` for some ``(slot, t)`` in
+    ``caps``.  Every polynomial product in the package comes here."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
+    get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = ma * mb
-            if m is None:
+            m = tuple(map(add, ma, mb))
+            dead = False
+            for i, cap in caps:
+                if m[i] > cap:
+                    dead = True
+                    break
+            if dead:
                 continue
-            nc = out.get(m, 0) + ca * cb
+            nc = get(m, 0) + ca * cb
             if nc:
                 out[m] = nc
             elif m in out:
                 del out[m]
     return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
+    of the variables of both."""
+    slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
+    return slate.sparse(mul_dense(slate.dense(a), slate.dense(b), slate.caps))
 
 
 class Polynomial:
@@ -353,22 +390,28 @@ class Polynomial:
         return type(self)({m: c for m, c in acc.items() if c})
 
     def subs(self, mapping) -> "Polynomial":
-        """Substitute variables by polynomials or rationals, exactly."""
+        """Substitute variables by polynomials or rationals, exactly.
+        Rational values fold into the coefficient; only polynomial values
+        are multiplied in."""
         mapping = {v: _coerce(p) for v, p in mapping.items()}
+        values = {v: p.terms.get(ONE_MONO, 0) for v, p in mapping.items()
+                  if p.is_constant}
         out: dict = {}
         for m, c in self.terms.items():
-            keep = [p for p in m.exps if p[0] not in mapping]
-            term = Polynomial({Monomial(tuple(keep)): c})
             for v, e in m.exps:
-                if v in mapping:
-                    term = term * mapping[v] ** e
-            _add_into(out, term.terms)
+                if v in values:
+                    c = c * values[v] ** e
+            keep = tuple(p for p in m.exps if p[0] not in mapping)
+            term = {Monomial(keep): c}
+            for v, e in m.exps:
+                if v in mapping and v not in values:
+                    term = _mul_terms(term, (mapping[v] ** e).terms)
+            _add_into(out, term)
         return Polynomial(out)
 
     def evaluate(self, assignment) -> "Polynomial":
         """Partial evaluation at rational values; other variables stay."""
-        return self.subs({v: Polynomial.rational(c)
-                          for v, c in assignment.items()})
+        return self.subs(assignment)
 
     def __str__(self):
         return _format_terms(self.terms)
@@ -409,29 +452,29 @@ class LaurentSeries(Polynomial):
 
 # -- exact division ----------------------------------------------------
 
-def _leading(p: Polynomial, var_order):
-    return max(p.terms, key=lambda m: _grlex_key(m, var_order))
-
-
 def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact quotient ``q`` with ``q*den == num``; NotDivisible otherwise."""
+    """Exact quotient ``q`` with ``q*den == num``; NotDivisible otherwise.
+    Leading terms are graded-lex over the slate of both."""
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    var_order = sorted(num.variables() | den.variables(),
-                       key=lambda v: v.sort_key)
-    rem = dict(num.terms)
-    lm_den = _leading(den, var_order)
-    lc_den = den.terms[lm_den]
+    slate = Slate(num.variables() | den.variables())
+    rem, dterms = slate.dense(num.terms), slate.dense(den.terms)
+
+    def grlex(key):
+        return sum(key), key
+
+    lm_den = max(dterms, key=grlex)
+    lc_den = dterms[lm_den]
     quot: dict = {}
     while rem:
-        lm = max(rem, key=lambda m: _grlex_key(m, var_order))
-        if not lm_den.divides(lm):
+        lm = max(rem, key=grlex)
+        m = tuple(map(sub, lm, lm_den))
+        if any(e < 0 for e in m):
             raise NotDivisible(f"({num}) is not divisible by ({den})")
-        m = lm / lm_den
         c = _num(Fraction(rem[lm]) / lc_den)
         quot[m] = c
-        _add_into(rem, _mul_terms({m: c}, den.terms), -1)
-    return Polynomial(quot)
+        _add_into(rem, mul_dense({m: -c}, dterms, slate.caps))
+    return Polynomial(slate.sparse(quot))
 
 
 # -- symmetric reduction ----------------------------------------------
@@ -537,10 +580,16 @@ def _tokenize(text: str):
     yield ("end", None)
 
 
+#: Deepest nesting of parentheses and unary minus signs the grammar
+#: accepts; the parser recurses once per level.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -600,13 +649,19 @@ class _Parser:
             return Polynomial.rational(value)
         if kind == "var":
             return Polynomial.var(_classify(value))
+        if kind not in ("-", "("):
+            raise InputError(f"unexpected token {value!r} in polynomial text")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputError(
+                f"polynomial text nests deeper than {MAX_NESTING} levels")
         if kind == "-":
-            return -self.atom()
-        if kind == "(":
+            p = -self.atom()
+        else:
             p = self.expr()
             self.expect(")")
-            return p
-        raise InputError(f"unexpected token {value!r} in polynomial text")
+        self.depth -= 1
+        return p
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -61,3 +61,10 @@ class SingularLinearPart(DomainError):
 
 class TooFewColumns(DomainError):
     code = "too-few-columns"
+
+
+class SizeLimitExceeded(DomainError):
+    """A computation would exceed a documented size limit; raised before
+    any of its work starts."""
+
+    code = "size-limit"

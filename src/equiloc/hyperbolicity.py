@@ -150,30 +150,19 @@ def positivity_threshold(result: GGResult, delta) -> int:
 # -- Todd class machinery ------------------------------------------------
 
 def _log_todd_series(n: int) -> list[Fraction]:
-    """Taylor coefficients a_1..a_n of log(x / (1 - e^-x))."""
-    v = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
-    v[0] = Fraction(0)  # (1 - e^-x)/x - 1
-    log_u = [Fraction(0)] * (n + 1)
-    power = v[:]
-    sign = 1
+    """Taylor coefficients a_1..a_n of log(x / (1 - e^-x)), computed in a
+    scalar x nilpotent of order n, so every product truncates itself."""
+    x = svar("x", nilpotency=n)
+    # v = (1 - e^-x)/x - 1
+    v = Polynomial.from_terms((Fraction((-1) ** i, math.factorial(i + 1)),
+                               [(x, i)]) for i in range(1, n + 1))
+    log_u = Polynomial.zero()
+    power = v
     for j in range(1, n + 1):
-        for i in range(n + 1):
-            log_u[i] += Fraction(sign, j) * power[i]
-        power = _series_mul(power, v, n)
-        sign = -sign
-    return [-a for a in log_u[1:]]
-
-
-def _series_mul(a, b, n):
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
+        log_u = log_u + Fraction((-1) ** (j - 1), j) * power
+        power = power * v
+    return [-log_u.coefficient(x, i).constant_value()
+            for i in range(1, n + 1)]
 
 
 def _todd_class(n: int, chern: list[Polynomial]) -> Polynomial:

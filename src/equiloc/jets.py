@@ -17,11 +17,15 @@ vectors of curve coefficients.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial
-from .errors import SingularLinearPart, TooFewColumns
+from .algebra import Polynomial, _add_into, mul_dense
+from .errors import SingularLinearPart, SizeLimitExceeded, TooFewColumns
+
+#: Most maximal minors :func:`kxk_minors` computes, checked before any.
+MAX_MINORS = 100_000
 
 
 def _value(x):
@@ -160,7 +164,6 @@ def sym_basis(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def sym_dimension(n: int, k: int) -> int:
-    import math
     return math.comb(n + k, k) - 1
 
 
@@ -172,16 +175,6 @@ def _linear_form(vector):
         if not _is_zero(x):
             e = tuple(1 if i == c else 0 for i in range(n))
             out[e] = x
-    return out
-
-
-def _form_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            cur = out.get(e, 0)
-            out[e] = cur + ca * cb
     return out
 
 
@@ -199,18 +192,14 @@ def rho(curve: JetCurve):
         for j in range(i, k + 1):
             acc: dict = {}
             for a in range(1, j - i + 2):
-                for e, c in _form_mul(vs[a - 1], comp[i - 1][j - a]).items():
-                    cur = acc.get(e, 0)
-                    acc[e] = cur + c
+                _add_into(acc, mul_dense(vs[a - 1], comp[i - 1][j - a]))
             comp[i][j] = acc
     basis = sym_basis(n, k)
     matrix = []
     for j in range(1, k + 1):
         row_form: dict = {}
         for i in range(1, j + 1):
-            for e, c in comp[i][j].items():
-                cur = row_form.get(e, 0)
-                row_form[e] = cur + c
+            _add_into(row_form, comp[i][j])
         matrix.append([row_form.get(e, 0) for e in basis])
     return matrix
 
@@ -240,6 +229,11 @@ def kxk_minors(matrix) -> list:
     cols = len(matrix[0]) if matrix else 0
     if cols < k:
         raise TooFewColumns(f"need at least {k} columns, matrix has {cols}")
+    count = math.comb(cols, k)
+    if count > MAX_MINORS:
+        raise SizeLimitExceeded(
+            f"{count} minors of a {k} x {cols} matrix exceed the limit "
+            f"of {MAX_MINORS}")
     out = []
     for subset in itertools.combinations(range(cols), k):
         rows = [[matrix[i][j] for j in subset] for i in range(k)]

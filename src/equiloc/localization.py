@@ -20,10 +20,14 @@ from fractions import Fraction
 from .algebra import (CHERN, Polynomial, cvar, exact_divide, vandermonde,
                       wvar, zvar)
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
-                     RepeatedWeights)
+                     RepeatedWeights, SizeLimitExceeded)
 from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
 
 _WEIGHT_POOL = range(-999_983, 1_000_003)
+
+#: Most fixed points :func:`grass_integrate` sums per weight draw, checked
+#: before any is listed.
+MAX_FIXED_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,7 @@ def flag_dimension(n: int, d: int) -> int:
 
 
 def _elementary_values(values, i):
-    return sum((Fraction(a) for c in itertools.combinations(values, i)
-                for a in [_prod(c)]), Fraction(0))
-
-
-def _prod(values):
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+    return sum(map(math.prod, itertools.combinations(values, i)), Fraction(0))
 
 
 def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
@@ -114,7 +110,8 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
         assignment = {cvar(i): _elementary_values(chosen, i)
                       for i in range(1, k + 1)}
         num = cls.evaluate(assignment).constant_value()
-        den = _prod(mu[s - 1] - mu[i - 1] for s, i in pt.tangent_pairs())
+        den = math.prod(mu[s - 1] - mu[i - 1]
+                        for s, i in pt.tangent_pairs())
         total += orderings * num / den
     return total
 
@@ -126,6 +123,11 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     :func:`grass_sum_at` for the ordered-tuple normalization)."""
     if not (0 < k < n):
         raise InputError(f"need 0 < k < n, got k={k}, n={n}")
+    count = math.comb(n, k)
+    if count > MAX_FIXED_POINTS:
+        raise SizeLimitExceeded(
+            f"Grass({k}, {n}) has {count} fixed points, more than the limit "
+            f"of {MAX_FIXED_POINTS}")
     grass_class_degree_check(n, k, cls)
     rng = random.Random(seed)
     values = [grass_sum_at(n, k, cls, draw_weights(n, rng))

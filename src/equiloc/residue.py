@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
-from .algebra import RESIDUE, Monomial, Polynomial, Var, _add_into, _num
+from .algebra import (RESIDUE, Polynomial, Slate, Var, _add_into, _num,
+                      mul_dense)
 from .errors import InputError, NoDominantVariable, WindowOverflow
 
 DEFAULT_CAP = 256
@@ -109,62 +109,7 @@ class ResidueForm:
             raise InputError(f"residue variables not in the order: {names}")
 
 
-# -- dense workspace -----------------------------------------------------
-
-class _Workspace:
-    """Fixed variable slate for one evaluation; terms are dicts keyed by
-    dense exponent tuples."""
-
-    __slots__ = ("vars", "index", "caps")
-
-    def __init__(self, variables):
-        self.vars = tuple(sorted(variables, key=lambda v: v.sort_key))
-        self.index = {v: i for i, v in enumerate(self.vars)}
-        self.caps = tuple((i, v.nilpotency) for i, v in enumerate(self.vars)
-                          if v.nilpotency is not None)
-
-    def dense(self, terms: dict) -> dict:
-        out = {}
-        n = len(self.vars)
-        for m, c in terms.items():
-            key = [0] * n
-            for v, e in m.exps:
-                key[self.index[v]] = e
-            out[tuple(key)] = c
-        return out
-
-    def sparse(self, dense: dict) -> dict:
-        out = {}
-        for key, c in dense.items():
-            m = Monomial(tuple((v, e) for v, e in zip(self.vars, key) if e))
-            out[m] = c
-        return out
-
-    def mul(self, a: dict, b: dict) -> dict:
-        if len(a) > len(b):
-            a, b = b, a
-        caps = self.caps
-        out: dict = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = tuple(map(add, ma, mb))
-                dead = False
-                for i, cap in caps:
-                    if m[i] > cap:
-                        dead = True
-                        break
-                if dead:
-                    continue
-                nc = get(m, 0) + ca * cb
-                if nc:
-                    out[m] = nc
-                elif m in out:
-                    del out[m]
-        return out
-
-
-def _peel(ws: _Workspace, num: dict, factors, zi: int, cap: int) -> dict:
+def _peel(ws: Slate, num: dict, factors, zi: int, cap: int) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
     the expansions of the factors dominated by that variable."""
     slices: dict[int, dict] = {}
@@ -191,20 +136,21 @@ def _peel(ws: _Workspace, num: dict, factors, zi: int, cap: int) -> dict:
         step = {m: c * -inv_a for m, c in base.items()}
         tails = [{(0,) * len(ws.vars): inv_a}]
         for _ in range(jtot):
-            tails.append(ws.mul(tails[-1], step) if step else {})
+            tails.append(mul_dense(tails[-1], step, ws.caps) if step else {})
         new = [dict() for _ in range(jtot + 1)]
         for t_old, pterms in enumerate(prod):
             if not pterms:
                 continue
             for j in range(jtot + 1 - t_old):
                 if tails[j]:
-                    _add_into(new[t_old + j], ws.mul(pterms, tails[j]))
+                    _add_into(new[t_old + j],
+                              mul_dense(pterms, tails[j], ws.caps))
         prod = new
     out: dict = {}
     for t, sl in slices.items():
         torder = t + 1 - s
         if 0 <= torder <= jtot and prod[torder]:
-            _add_into(out, ws.mul(sl, prod[torder]))
+            _add_into(out, mul_dense(sl, prod[torder], ws.caps))
     return out
 
 
@@ -226,7 +172,7 @@ def iterated_residue(form: ResidueForm, cap: int = DEFAULT_CAP) -> Polynomial:
     for w in form.denominators:
         variables.update(w.constant.variables())
         variables.update(w.residue_variables())
-    ws = _Workspace(variables)
+    ws = Slate(variables)
     num = ws.dense(form.numerator.terms)
     for zq in reversed(order):
         zi = ws.index[zq]

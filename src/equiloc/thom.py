@@ -8,7 +8,7 @@ module reads its tower residues through the same two functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -124,14 +124,15 @@ def _prune_chern(series: LaurentSeries, cmax: int) -> LaurentSeries:
 
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     """The calibrated residue form for (k, codim): :func:`curvilinear_form`
-    times ``prod_l c(1/z_l) z_l^codim``, cut at Chern weight k(codim+1)
-    after each factor."""
-    form = curvilinear_form(k, q.get(k))
+    times ``prod_l c(1/z_l) z_l^codim``.  The tails are cut at Chern weight
+    k(codim+1) after each factor; ``Q_k`` and the Vandermonde product carry
+    no Chern class, so cutting before they join gives the same numerator."""
+    qk = q.get(k)
     cmax = k * (codim + 1)
-    numerator = form.numerator
-    for l in range(1, k + 1):
-        numerator = _prune_chern(numerator * _chern_tail(l, codim, cmax), cmax)
-    return replace(form, numerator=numerator)
+    tails = _chern_tail(1, codim, cmax)
+    for l in range(2, k + 1):
+        tails = _prune_chern(tails * _chern_tail(l, codim, cmax), cmax)
+    return curvilinear_form(k, qk, tails)
 
 
 def thom_polynomial(k: int, codim: int, q: QTable | None = None,

@@ -1,17 +1,39 @@
-"""Independent brute-force oracles used to cross-check the residue engine.
+"""Independent brute-force oracles used to cross-check the residue engine
+and the product kernel.
 
-The oracle expands every denominator factor as a geometric series up to a
-fixed order, multiplies everything out as plain string-keyed dictionaries
-(no sharing with the engine's workspace, windows or peel logic), and reads
-off the requested Laurent coefficient.  With a large enough order the
-result is exact, and enlarging the order must never change it.
+The residue oracle expands every denominator factor as a geometric series
+up to a fixed order, multiplies everything out as plain string-keyed
+dictionaries (no sharing with the engine's slate, kernel or peel logic),
+and reads off the requested Laurent coefficient.  With a large enough
+order the result is exact, and enlarging the order must never change it.
+
+:func:`sparse_product` is the reference for the product kernel: the
+pairwise ``Monomial.make`` merge the package multiplied with before it
+had one dense kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from equiloc.algebra import Polynomial
+from equiloc.algebra import Monomial, Polynomial
+
+
+def sparse_product(a: Polynomial, b: Polynomial) -> dict:
+    """Terms of ``a * b``, one ``Monomial.make`` merge per pair of terms;
+    a pair whose merge overflows a nilpotency cap is dropped."""
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = Monomial.make(ma.exps + mb.exps)
+            if m is None:
+                continue
+            nc = out.get(m, 0) + ca * cb
+            if nc:
+                out[m] = nc
+            elif m in out:
+                del out[m]
+    return out
 
 
 def _to_terms(p: Polynomial) -> dict:

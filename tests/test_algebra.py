@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (LaurentSeries, Polynomial, cvar, evar,
-                             exact_divide, elementary_symmetric,
+from equiloc.algebra import (MAX_NESTING, LaurentSeries, Polynomial, cvar,
+                             evar, exact_divide, elementary_symmetric,
                              parse_polynomial, svar, symmetric_reduce,
                              term_list, wvar, zvar)
 from equiloc.errors import InputError, NotDivisible, NotSymmetric
+from oracles import sparse_product
 
 P = Polynomial
 X = svar("x")
@@ -67,6 +68,29 @@ class TestArithmetic:
         x = P.var(X)
         assert (x + 1) ** 3 == x ** 3 + 3 * x ** 2 + 3 * x + 1
         assert (x + 1) ** 0 == P.one()
+
+
+H2 = svar("h", nilpotency=2)
+
+
+def _laurent(max_terms=4):
+    """Laurent series mixing negative residue exponents, a nilpotent
+    scalar, a weight and a Chern class, with Fraction coefficients."""
+    pair = st.one_of(
+        st.tuples(st.sampled_from((zvar(1), zvar(2))), st.integers(-3, 3)),
+        st.tuples(st.sampled_from((H2, wvar(1), cvar(2))),
+                  st.integers(0, 3)))
+    term = st.tuples(_coeffs(), st.lists(pair, max_size=4))
+    return st.lists(term, max_size=max_terms).map(LaurentSeries.from_terms)
+
+
+class TestProductKernel:
+    @given(_laurent(), _laurent(), _polys(vars=(X, H2, cvar(1))))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sparse_reference(self, a, b, p):
+        assert (a * b).terms == sparse_product(a, b)
+        assert (p * a).terms == sparse_product(p, a)
+        assert (p * p).terms == sparse_product(p, p)
 
 
 class TestExactDivide:
@@ -161,6 +185,13 @@ class TestGrammar:
 
     def test_errors(self):
         for bad in ("c1 +", "(z1", "z1^x", "1/0", "$"):
+            with pytest.raises(InputError):
+                parse_polynomial(bad)
+
+    def test_nesting_limit(self):
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_polynomial(deep) == P.var(X)
+        for bad in ("(" + deep + ")", "-" * 3000 + "x"):
             with pytest.raises(InputError):
                 parse_polynomial(bad)
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,15 @@ class TestResidueJobs:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "(" * 3000 + "z1" + ")" * 3000,
+            "denominators": ["z1"], "order": ["z1"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
 
 class TestArgumentGuards:
     @pytest.mark.parametrize("extra", [
@@ -119,6 +129,20 @@ class TestArgumentGuards:
         assert code == 2
         assert "all_match" not in out
         assert json.loads(err)["error"] == "parse-error"
+
+    def test_size_limits_exit_1_before_work(self, capsys, tmp_path):
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"coefficients": [
+            ["1" if (i, j) == (0, 0) else "0" for j in range(6)]
+            for i in range(6)]}))
+        for argv in (("grass-integrate", "--n", "20", "--k", "10",
+                      "--class", "c10^10"),
+                     ("minors", "--n", "6", "--k", "6", "--jet", str(jet))):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert (code, out) == (1, ""), argv
+            assert json.loads(err)["error"] == "size-limit"
 
     def test_varying_draws_exit_1(self, capsys, monkeypatch):
         from equiloc import localization

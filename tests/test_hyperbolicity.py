@@ -11,7 +11,7 @@ import pytest
 from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   euler_characteristic,
+                                   _log_todd_series, euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold, top_intersection)
 P = Polynomial
@@ -20,6 +20,13 @@ P = Polynomial
 @pytest.fixture(scope="module")
 def gg():
     return {n: intersection_polynomial(n) for n in (1, 2, 3)}
+
+
+def test_log_todd_golden():
+    # x / (1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720 + O(x^6), whose log is
+    # x/2 - x^2/24 + x^4/2880 + O(x^6)
+    assert _log_todd_series(4) == [Fraction(1, 2), Fraction(-1, 24), 0,
+                                   Fraction(1, 2880)]
 
 
 class TestLeadingConstant:
