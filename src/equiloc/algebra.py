@@ -25,10 +25,11 @@ largest first, which makes all printed output byte-stable.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import InputError, NotDivisible, NotSymmetric
+from .errors import InputError, NotDivisible, NotSymmetric, SizeLimitExceeded
 
 RESIDUE, WEIGHT, CHERN, SCALAR = 0, 1, 2, 3
 _KIND_NAMES = {RESIDUE: "residue", WEIGHT: "weight", CHERN: "chern", SCALAR: "scalar"}
@@ -584,6 +585,11 @@ def _tokenize(text: str):
 #: accepts; the parser recurses once per level.
 MAX_NESTING = 100
 
+#: Most terms a ``^`` in polynomial text may produce: a base of t terms to
+#: the power e has at most C(e + t - 1, t - 1) terms, checked before the
+#: power is expanded.
+MAX_POWER_TERMS = 100_000
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -634,6 +640,12 @@ class _Parser:
         if self.peek() == "^":
             self.next()
             exp = self.expect("int")[1]
+            t = max(len(base.terms), 1)
+            bound = math.comb(exp + t - 1, t - 1)
+            if bound > MAX_POWER_TERMS:
+                raise SizeLimitExceeded(
+                    f"a {t}-term polynomial to the power {exp} may have "
+                    f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
             return base ** exp
         return base
 

@@ -12,10 +12,15 @@ right through the upper-triangular coefficient matrix of the
 reparametrization; empirically (and then asserted in the tests) the matrix
 map is multiplicative: matrix(f o g) = matrix(f) * matrix(g) on row
 vectors of curve coefficients.
+
+The maximal minors of the embedding matrix, the Plücker coordinates of its
+row span, are computed together by wedging on one row at a time (Laplace
+expansion, no division) and dropping zero sub-minors.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +29,8 @@ from fractions import Fraction
 from .algebra import Polynomial, _add_into, mul_dense
 from .errors import SingularLinearPart, SizeLimitExceeded, TooFewColumns
 
-#: Most maximal minors :func:`kxk_minors` computes, checked before any.
+#: Most sub-minors :func:`kxk_minors` may hold in one level (its widest
+#: level has C(M, min(k, M // 2)) of them), checked before any is computed.
 MAX_MINORS = 100_000
 
 
@@ -204,44 +210,51 @@ def rho(curve: JetCurve):
     return matrix
 
 
-def _det(rows) -> object:
-    """Determinant by permutation expansion; entries need + and * only."""
-    k = len(rows)
-    acc = 0
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(k):
-            term = rows[i][perm[i]] * term
-        acc = acc + term
-    return acc
+def _check_minor_count(k: int, cols: int) -> None:
+    """Bound the widest level :func:`kxk_minors` can hold for a k x cols
+    matrix, C(cols, min(k, cols // 2)) sub-minors, by MAX_MINORS."""
+    widest = math.comb(cols, min(k, cols // 2))
+    if widest > MAX_MINORS:
+        raise SizeLimitExceeded(
+            f"{widest} minors of a {k} x {cols} matrix exceed the limit "
+            f"of {MAX_MINORS}")
+
+
+def _wedge_row(level: dict, row) -> dict:
+    """The next level of :func:`kxk_minors`: Laplace expansion along the
+    new row gives minor(S + {j}) the term (-1)^#{s in S : s > j} *
+    minor(S) * row[j]; zero minors are dropped."""
+    entries = [(j, x) for j, x in enumerate(row) if not _is_zero(x)]
+    wider: dict = {}
+    for subset, minor in level.items():
+        for j, x in entries:
+            p = bisect.bisect_left(subset, j)
+            if p < len(subset) and subset[p] == j:
+                continue
+            term = minor * x if (len(subset) - p) % 2 == 0 else -(minor * x)
+            key = subset[:p] + (j,) + subset[p:]
+            wider[key] = wider[key] + term if key in wider else term
+    return {s: m for s, m in wider.items() if not _is_zero(m)}
 
 
 def kxk_minors(matrix) -> list:
     """All maximal minors of a k x M matrix (M >= k), over column subsets
-    in lexicographic order."""
+    in lexicographic order.  Each level of the row wedge maps i-subsets
+    of columns to the nonzero minors of the first i rows on them."""
     k = len(matrix)
     cols = len(matrix[0]) if matrix else 0
     if cols < k:
         raise TooFewColumns(f"need at least {k} columns, matrix has {cols}")
-    count = math.comb(cols, k)
-    if count > MAX_MINORS:
-        raise SizeLimitExceeded(
-            f"{count} minors of a {k} x {cols} matrix exceed the limit "
-            f"of {MAX_MINORS}")
-    out = []
-    for subset in itertools.combinations(range(cols), k):
-        rows = [[matrix[i][j] for j in subset] for i in range(k)]
-        out.append(_det(rows))
-    return out
+    _check_minor_count(k, cols)
+    level = {(): 1}
+    for row in matrix:
+        level = _wedge_row(level, row)
+    return [level.get(s, 0) for s in itertools.combinations(range(cols), k)]
 
 
 def invariant_minors(curve: JetCurve) -> list:
     """The k x k minors of the embedding matrix, lexicographic in the
-    column subsets; invariant under unipotent reparametrization."""
+    column subsets; invariant under unipotent reparametrization.  The
+    size limit is checked from n and k before the matrix is built."""
+    _check_minor_count(curve.k, sym_dimension(curve.n, curve.k))
     return kxk_minors(rho(curve))

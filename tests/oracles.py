@@ -9,11 +9,13 @@ order the result is exact, and enlarging the order must never change it.
 
 :func:`sparse_product` is the reference for the product kernel: the
 pairwise ``Monomial.make`` merge the package multiplied with before it
-had one dense kernel.
+had one dense kernel.  :func:`permutation_det` is the reference for the
+jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from equiloc.algebra import Monomial, Polynomial
@@ -34,6 +36,23 @@ def sparse_product(a: Polynomial, b: Polynomial) -> dict:
             elif m in out:
                 del out[m]
     return out
+
+
+def permutation_det(rows):
+    """Determinant by permutation expansion; entries need + and * only."""
+    k = len(rows)
+    acc = 0
+    for perm in itertools.permutations(range(k)):
+        sign = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(k):
+            term = rows[i][perm[i]] * term
+        acc = acc + term
+    return acc
 
 
 def _to_terms(p: Polynomial) -> dict:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (MAX_NESTING, LaurentSeries, Polynomial, cvar,
-                             evar, exact_divide, elementary_symmetric,
-                             parse_polynomial, svar, symmetric_reduce,
-                             term_list, wvar, zvar)
-from equiloc.errors import InputError, NotDivisible, NotSymmetric
+from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS, LaurentSeries,
+                             Polynomial, cvar, evar, exact_divide,
+                             elementary_symmetric, parse_polynomial, svar,
+                             symmetric_reduce, term_list, wvar, zvar)
+from equiloc.errors import (InputError, NotDivisible, NotSymmetric,
+                            SizeLimitExceeded)
 from oracles import sparse_product
 
 P = Polynomial
@@ -194,6 +195,18 @@ class TestGrammar:
         for bad in ("(" + deep + ")", "-" * 3000 + "x"):
             with pytest.raises(InputError):
                 parse_polynomial(bad)
+
+    def test_power_limit(self):
+        # a t-term base squared may have C(t + 1, 2) terms: 446 terms give
+        # 99,681 <= MAX_POWER_TERMS, 447 give 100,128; a monomial to any
+        # power is one term
+        assert MAX_POWER_TERMS == 100_000
+        squares = ["(" + "+".join(f"z1^{i}" for i in range(t)) + ")^2"
+                   for t in (446, 447)]
+        assert len(parse_polynomial(squares[0]).terms) == 891
+        with pytest.raises(SizeLimitExceeded):
+            parse_polynomial(squares[1])
+        assert parse_polynomial("z1^100000") == P.var(zvar(1)) ** 100000
 
     @given(_polys(vars=(zvar(1), wvar(2), cvar(3), svar("h"))))
     @settings(max_examples=60, deadline=None)

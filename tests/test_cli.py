@@ -115,6 +115,17 @@ class TestResidueJobs:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
+    def test_large_power_exits_1_before_expanding(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "(1+z1)^100000",
+            "denominators": ["z1"], "order": ["z1"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-limit"
+
 
 class TestArgumentGuards:
     @pytest.mark.parametrize("extra", [
@@ -131,13 +142,16 @@ class TestArgumentGuards:
         assert json.loads(err)["error"] == "parse-error"
 
     def test_size_limits_exit_1_before_work(self, capsys, tmp_path):
-        jet = tmp_path / "jet.json"
-        jet.write_text(json.dumps({"coefficients": [
-            ["1" if (i, j) == (0, 0) else "0" for j in range(6)]
-            for i in range(6)]}))
-        for argv in (("grass-integrate", "--n", "20", "--k", "10",
-                      "--class", "c10^10"),
-                     ("minors", "--n", "6", "--k", "6", "--jet", str(jet))):
+        argvs = [("grass-integrate", "--n", "20", "--k", "10",
+                  "--class", "c10^10")]
+        for size in (6, 8):
+            jet = tmp_path / f"jet{size}.json"
+            jet.write_text(json.dumps({"coefficients": [
+                ["1" if (i, j) == (0, 0) else "0" for j in range(size)]
+                for i in range(size)]}))
+            argvs.append(("minors", "--n", str(size), "--k", str(size),
+                          "--jet", str(jet)))
+        for argv in argvs:
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1, argv

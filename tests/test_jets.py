@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiloc.algebra import Polynomial, parse_polynomial, svar
 from equiloc.errors import SingularLinearPart, TooFewColumns
 from equiloc.jets import (JetCurve, ReparamJet, compose, compose_reparam,
                           gk_matrix, invariant_minors, kxk_minors, rho,
                           sym_basis, sym_dimension)
+from oracles import permutation_det
 
 P = Polynomial
 
@@ -32,6 +37,14 @@ def random_reparam(rng: random.Random, k: int,
     tail = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             for _ in range(k - 1)]
     return ReparamJet([head] + tail)
+
+
+def oracle_minors(matrix) -> list:
+    """The maximal minors, each by its own permutation expansion."""
+    k = len(matrix)
+    cols = len(matrix[0]) if matrix else 0
+    return [permutation_det([[row[j] for j in subset] for row in matrix])
+            for subset in itertools.combinations(range(cols), k)]
 
 
 class TestGkMatrix:
@@ -142,6 +155,40 @@ class TestMinors:
     def test_lexicographic_column_order(self):
         minors = kxk_minors([[1, 0, 2]])
         assert minors == [1, 0, 2]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_permutation_expansion(self, data):
+        # mostly zero entries, as in the staircase embedding matrices;
+        # k = 0 and all-zero rows are drawn too
+        k = data.draw(st.integers(0, 4))
+        cols = data.draw(st.integers(k, 7))
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        matrix = data.draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=k, max_size=k))
+        if k and data.draw(st.booleans()):
+            matrix[data.draw(st.integers(0, k - 1))] = [Fraction(0)] * cols
+        assert kxk_minors(matrix) == oracle_minors(matrix)
+
+    def test_symbolic_plane_jet_matches_permutation_expansion(self):
+        gamma = JetCurve([[P.var(svar(f"v{i}{c}")) for c in (1, 2)]
+                          for i in (1, 2, 3)])
+        matrix = rho(gamma)
+        minors = kxk_minors(matrix)
+        assert len(minors) == 84
+        assert minors == oracle_minors(matrix)
+        assert any(not isinstance(m, int) for m in minors)
+
+    def test_square_lower_triangular_jet(self):
+        # n = 1: rho is k x k and lower triangular with diagonal v1^j; the
+        # permutation expansion needed 12! products here
+        gamma = JetCurve([[2]] + [[0]] * 11)
+        start = time.perf_counter()
+        assert invariant_minors(gamma) == [2 ** 78]
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("n,k,rounds", [(2, 3, 20), (2, 4, 15), (3, 3, 20)])
     def test_unipotent_invariance(self, n, k, rounds):
