@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import InputError, NotDivisible, NotSymmetric, SizeLimitExceeded
 
 RESIDUE, WEIGHT, CHERN, SCALAR = 0, 1, 2, 3
-_KIND_NAMES = {RESIDUE: "residue", WEIGHT: "weight", CHERN: "chern", SCALAR: "scalar"}
 
 
 class Var:
@@ -333,14 +332,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, mul)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -419,6 +411,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+def _power(base: Polynomial, n: int, product) -> Polynomial:
+    """``base ** n`` by squaring and multiplying, each product formed by
+    ``product(a, b)``."""
+    out = Polynomial.one()
+    while n:
+        if n & 1:
+            out = product(out, base)
+        base = product(base, base) if n > 1 else base
+        n >>= 1
+    return out
 
 
 def _coerce(x) -> Polynomial:
@@ -548,10 +552,17 @@ def symmetric_reduce(p: Polynomial, n: int | None = None) -> Polynomial:
 _VAR_KINDS = {"z": zvar, "l": wvar, "c": cvar}
 
 
+def _literal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(f"a {len(digits)}-digit number is too long") from exc
+
+
 def _classify(name: str) -> Var:
     head, tail = name[0], name[1:]
-    if head in _VAR_KINDS and tail.isdigit():
-        return _VAR_KINDS[head](int(tail))
+    if head in _VAR_KINDS and tail.isdecimal():
+        return _VAR_KINDS[head](_literal(tail))
     return svar(name)
 
 
@@ -561,11 +572,11 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            yield ("int", int(text[i:j]))
+            yield ("int", _literal(text[i:j]))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -590,12 +601,20 @@ MAX_NESTING = 100
 #: power is expanded.
 MAX_POWER_TERMS = 100_000
 
+#: Most work one product in polynomial text may cost, counted as its term
+#: pairs times the number of variables in the text (the exponents added
+#: per pair).  Each product a ``*``, or the expansion of a ``^``, forms is
+#: checked before it is formed.
+MAX_PRODUCT_WORK = 200_000
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.depth = 0
+        self.width = max(len({v for kind, v in self.tokens
+                              if kind == "var"}), 1)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -617,11 +636,20 @@ class _Parser:
             raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
         return p
 
+    def product(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        pairs = len(a.terms) * len(b.terms)
+        if pairs * self.width > MAX_PRODUCT_WORK:
+            raise SizeLimitExceeded(
+                f"a product of {pairs} term pairs in a {self.width}-variable "
+                f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
+                "variables")
+        return a * b
+
     def expr(self) -> Polynomial:
-        sign = 1
+        negate = self.peek() == "-"
         if self.peek() in "+-":
-            sign = -1 if self.next()[0] == "-" else 1
-        acc = self.term() * sign
+            self.next()
+        acc = -self.term() if negate else self.term()
         while self.peek() in "+-":
             op = self.next()[0]
             t = self.term()
@@ -632,7 +660,7 @@ class _Parser:
         acc = self.power()
         while self.peek() == "*":
             self.next()
-            acc = acc * self.power()
+            acc = self.product(acc, self.power())
         return acc
 
     def power(self) -> Polynomial:
@@ -646,7 +674,7 @@ class _Parser:
                 raise SizeLimitExceeded(
                     f"a {t}-term polynomial to the power {exp} may have "
                     f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
-            return base ** exp
+            return _power(base, exp, self.product)
         return base
 
     def atom(self) -> Polynomial:
@@ -680,6 +708,9 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse the CLI/JSON polynomial grammar: rationals ``a`` or ``a/b``,
     variables ``z1.. l1.. c1.. h d delta m``, operators ``+ - * ^`` and
     parentheses; whitespace is insignificant."""
+    if not isinstance(text, str):
+        raise InputError(f"polynomial text must be a string, not "
+                         f"{type(text).__name__}")
     return _Parser(text).parse()
 
 

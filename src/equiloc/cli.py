@@ -1,9 +1,10 @@
 """Single executable exposing all computations as subcommands.
 
-Identical invocations produce byte-identical stdout: all randomized
-evaluations are driven by ``--seed`` (default 0) and every polynomial is
-printed in the canonical term order.  Domain errors exit with code 1,
-malformed input with code 2, both with a JSON error object on stderr.
+Identical invocations produce byte-identical stdout: the randomized
+weight draws of ``grass-integrate`` and ``flag-check`` are driven by
+``--seed`` (default 0) and every polynomial is printed in the canonical
+term order.  Domain errors exit with code 1, malformed input and bad
+arguments with code 2, both with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import hyperbolicity, jets, localization, thom
 from .algebra import parse_polynomial, term_list
 from .errors import DomainError, EquilocError, InputError
-from .residue import DEFAULT_CAP, residue_job
+from .residue import residue_job
 
 
 def _rat(text: str) -> Fraction:
@@ -34,11 +35,15 @@ def _fmt_rat(x) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InputError(
+            f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
 
 
 def _emit(args, text_value, json_value):
@@ -57,21 +62,20 @@ def _load_jet(path: str, n: int, k: int) -> jets.JetCurve:
     else:
         raise InputError(
             "jet file needs a 'coefficients' or 'derivatives' array")
+    if (min(n, k) < 1 or not isinstance(rows, list) or len(rows) != k
+            or any(not isinstance(r, list) or len(r) != n for r in rows)):
+        raise InputError(f"jet file must hold a {k} x {n} array, n, k >= 1")
     try:
         rows = [[Fraction(str(x)) for x in row] for row in rows]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad jet entry: {exc}") from exc
-    if len(rows) != k or any(len(r) != n for r in rows):
-        raise InputError(f"jet file must hold a {k} x {n} array")
     if derivative:
         return jets.JetCurve.from_derivatives(rows)
     return jets.JetCurve(rows)
 
 
-def _load_qtable(path: str | None) -> thom.QTable:
+def _load_qtable(path: str) -> thom.QTable:
     table = thom.QTable.builtin()
-    if path is None:
-        return table
     data = _load_json(path)
     for key in sorted(data):
         try:
@@ -95,7 +99,7 @@ def _basis_labels(n: int, k: int) -> list[str]:
 
 def _cmd_residue(args):
     job = _load_json(args.job)
-    out = residue_job(job, cap=args.cap)
+    out = residue_job(job)
     _emit(args, out["residue"], out)
 
 
@@ -109,7 +113,7 @@ def _cmd_grass_integrate(args):
 
 def _cmd_flag_check(args):
     report = localization.run_flag_trials(args.n, args.d, args.trials,
-                                          seed=args.seed, cap=args.cap)
+                                          seed=args.seed)
     lines = [f"trial {r['trial']}: value={r['value']} match={r['match']}"
              for r in report["results"]]
     lines.append(f"all_match={report['all_match']}")
@@ -127,18 +131,16 @@ def _thom_json(result: thom.ThomResult) -> dict:
 
 
 def _cmd_thom(args):
-    table = _load_qtable(args.q_file)
-    result = thom.thom_polynomial(args.k, args.codim, table, cap=args.cap)
+    result = thom.thom_polynomial(args.k, args.codim, args.q_file)
     _emit(args, str(result.polynomial), _thom_json(result))
 
 
 def _cmd_thom_scan(args):
-    table = _load_qtable(args.q_file)
     rows = []
     lines = []
     for k in range(1, args.kmax + 1):
         for codim in range(0, args.lmax + 1):
-            result = thom.thom_polynomial(k, codim, table, cap=args.cap)
+            result = thom.thom_polynomial(k, codim, args.q_file)
             entry = _thom_json(result)
             line = f"k={k} codim={codim}: {result.polynomial}"
             if args.check_positivity:
@@ -154,9 +156,7 @@ def _cmd_thom_scan(args):
 
 
 def _cmd_gg(args):
-    table = _load_qtable(args.q_file)
-    result = hyperbolicity.intersection_polynomial(args.n, table,
-                                                   cap=args.cap)
+    result = hyperbolicity.intersection_polynomial(args.n, args.q_file)
     payload = {"n": args.n, "polynomial": str(result.polynomial),
                "theta": _fmt_rat(result.theta),
                "leading": str(result.leading)}
@@ -173,29 +173,22 @@ def _cmd_gg(args):
 
 
 def _cmd_theta(args):
-    table = _load_qtable(args.q_file)
-    value = hyperbolicity.leading_constant(args.n, table, cap=args.cap)
+    value = hyperbolicity.leading_constant(args.n, args.q_file)
     _emit(args, _fmt_rat(value), {"n": args.n, "theta": _fmt_rat(value)})
 
 
 def _cmd_euler(args):
-    table = _load_qtable(args.q_file)
     d = _rat(args.d) if args.d is not None else None
-    result = hyperbolicity.euler_characteristic(args.n, d, table,
-                                                cap=args.cap)
+    result = hyperbolicity.euler_characteristic(args.n, d, args.q_file)
     payload = {"n": args.n, "chi": str(result.chi)}
     if d is not None:
         payload["d"] = _fmt_rat(d)
     _emit(args, str(result.chi), payload)
 
 
-def _matrix_strings(matrix):
-    return [[_fmt_rat(x) for x in row] for row in matrix]
-
-
 def _cmd_rho(args):
     curve = _load_jet(args.jet, args.n, args.k)
-    matrix = _matrix_strings(jets.rho(curve))
+    matrix = [[_fmt_rat(x) for x in row] for row in jets.rho(curve)]
     text = "\n".join("\t".join(row) for row in matrix)
     _emit(args, text, {"n": args.n, "k": args.k,
                        "basis": _basis_labels(args.n, args.k),
@@ -209,15 +202,28 @@ def _cmd_minors(args):
           {"n": args.n, "k": args.k, "minors": minors})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized weight draws")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="expansion-order cap of the residue engine")
+class _ArgParser(argparse.ArgumentParser):
+    """Raises :class:`InputError` where argparse would print usage and exit."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _ArgParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    seeded = _ArgParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized weight draws")
+    tabled = _ArgParser(add_help=False)
+    tabled.add_argument("--q-file", type=_load_qtable, default=None,
+                        help="JSON map of extra numerator polynomials")
+    jet = _ArgParser(add_help=False)
+    jet.add_argument("--n", type=int, required=True)
+    jet.add_argument("--k", type=int, required=True)
+    jet.add_argument("--jet", required=True, help="path to the jet file")
+
+    parser = _ArgParser(
         prog="equiloc",
         description="exact localization / iterated-residue calculator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--job", required=True, help="path to the job file")
     p.set_defaults(func=_cmd_residue)
 
-    p = sub.add_parser("grass-integrate", parents=[common],
+    p = sub.add_parser("grass-integrate", parents=[common, seeded],
                        help="intersection number on Grass(k, n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -235,82 +241,64 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polynomial in c1..ck, e.g. 'c1^2*c2'")
     p.set_defaults(func=_cmd_grass_integrate)
 
-    p = sub.add_parser("flag-check", parents=[common],
+    p = sub.add_parser("flag-check", parents=[common, seeded],
                        help="fixed-point vs residue identity trials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=20)
     p.set_defaults(func=_cmd_flag_check)
 
-    p = sub.add_parser("thom", parents=[common],
+    p = sub.add_parser("thom", parents=[common, tabled],
                        help="singularity-locus polynomial")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--codim", type=int, default=0)
-    p.add_argument("--q-file", default=None,
-                   help="JSON map of extra numerator polynomials")
     p.set_defaults(func=_cmd_thom)
 
-    p = sub.add_parser("thom-scan", parents=[common],
+    p = sub.add_parser("thom-scan", parents=[common, tabled],
                        help="table of polynomials over a (k, codim) range")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--check-positivity", action="store_true")
-    p.add_argument("--q-file", default=None)
     p.set_defaults(func=_cmd_thom_scan)
 
-    p = sub.add_parser("gg", parents=[common],
+    p = sub.add_parser("gg", parents=[common, tabled],
                        help="hypersurface intersection polynomial p(n, d, delta)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", default=None)
     p.add_argument("--d", default=None)
-    p.add_argument("--q-file", default=None)
     p.set_defaults(func=_cmd_gg)
 
-    p = sub.add_parser("theta", parents=[common],
+    p = sub.add_parser("theta", parents=[common, tabled],
                        help="leading-coefficient constant")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q-file", default=None)
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("euler", parents=[common],
+    p = sub.add_parser("euler", parents=[common, tabled],
                        help="Euler characteristic of the weight-m jet sheaf")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", default=None, help="hypersurface degree; "
                    "omit to keep it symbolic")
-    p.add_argument("--q-file", default=None)
     p.set_defaults(func=_cmd_euler)
 
-    p = sub.add_parser("rho", parents=[common],
+    p = sub.add_parser("rho", parents=[common, jet],
                        help="jet embedding matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jet", required=True, help="path to the jet file")
     p.set_defaults(func=_cmd_rho)
 
-    p = sub.add_parser("minors", parents=[common],
+    p = sub.add_parser("minors", parents=[common, jet],
                        help="maximal minors of the jet embedding matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jet", required=True, help="path to the jet file")
     p.set_defaults(func=_cmd_minors)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
     except EquilocError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

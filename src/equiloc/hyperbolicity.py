@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import LaurentSeries, Monomial, Polynomial, Var, svar, zvar
 from .errors import DomainError, InputError
-from .residue import DEFAULT_CAP, iterated_residue
+from .residue import iterated_residue
 from .thom import QTable, calibrate, curvilinear_form
 
 D_VAR = svar("d")
@@ -50,12 +50,11 @@ class EulerResult:
     chi: Polynomial
 
 
-def _tower_residue(n: int, qn: Polynomial, cap: int, *factors) -> Polynomial:
+def _tower_residue(n: int, qn: Polynomial, *factors) -> Polynomial:
     """Calibrated residue of the order-n curvilinear form times the given
     numerator factors.  Callers look ``qn`` up first, so a missing table
     entry fails before any factor is assembled."""
-    return calibrate(n, iterated_residue(curvilinear_form(n, qn, *factors),
-                                         cap=cap))
+    return calibrate(n, iterated_residue(curvilinear_form(n, qn, *factors)))
 
 
 def _zshift(n: int, power: int) -> LaurentSeries:
@@ -100,27 +99,25 @@ def _positivity_form(n: int, h: Var) -> Polynomial:
     return base ** (n * n) - n * n * base ** (n * n - 1) * twist
 
 
-def leading_constant(n: int, q: QTable | None = None,
-                     cap: int = DEFAULT_CAP) -> Fraction:
+def leading_constant(n: int, q: QTable | None = None) -> Fraction:
     """Constant term of the degree-zero form
     ``prod(z_i - z_j) Q_n (z_1+...+z_n)^(n^2) / [prod(z_i+z_j-z_l)
     (z_1...z_n)^n]`` under the calibrated contour; this is the constant
     multiplying the top d-coefficient of the intersection polynomial."""
     qn = (q or QTable.builtin()).get(n)
-    return _tower_residue(n, qn, cap, _zsum(n) ** (n * n),
+    return _tower_residue(n, qn, _zsum(n) ** (n * n),
                           _zshift(n, n + 1)).constant_value()
 
 
-def intersection_polynomial(n: int, q: QTable | None = None,
-                            cap: int = DEFAULT_CAP) -> GGResult:
+def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
     """p(n, d, delta): the h^n coefficient of the calibrated residue of the
     positivity form against the hypersurface tail."""
     qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
-    p = _tower_residue(n, qn, cap, _positivity_form(n, h),
+    p = _tower_residue(n, qn, _positivity_form(n, h),
                        _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
                        _zshift(n, n)).coefficient(h, n)
-    theta = leading_constant(n, q, cap=cap)
+    theta = leading_constant(n, q)
     leading = p.coefficient(D_VAR, n)
     return GGResult(n, p, theta, leading)
 
@@ -200,8 +197,8 @@ def _hypersurface_chern(n: int, h: Var, d_poly: Polynomial) -> list[Polynomial]:
     return [total.coefficient(h, i) * hp ** i for i in range(n + 1)]
 
 
-def euler_characteristic(n: int, d=None, q: QTable | None = None,
-                         cap: int = DEFAULT_CAP) -> EulerResult:
+def euler_characteristic(n: int, d=None,
+                         q: QTable | None = None) -> EulerResult:
     """Euler characteristic of the weight-m invariant-jet sheaf on a smooth
     degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
     ``d=None`` keeps the degree symbolic."""
@@ -220,21 +217,20 @@ def euler_characteristic(n: int, d=None, q: QTable | None = None,
     for p in range(max(0, n * n - n), n * n + 1):
         ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
     td = _todd_class(n, _hypersurface_chern(n, h, d_poly))
-    residue = _tower_residue(n, qn, cap, ch, td,
+    residue = _tower_residue(n, qn, ch, td,
                              _hypersurface_tail(n, h, d_poly), _zshift(n, n))
     chi = residue.coefficient(h, n) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 
 
-def top_intersection(n: int, q: QTable | None = None,
-                     cap: int = DEFAULT_CAP) -> Polynomial:
+def top_intersection(n: int, q: QTable | None = None) -> Polynomial:
     """Top self-intersection of the tautological class against the
     hypersurface tail (the positivity form replaced by its degree-only
     block); equals (n^2)! times the leading m-coefficient of the Euler
     characteristic."""
     qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
-    residue = _tower_residue(n, qn, cap, _zsum(n) ** (n * n),
+    residue = _tower_residue(n, qn, _zsum(n) ** (n * n),
                              _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
                              _zshift(n, n))
     return residue.coefficient(h, n) * Polynomial.var(D_VAR)

@@ -121,8 +121,7 @@ def gk_matrix(phi: ReparamJet):
                     acc = acc + al[a - 1] * prev[j - a - 1]
             row.append(acc)
         rows.append(row)
-    return [[_value(x) if not isinstance(x, Polynomial) else x
-             for x in row] for row in rows]
+    return [[_value(x) for x in row] for row in rows]
 
 
 def compose(curve: JetCurve, phi: ReparamJet) -> JetCurve:

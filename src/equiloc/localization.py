@@ -3,10 +3,10 @@
 Fixed-point sums yield intersection numbers as sums of rational functions
 of the torus weights.  Exactness strategy: the quantities are provably
 weight-independent, so sums are evaluated at random distinct rational
-weights, with agreement across three independent seeded draws as the
-certificate; a fully symbolic common-denominator mode backs the small
-regression cases.  Fixed points are enumerated lexicographically, so
-symbolic output is canonical.
+weights, with agreement across :data:`WEIGHT_DRAWS` independent seeded
+draws as the certificate; a fully symbolic common-denominator mode backs
+the small regression cases.  Fixed points are enumerated
+lexicographically, so symbolic output is canonical.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from .algebra import (CHERN, Polynomial, cvar, exact_divide, vandermonde,
                       wvar, zvar)
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
-from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
+from .residue import AffineForm, ResidueForm, iterated_residue
 
 _WEIGHT_POOL = range(-999_983, 1_000_003)
 
-#: Most fixed points :func:`grass_integrate` sums per weight draw, checked
-#: before any is listed.
+#: Most fixed points :func:`grass_integrate` and :func:`run_flag_trials`
+#: sum per weight draw, checked before any is listed.
 MAX_FIXED_POINTS = 10_000
+
+#: Seeded weight draws that must agree to certify a numeric fixed-point sum.
+WEIGHT_DRAWS = 3
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,9 @@ class GrassFixedPoint:
 
 
 def grass_fixed_points(n: int, k: int) -> list[GrassFixedPoint]:
-    pts = []
     universe = range(1, n + 1)
-    for subset in itertools.combinations(universe, k):
-        comp = tuple(sorted(set(universe) - set(subset)))
-        pts.append(GrassFixedPoint(subset, comp))
-    return pts
+    return [GrassFixedPoint(s, tuple(j for j in universe if j not in s))
+            for s in itertools.combinations(universe, k)]
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,22 @@ def flag_dimension(n: int, d: int) -> int:
 
 def _elementary_values(values, i):
     return sum(map(math.prod, itertools.combinations(values, i)), Fraction(0))
+
+
+def _check_fixed_points(space: str, counts) -> None:
+    """SizeLimitExceeded at the first of the growing fixed-point ``counts``
+    of ``space`` over MAX_FIXED_POINTS, before a larger one is computed."""
+    for count in counts:
+        if count > MAX_FIXED_POINTS:
+            raise SizeLimitExceeded(f"{space} has more than the limit of "
+                                    f"{MAX_FIXED_POINTS} fixed points")
+
+
+def _distinct(weights) -> list[Fraction]:
+    weights = [Fraction(w) for w in weights]
+    if len(set(weights)) != len(weights):
+        raise RepeatedWeights("weight values must be pairwise distinct")
+    return weights
 
 
 def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
@@ -100,9 +116,7 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     multiplicity k!.  The plain subspace-indexed sum is this value divided
     by k!.
     """
-    mu = [Fraction(m) for m in mu]
-    if len(set(mu)) != len(mu):
-        raise RepeatedWeights("weight values must be pairwise distinct")
+    mu = _distinct(mu)
     orderings = math.factorial(k)
     total = Fraction(0)
     for pt in grass_fixed_points(n, k):
@@ -117,21 +131,18 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
 
 
 def grass_integrate(n: int, k: int, cls: Polynomial, *,
-                    seed: int = 0, draws: int = 3) -> Fraction:
+                    seed: int = 0) -> Fraction:
     """Fixed-point pairing of a polynomial in the Chern classes of the
     tautological bundle over Grass(k, n), evaluated at random weights (see
     :func:`grass_sum_at` for the ordered-tuple normalization)."""
     if not (0 < k < n):
         raise InputError(f"need 0 < k < n, got k={k}, n={n}")
-    count = math.comb(n, k)
-    if count > MAX_FIXED_POINTS:
-        raise SizeLimitExceeded(
-            f"Grass({k}, {n}) has {count} fixed points, more than the limit "
-            f"of {MAX_FIXED_POINTS}")
+    _check_fixed_points(f"Grass({k}, {n})", (
+        math.comb(n, j) for j in range(min(k, n - k) + 1)))
     grass_class_degree_check(n, k, cls)
     rng = random.Random(seed)
     values = [grass_sum_at(n, k, cls, draw_weights(n, rng))
-              for _ in range(draws)]
+              for _ in range(WEIGHT_DRAWS)]
     if any(v != values[0] for v in values[1:]):
         raise InconsistentDraws(
             "fixed-point sum varied across weight draws; this is a bug")
@@ -160,9 +171,7 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights=None):
     mode and returns a Polynomial in l1..ln."""
     points = flag_fixed_points(n, d)
     if weights is not None:
-        weights = [Fraction(w) for w in weights]
-        if len(set(weights)) != len(weights):
-            raise RepeatedWeights("weight values must be pairwise distinct")
+        weights = _distinct(weights)
         total = Fraction(0)
         for pt in points:
             seq = list(pt.sequence) + [j for j in range(1, n + 1)
@@ -193,17 +202,14 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights=None):
     return exact_divide(total, common)
 
 
-def flag_residue(n: int, d: int, Q: Polynomial, weights=None,
-                 cap: int = DEFAULT_CAP):
+def flag_residue(n: int, d: int, Q: Polynomial, weights=None):
     """The same pushforward as :func:`flag_fixed_sum`, computed as the
     iterated residue of the Vandermonde-weighted form with z_1 least and
     z_d most dominant."""
     zs = [zvar(l) for l in range(1, d + 1)]
     numerator = Q * vandermonde(zs)
     if weights is not None:
-        weights = [Fraction(w) for w in weights]
-        if len(set(weights)) != len(weights):
-            raise RepeatedWeights("weight values must be pairwise distinct")
+        weights = _distinct(weights)
         consts = [Polynomial.rational(w) for w in weights]
     else:
         consts = [Polynomial.var(wvar(i)) for i in range(1, n + 1)]
@@ -211,8 +217,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights=None,
     for z in zs:
         for cst in consts:
             dens.append(AffineForm.from_polynomial(cst - Polynomial.var(z)))
-    result = iterated_residue(
-        ResidueForm(numerator, tuple(dens), tuple(zs)), cap=cap)
+    result = iterated_residue(ResidueForm(numerator, tuple(dens), tuple(zs)))
     if weights is not None:
         return result.constant_value()
     return result
@@ -244,14 +249,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def run_flag_trials(n: int, d: int, trials: int, seed: int = 0,
-                    cap: int = DEFAULT_CAP) -> dict:
+def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:
     """Check the fixed-point/residue identity on random classes, each at
-    three independent weight draws; returns a JSON-able report."""
+    :data:`WEIGHT_DRAWS` independent weight draws; returns a JSON-able
+    report."""
     if not 1 <= d < n:
         raise InputError(f"need 1 <= d < n, got d={d}, n={n}")
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
+    _check_fixed_points(f"Flag_{d}(C^{n})",
+                        (math.perm(n, j) for j in range(d + 1)))
     rng = random.Random(seed)
     results = []
     all_ok = True
@@ -259,10 +266,10 @@ def run_flag_trials(n: int, d: int, trials: int, seed: int = 0,
         Q = random_flag_class(n, d, rng)
         values = []
         ok = True
-        for _ in range(3):
+        for _ in range(WEIGHT_DRAWS):
             w = draw_weights(n, rng)
             fs = flag_fixed_sum(n, d, Q, w)
-            fr = flag_residue(n, d, Q, w, cap=cap)
+            fr = flag_residue(n, d, Q, w)
             ok = ok and fs == fr
             values.append(fs)
         ok = ok and values.count(values[0]) == len(values)

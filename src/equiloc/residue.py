@@ -19,7 +19,8 @@ form is held as a Laurent expansion in one variable whose coefficients are
 exact polynomials in everything below, the ``z^-1`` coefficient is
 extracted, and the remaining factors are processed recursively.  The
 expansion order needed at each step is read off the numerator's degree
-span, so results are exact; a configurable cap guards runaway growth.
+span, so results are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked
+before each variable is expanded.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (RESIDUE, Polynomial, Slate, Var, _add_into, _num,
-                      mul_dense)
+                      _literal, mul_dense, parse_polynomial, zvar)
 from .errors import InputError, NoDominantVariable, WindowOverflow
 
-DEFAULT_CAP = 256
+#: Highest geometric expansion order :func:`iterated_residue` builds for
+#: one peeled variable, checked before that variable is expanded.
+MAX_EXPANSION_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,6 @@ class AffineForm:
             p = p + Polynomial.var(v) * a
         return p
 
-    def __str__(self):
-        return str(self.as_polynomial())
-
 
 @dataclass(frozen=True)
 class ResidueForm:
@@ -109,7 +109,7 @@ class ResidueForm:
             raise InputError(f"residue variables not in the order: {names}")
 
 
-def _peel(ws: Slate, num: dict, factors, zi: int, cap: int) -> dict:
+def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
     the expansions of the factors dominated by that variable."""
     slices: dict[int, dict] = {}
@@ -125,8 +125,10 @@ def _peel(ws: Slate, num: dict, factors, zi: int, cap: int) -> dict:
     jtot = max(slices) + 1 - s
     if jtot < 0:
         return {}
-    if jtot > cap:
-        raise WindowOverflow(f"expansion order {jtot} exceeds the cap {cap}")
+    if jtot > MAX_EXPANSION_ORDER:
+        raise WindowOverflow(
+            f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
+            f"limit {MAX_EXPANSION_ORDER}")
     # running product of the factor expansions, graded by total geometric
     # order; tails[j] of one factor is (-1)^j (w - a z)^j / a^(j+1)
     one = {(0,) * len(ws.vars): 1}
@@ -154,21 +156,17 @@ def _peel(ws: Slate, num: dict, factors, zi: int, cap: int) -> dict:
     return out
 
 
-def iterated_residue(form: ResidueForm, cap: int = DEFAULT_CAP) -> Polynomial:
+def iterated_residue(form: ResidueForm) -> Polynomial:
     """The iterated residue at infinity of the form under its dominance
     order: ``(-1)^d`` times the ``z_1^-1 ... z_d^-1`` coefficient of the
     expanded product.  The result contains no residue variables."""
-    if cap < 0:
-        raise InputError(f"expansion cap must be >= 0, got {cap}")
     order = tuple(form.order)
     d = len(order)
     groups: dict[Var, list[AffineForm]] = {}
     for w in form.denominators:
         zq, _ = w.dominant(order)
         groups.setdefault(zq, []).append(w)
-    variables = set(order)
-    for m in form.numerator.terms:
-        variables.update(m.variables())
+    variables = set(order) | form.numerator.variables()
     for w in form.denominators:
         variables.update(w.constant.variables())
         variables.update(w.residue_variables())
@@ -182,38 +180,33 @@ def iterated_residue(form: ResidueForm, cap: int = DEFAULT_CAP) -> Polynomial:
             rest = AffineForm(w.constant,
                               tuple(t for t in w.linear if t[0] is not zq))
             factors.append((ws.dense(rest.as_polynomial().terms), a))
-        num = _peel(ws, num, factors, zi, cap)
+        num = _peel(ws, num, factors, zi)
     sign = -1 if d % 2 else 1
     return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})
 
 
-def residue_job(job: dict, cap: int = DEFAULT_CAP) -> dict:
+def residue_job(job: dict) -> dict:
     """Run a JSON residue job
     ``{"numerator": str, "denominators": [str, ...], "order": [names]}``
     (order least to most dominant) and return ``{"residue": str}``."""
-    from .algebra import parse_polynomial, zvar
-
     try:
         num_text = job["numerator"]
         den_texts = job["denominators"]
         order_names = job["order"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed residue job: {exc}") from exc
-    if not (isinstance(num_text, str) and isinstance(den_texts, list)
-            and all(isinstance(t, str) for t in den_texts)
-            and isinstance(order_names, list)):
-        raise InputError("malformed residue job: the numerator must be a "
-                         "string, denominators and order lists")
+    if not (isinstance(den_texts, list) and isinstance(order_names, list)):
+        raise InputError("malformed residue job: denominators and order "
+                         "must be lists")
     order = []
     for name in order_names:
         if not (isinstance(name, str) and name.startswith("z")
-                and name[1:].isdigit()):
+                and name[1:].isdecimal()):
             raise InputError(
                 f"order entries must be residue variables, got {name!r}")
-        order.append(zvar(int(name[1:])))
+        order.append(zvar(_literal(name[1:])))
     numerator = parse_polynomial(num_text)
     dens = tuple(AffineForm.from_polynomial(parse_polynomial(t))
                  for t in den_texts)
-    result = iterated_residue(
-        ResidueForm(numerator, dens, tuple(order)), cap=cap)
+    result = iterated_residue(ResidueForm(numerator, dens, tuple(order)))
     return {"residue": str(result)}

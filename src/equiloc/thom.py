@@ -8,6 +8,7 @@ module reads its tower residues through the same two functions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -15,7 +16,7 @@ from types import MappingProxyType
 from .algebra import (CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial,
                       cvar, vandermonde, zvar)
 from .errors import InputError, MissingQ
-from .residue import DEFAULT_CAP, AffineForm, ResidueForm, iterated_residue
+from .residue import AffineForm, ResidueForm, iterated_residue
 
 _BUILTIN_Q = {
     1: Polynomial.one(),
@@ -135,8 +136,8 @@ def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     return curvilinear_form(k, qk, tails)
 
 
-def thom_polynomial(k: int, codim: int, q: QTable | None = None,
-                    cap: int = DEFAULT_CAP) -> ThomResult:
+def thom_polynomial(k: int, codim: int,
+                    q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
     classes c_1..c_{k(codim+1)} of the difference bundle."""
     if k < 1:
@@ -145,7 +146,7 @@ def thom_polynomial(k: int, codim: int, q: QTable | None = None,
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
     form = residue_form(k, codim, q)
-    poly = calibrate(k, iterated_residue(form, cap=cap))
+    poly = calibrate(k, iterated_residue(form))
     return ThomResult(k, codim, poly, calibrate(k, 1))
 
 
@@ -167,8 +168,8 @@ def positivity_check(result: ThomResult) -> PositivityReport:
     return PositivityReport(result.k, result.codim, bad)
 
 
-def generating_coefficient(k: int, exponents, q: QTable | None = None,
-                           cap: int = DEFAULT_CAP) -> Fraction:
+def generating_coefficient(k: int, exponents,
+                           q: QTable | None = None) -> Fraction:
     """Exact coefficient of ``z^exponents`` in the Laurent expansion of the
     generating function ``prod(z_i - z_j) Q_k / prod(z_i + z_j - z_l)`` on
     the calibrated contour (z_k most dominant)."""
@@ -176,14 +177,13 @@ def generating_coefficient(k: int, exponents, q: QTable | None = None,
     shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
                            for i in range(k)])
     form = curvilinear_form(k, q.get(k), LaurentSeries({shift: 1}))
-    value = calibrate(k, iterated_residue(form, cap=cap))
+    value = calibrate(k, iterated_residue(form))
     return value.constant_value()
 
 
 @dataclass(frozen=True)
 class RatioReport:
     k: int
-    codim: int
     depth: int
     bound: int
     coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -194,50 +194,35 @@ class RatioReport:
         return all(ok for *_, ok in self.ratios)
 
 
-def ratio_check(k: int, codim: int = 0, q: QTable | None = None,
-                depth: int = 3, cap: int = DEFAULT_CAP) -> RatioReport:
+def ratio_check(k: int, q: QTable | None = None,
+                depth: int = 3) -> RatioReport:
     """Expand the generating function over all exponent vectors with entries
     in [-depth, depth] and report each neighbouring-coefficient ratio
-    (exponent moved by +1/-1 in two slots) against the bound k^2.
-
-    The generating function does not depend on the codimension; it is
-    recorded in the report for traceability only.
-    """
+    (exponent moved by +1/-1 in two slots) against the bound k^2.  The
+    generating function does not depend on the codimension."""
     q = q or QTable.builtin()
     gen_degree = {m.degree for m in q.get(k).terms}
     vandermonde_degree = k * (k - 1) // 2
     levels = {vandermonde_degree + g - len(denominator_triples(k))
               for g in gen_degree}
     coeffs: dict[tuple[int, ...], Fraction] = {}
-
-    def enumerate_exponents(prefix, remaining):
-        if remaining == 1:
-            for level in levels:
-                last = level - sum(prefix)
-                if -depth <= last <= depth:
-                    yield prefix + (last,)
-            return
-        for e in range(-depth, depth + 1):
-            yield from enumerate_exponents(prefix + (e,), remaining - 1)
-
-    for exps in enumerate_exponents((), k) if k > 1 else [
-            (lv,) for lv in levels if -depth <= lv <= depth]:
-        value = generating_coefficient(k, exps, q, cap=cap)
-        if value:
-            coeffs[exps] = value
+    span = range(-depth, depth + 1)
+    for head in itertools.product(span, repeat=k - 1):
+        for level in levels:
+            exps = head + (level - sum(head),)
+            if exps[-1] in span:
+                value = generating_coefficient(k, exps, q)
+                if value:
+                    coeffs[exps] = value
     ratios = []
     for exps, value in sorted(coeffs.items()):
-        for a in range(k):
-            for b in range(k):
-                if a == b:
-                    continue
-                neighbour = list(exps)
-                neighbour[a] += 1
-                neighbour[b] -= 1
-                neighbour = tuple(neighbour)
-                if neighbour in coeffs:
-                    ratio = value / coeffs[neighbour]
-                    ratios.append((exps, a + 1, b + 1, ratio,
-                                   ratio < k * k))
-    return RatioReport(k, codim, depth, k * k,
+        for a, b in itertools.permutations(range(k), 2):
+            neighbour = list(exps)
+            neighbour[a] += 1
+            neighbour[b] -= 1
+            neighbour = tuple(neighbour)
+            if neighbour in coeffs:
+                ratio = value / coeffs[neighbour]
+                ratios.append((exps, a + 1, b + 1, ratio, ratio < k * k))
+    return RatioReport(k, depth, k * k,
                        tuple(sorted(coeffs.items())), tuple(ratios))

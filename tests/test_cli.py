@@ -3,14 +3,19 @@ round-trip of JSON outputs through the input grammars."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiloc.algebra import parse_polynomial
 from equiloc.cli import main
@@ -69,10 +74,36 @@ class TestErrors:
         assert code == 2
 
     def test_usage_error(self, capsys):
+        code, out, err = run(capsys, "thom")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize("argv", [
+        ("thom", "--k", "abc"),
+        ("frobnicate", "--k", "1"),
+        (),
+        ("thom", "--k", "1", "--format", "xml"),
+    ])
+    def test_argument_errors_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["thom"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+            main(["thom", "--help"])
+        assert exc.value.code == 0
+        assert "--k" in capsys.readouterr().out
+
+    def test_unreadable_job_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for path in (tmp_path, bad, deep):
+            code, out, err = run(capsys, "residue", "--job", str(path))
+            assert (code, out) == (2, ""), path
+            assert json.loads(err)["error"] == "parse-error"
 
 
 class TestResidueJobs:
@@ -115,6 +146,33 @@ class TestResidueJobs:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
+    def test_expansion_overflow_names_the_variable(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "z2^300", "denominators": ["z2"], "order": ["z2"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "window-overflow"
+        assert payload["message"] == \
+            "expansion order 300 in z2 exceeds the limit 256"
+
+    @pytest.mark.parametrize("numerator", [
+        "*".join(f"(a{i}+b{i})" for i in range(16)),
+        "(1+z1)^3000",
+        "(1+z1+z2+z3)^60",
+    ])
+    def test_costly_products_exit_1_before_work(self, capsys, tmp_path,
+                                                numerator):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": numerator, "denominators": ["z1"], "order": ["z1"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-limit"
+
     def test_large_power_exits_1_before_expanding(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({
@@ -143,7 +201,11 @@ class TestArgumentGuards:
 
     def test_size_limits_exit_1_before_work(self, capsys, tmp_path):
         argvs = [("grass-integrate", "--n", "20", "--k", "10",
-                  "--class", "c10^10")]
+                  "--class", "c10^10"),
+                 ("grass-integrate", "--n", "1000000000", "--k",
+                  "500000000", "--class", "c1"),
+                 ("flag-check", "--n", "300", "--d", "3"),
+                 ("flag-check", "--n", "3000000", "--d", "1")]
         for size in (6, 8):
             jet = tmp_path / f"jet{size}.json"
             jet.write_text(json.dumps({"coefficients": [
@@ -157,6 +219,32 @@ class TestArgumentGuards:
             assert time.perf_counter() - start < 1, argv
             assert (code, out) == (1, ""), argv
             assert json.loads(err)["error"] == "size-limit"
+
+    SUBCOMMANDS = {
+        "residue": ("--job", "job.json"),
+        "grass-integrate": ("--n", "4", "--k", "2", "--class", "c1^2*c2"),
+        "flag-check": ("--n", "3", "--d", "1", "--trials", "1"),
+        "thom": ("--k", "1"),
+        "thom-scan": ("--kmax", "1", "--lmax", "0"),
+        "gg": ("--n", "1"),
+        "theta": ("--n", "1"),
+        "euler": ("--n", "1", "--d", "4"),
+        "rho": ("--n", "1", "--k", "1", "--jet", "jet.json"),
+        "minors": ("--n", "1", "--k", "1", "--jet", "jet.json"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_seed_only_where_read_and_no_cap(self, capsys, command):
+        argv = (command,) + self.SUBCOMMANDS[command]
+        extras = [("--cap", "256")]
+        if command not in ("grass-integrate", "flag-check"):
+            extras.append(("--seed", "1"))
+        for extra in extras:
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, ""), extra
+            payload = json.loads(err)
+            assert payload["error"] == "parse-error"
+            assert f"unrecognized arguments: {extra[0]}" in payload["message"]
 
     def test_varying_draws_exit_1(self, capsys, monkeypatch):
         from equiloc import localization
@@ -263,6 +351,15 @@ class TestScanAndUserTables:
             lambda v: v.index if v.name.startswith("c") else 0)
         assert degrees == {5}
 
+    @pytest.mark.parametrize("table", [{"5": 7}, ["z1"], {"5": None}])
+    def test_bad_q_file_exits_2(self, capsys, tmp_path, table):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps(table))
+        code, out, err = run(capsys, "thom", "--k", "2", "--q-file",
+                             str(qfile))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse-error"
+
     def test_missing_q_exits_1(self, capsys):
         code, _, err = run(capsys, "thom", "--k", "5", "--codim", "0")
         assert code == 1
@@ -300,6 +397,23 @@ class TestJetCommands:
         assert code == 2
         assert json.loads(err)["error"] == "parse-error"
 
+    @pytest.mark.parametrize("data,n,k", [
+        ("coefficients", 2, 1),
+        (5, 2, 1),
+        ({"coefficients": ["12"]}, 2, 1),
+        ({"coefficients": 7}, 2, 1),
+        ({"coefficients": []}, 0, 0),
+        ({"coefficients": [[]]}, 0, 1),
+    ])
+    def test_bad_jet_file_exits_2(self, capsys, tmp_path, data, n, k):
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(data))
+        for command in ("rho", "minors"):
+            code, out, err = run(capsys, command, "--n", str(n), "--k",
+                                 str(k), "--jet", str(path))
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "parse-error"
+
     def test_derivative_input(self, capsys, tmp_path):
         path = tmp_path / "jet2.json"
         path.write_text(json.dumps({"derivatives": [[1, 2], [3, 0]]}))
@@ -308,3 +422,98 @@ class TestJetCommands:
         assert code == 0
         row2 = json.loads(out)["matrix"][1]
         assert row2[:2] == ["3/2", "0"]
+
+
+# -- every argument list ends in exit 0, 1 or 2 ------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.text(max_size=4))
+_TEXT = st.lists(st.sampled_from(
+    ["z1", "z2", "l1", "h", "c1", "c2", "0", "2", "7", "1/2", "+", "-", "*",
+     "^", "(", ")"]), max_size=10).map(" ".join)
+_JOB = st.fixed_dictionaries({
+    "numerator": st.one_of(_TEXT, _JUNK),
+    "denominators": st.one_of(
+        _JUNK, st.lists(st.one_of(_TEXT, _JUNK), max_size=3)),
+    "order": st.one_of(_JUNK, st.lists(
+        st.sampled_from(["z1", "z2", "z3", "l1", "z", 1]), max_size=3))})
+_JET_ROWS = st.lists(st.one_of(_JUNK, st.lists(
+    st.one_of(_JUNK, st.sampled_from(["1", "-1/2", "1/0", "x"])),
+    max_size=3)), max_size=3)
+_Q_TABLE = st.dictionaries(st.sampled_from(["1", "4", "5", "6", "-1", "x"]),
+                           st.one_of(_TEXT, _JUNK), max_size=3)
+_VALUE = {
+    "int": st.one_of(st.integers(-2, 2).map(str),
+                     st.sampled_from(["", "abc", "1/0", "3/2", "-", "0x1"])),
+    "rational": st.sampled_from(["0", "-1", "5", "1/24", "x", "1/0", ""]),
+    "text": st.one_of(_TEXT, st.text(max_size=4)),
+    "format": st.sampled_from(["text", "json", "xml"]),
+    "job": st.one_of(_JUNK, st.lists(_JUNK, max_size=3), _JOB),
+    "jet": st.one_of(_JUNK, st.dictionaries(
+        st.sampled_from(["coefficients", "derivatives", "x"]),
+        st.one_of(_JUNK, _JET_ROWS), max_size=2)),
+    "q": st.one_of(_JUNK, st.lists(_TEXT, max_size=2), _Q_TABLE),
+}
+_FILE_KINDS = ("job", "jet", "q")
+_FLAGS = {
+    "residue": {"--job": "job"},
+    "grass-integrate": {"--n": "int", "--k": "int", "--class": "text",
+                        "--seed": "int"},
+    "flag-check": {"--n": "int", "--d": "int", "--trials": "int",
+                   "--seed": "int"},
+    "thom": {"--k": "int", "--codim": "int", "--q-file": "q"},
+    "thom-scan": {"--kmax": "int", "--lmax": "int", "--q-file": "q",
+                  "--check-positivity": None},
+    "gg": {"--n": "int", "--delta": "rational", "--d": "rational",
+           "--q-file": "q"},
+    "theta": {"--n": "int", "--q-file": "q"},
+    "euler": {"--n": "int", "--d": "rational", "--q-file": "q"},
+    "rho": {"--n": "int", "--k": "int", "--jet": "jet"},
+    "minors": {"--n": "int", "--k": "int", "--jet": "jet"},
+}
+_UNKNOWN = {"--cap": "int", "--seed": "int", "--bogus": "int",
+            "--format": "format"}
+
+
+@st.composite
+def _invocations(draw):
+    """An argv over the known flags of a subcommand, some left out and some
+    unknown added, with the JSON each file flag points to."""
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["frobnicate"]))
+    known = _FLAGS.get(command, {})
+    flags = [f for f in sorted(known) if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(sorted(_UNKNOWN)), max_size=2))
+    argv, files = [command], {}
+    for flag in flags:
+        kind = known.get(flag, _UNKNOWN.get(flag))
+        argv.append(flag)
+        if kind in _FILE_KINDS:
+            files[len(argv)] = draw(_VALUE[kind])
+            argv.append(None)
+        elif kind is not None:
+            argv.append(draw(_VALUE[kind]))
+    return argv, files
+
+
+class TestEveryInvocationEndsCleanly:
+    @given(_invocations())
+    @settings(max_examples=400, deadline=None)
+    def test_exit_code_and_json_error(self, invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            for slot, data in files.items():
+                argv[slot] = os.path.join(tmp, f"{slot}.json")
+                with open(argv[slot], "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            payload = json.loads(err.getvalue())
+            assert isinstance(payload, dict)
+            assert set(payload) == {"error", "message"}
+            assert out.getvalue() == "" or argv[0] == "flag-check"
+        else:
+            assert err.getvalue() == ""

@@ -22,9 +22,9 @@ def form_of(text: str) -> AffineForm:
     return AffineForm.from_polynomial(parse_polynomial(text))
 
 
-def res(numerator, den_texts, order, cap=256):
+def res(numerator, den_texts, order):
     dens = tuple(form_of(t) for t in den_texts)
-    return iterated_residue(ResidueForm(numerator, dens, order), cap=cap)
+    return iterated_residue(ResidueForm(numerator, dens, order))
 
 
 class TestIteratedResidue:
@@ -72,14 +72,11 @@ class TestIteratedResidue:
         with pytest.raises(InputError):
             ResidueForm(P.one(), (form_of("z1"),), (Z1, Z1))
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(InputError):
-            res(P.one(), ["z1"], (Z1,), cap=-1)
-
     def test_window_overflow(self):
         num = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
-        with pytest.raises(WindowOverflow):
-            res(num, ["z1 - z2"], (Z1, Z2), cap=256)
+        with pytest.raises(WindowOverflow, match="order 300 in z2 exceeds "
+                           "the limit 256"):
+            res(num, ["z1 - z2"], (Z1, Z2))
 
     def test_result_has_no_residue_variables(self):
         from equiloc.algebra import RESIDUE
