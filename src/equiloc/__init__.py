@@ -1,16 +1,14 @@
 """Exact equivariant-localization and iterated-residue calculator."""
 
 from .algebra import (LaurentSeries, Monomial, Polynomial, Var, cvar,
-                      elementary_symmetric, evar, exact_divide,
-                      parse_polynomial, svar, symmetric_reduce, term_list,
-                      wvar, zvar)
+                      parse_polynomial, svar, term_list, wvar, zvar)
 from .hyperbolicity import (EulerResult, GGResult, euler_characteristic,
                             intersection_polynomial, leading_constant,
-                            positivity_threshold, top_intersection)
-from .jets import (JetCurve, ReparamJet, compose, compose_reparam, gk_matrix,
-                   invariant_minors, rho)
-from .localization import (FlagFixedPoint, GrassFixedPoint, flag_fixed_sum,
-                           flag_residue, grass_integrate, run_flag_trials)
+                            positivity_threshold)
+from .jets import (JetCurve, ReparamJet, compose, gk_matrix, invariant_minors,
+                   rho)
+from .localization import (flag_fixed_sum, flag_residue, grass_integrate,
+                           run_flag_trials)
 from .residue import AffineForm, ResidueForm, iterated_residue, residue_job
 from .thom import (QTable, ThomResult, positivity_check, ratio_check,
                    thom_polynomial)

@@ -24,12 +24,13 @@ largest first, which makes all printed output byte-stable.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, attrgetter, mul
 
-from .errors import InputError, NotDivisible, NotSymmetric, SizeLimitExceeded
+from .errors import InputError, SizeLimitExceeded
 
 RESIDUE, WEIGHT, CHERN, SCALAR = 0, 1, 2, 3
 
@@ -79,11 +80,6 @@ def cvar(i: int) -> Var:
 def svar(name: str, nilpotency: int | None = None) -> Var:
     """Named scalar; ``nilpotency=t`` declares ``name^(t+1) == 0``."""
     return Var(SCALAR, None, name, nilpotency)
-
-
-def evar(i: int) -> Var:
-    """Symbol for the i-th elementary symmetric polynomial of the weights."""
-    return svar(f"e{i}")
 
 
 def _num(c):
@@ -162,16 +158,28 @@ def _sorted_terms(terms):
                   reverse=True)
 
 
+def format_rational(x) -> str:
+    """``a`` or ``a/b`` in lowest terms, as ``str`` of a ``Fraction`` prints
+    it, also for numbers longer than the int-to-str digit limit."""
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # past the limit; decimal prints ints exactly
+        parts = (n,) if d == 1 else (n, d)
+        return "/".join(str(decimal.Decimal(i)) for i in parts)
+
+
 def _format_terms(terms) -> str:
     if not terms:
         return "0"
     parts = []
     for m, c in _sorted_terms(terms):
         sign = "-" if (c < 0) else "+"
-        a = -c if c < 0 else c
+        a = format_rational(-c if c < 0 else c)
         if not m.exps:
-            body = str(a)
-        elif a == 1:
+            body = a
+        elif a == "1":
             body = repr(m)
         else:
             body = f"{a}*{m!r}"
@@ -455,35 +463,6 @@ class LaurentSeries(Polynomial):
     __rmul__ = __mul__
 
 
-# -- exact division ----------------------------------------------------
-
-def exact_divide(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact quotient ``q`` with ``q*den == num``; NotDivisible otherwise.
-    Leading terms are graded-lex over the slate of both."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    slate = Slate(num.variables() | den.variables())
-    rem, dterms = slate.dense(num.terms), slate.dense(den.terms)
-
-    def grlex(key):
-        return sum(key), key
-
-    lm_den = max(dterms, key=grlex)
-    lc_den = dterms[lm_den]
-    quot: dict = {}
-    while rem:
-        lm = max(rem, key=grlex)
-        m = tuple(map(sub, lm, lm_den))
-        if any(e < 0 for e in m):
-            raise NotDivisible(f"({num}) is not divisible by ({den})")
-        c = _num(Fraction(rem[lm]) / lc_den)
-        quot[m] = c
-        _add_into(rem, mul_dense({m: -c}, dterms, slate.caps))
-    return Polynomial(slate.sparse(quot))
-
-
-# -- symmetric reduction ----------------------------------------------
-
 def vandermonde(vs) -> Polynomial:
     """prod_{i<j} (v_i - v_j) over the variables in the given order."""
     ps = [Polynomial.var(v) for v in vs]
@@ -492,59 +471,6 @@ def vandermonde(vs) -> Polynomial:
         for b in ps[i + 1:]:
             out = out * (a - b)
     return out
-
-
-def elementary_symmetric(i: int, vs) -> Polynomial:
-    """e_i of the given variables."""
-    vs = list(vs)
-    acc: dict = {}
-    for comb in itertools.combinations(vs, i):
-        m = Monomial.make([(v, 1) for v in comb])
-        acc[m] = acc.get(m, 0) + 1
-    return Polynomial(acc) if i > 0 else Polynomial.one()
-
-
-def symmetric_reduce(p: Polynomial, n: int | None = None) -> Polynomial:
-    """Rewrite a polynomial symmetric in the weights ``l1..ln`` in the
-    elementary symmetric symbols ``e1..en`` (triangular elimination by
-    graded-lex leading terms).  Raises NotSymmetric when any transposition
-    of adjacent weights changes ``p``.
-    """
-    weight_vars = sorted((v for v in p.variables() if v.kind == WEIGHT),
-                         key=lambda v: v.index)
-    if n is None:
-        n = weight_vars[-1].index if weight_vars else 0
-    mus = [wvar(i) for i in range(1, n + 1)]
-    for i in range(n - 1):
-        swapped = p.subs({mus[i]: Polynomial.var(mus[i + 1]),
-                          mus[i + 1]: Polynomial.var(mus[i])})
-        if swapped != p:
-            raise NotSymmetric(
-                f"not symmetric under swapping l{i + 1} and l{i + 2}")
-    e_expand = {i: elementary_symmetric(i, mus) for i in range(1, n + 1)}
-    rem = p
-    out = Polynomial.zero()
-    while True:
-        mu_terms = {m: c for m, c in rem.terms.items()
-                    if any(v.kind == WEIGHT for v in m.variables())}
-        if not mu_terms:
-            return out + rem
-        lm = max(mu_terms, key=lambda m: _grlex_key(m, mus))
-        c = mu_terms[lm]
-        exps = [lm.exponent(v) for v in mus]
-        coeff_rest = Monomial(tuple(pr for pr in lm.exps
-                                    if pr[0].kind != WEIGHT))
-        e_mono = Polynomial({coeff_rest: c})
-        back = Polynomial({coeff_rest: c})
-        for i in range(1, n + 1):
-            step = exps[i - 1] - (exps[i] if i < n else 0)
-            if step < 0:
-                raise NotSymmetric(f"leading term {lm!r} is not dominant")
-            if step:
-                e_mono = e_mono * Polynomial.var(evar(i)) ** step
-                back = back * e_expand[i] ** step
-        out = out + e_mono
-        rem = rem - back
 
 
 # -- text grammar -------------------------------------------------------
@@ -607,6 +533,29 @@ MAX_POWER_TERMS = 100_000
 #: checked before it is formed.
 MAX_PRODUCT_WORK = 200_000
 
+#: Most bits a coefficient in polynomial text may reach, numerator or
+#: denominator.  With L the common denominator of a polynomial's
+#: coefficients and N the sum of their absolute values times L, no
+#: coefficient of a product exceeds the product of the factors' heights
+#: max(N, L); each ``*`` and each ``^`` is checked against these bounds
+#: before it is formed.
+MAX_COEFFICIENT_BITS = 100_000
+
+
+def _height_bits(p: Polynomial) -> int:
+    """ceil(log2 max(N, L)), the bits of the height that bounds products
+    (see :data:`MAX_COEFFICIENT_BITS`)."""
+    cs = p.terms.values()
+    den = math.lcm(*map(attrgetter("denominator"), cs))
+    return (max(int(sum(map(abs, cs)) * den), den) - 1).bit_length()
+
+
+def _check_bits(bits: int) -> None:
+    if bits > MAX_COEFFICIENT_BITS:
+        raise SizeLimitExceeded(
+            f"a coefficient of up to {bits} bits exceeds the limit of "
+            f"{MAX_COEFFICIENT_BITS} bits")
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -643,6 +592,7 @@ class _Parser:
                 f"a product of {pairs} term pairs in a {self.width}-variable "
                 f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
                 "variables")
+        _check_bits(_height_bits(a) + _height_bits(b))
         return a * b
 
     def expr(self) -> Polynomial:
@@ -674,6 +624,7 @@ class _Parser:
                 raise SizeLimitExceeded(
                     f"a {t}-term polynomial to the power {exp} may have "
                     f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
+            _check_bits(exp * _height_bits(base))
             return _power(base, exp, self.product)
         return base
 

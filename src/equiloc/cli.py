@@ -11,25 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import hyperbolicity, jets, localization, thom
-from .algebra import parse_polynomial, term_list
+from .algebra import format_rational, parse_polynomial, term_list
 from .errors import DomainError, EquilocError, InputError
 from .residue import residue_job
 
 
 def _rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
-
-
-def _fmt_rat(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """A rational literal of the polynomial grammar, ``a`` or ``a/b``, with
+    an optional sign."""
+    if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # over the digit limit, b = 0
+            pass
+    raise InputError(f"not a rational number: {text!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -106,9 +106,9 @@ def _cmd_residue(args):
 def _cmd_grass_integrate(args):
     cls = parse_polynomial(getattr(args, "class"))
     value = localization.grass_integrate(args.n, args.k, cls, seed=args.seed)
-    _emit(args, _fmt_rat(value),
+    _emit(args, format_rational(value),
           {"n": args.n, "k": args.k, "class": getattr(args, "class"),
-           "integral": _fmt_rat(value)})
+           "integral": format_rational(value)})
 
 
 def _cmd_flag_check(args):
@@ -125,7 +125,7 @@ def _cmd_flag_check(args):
 def _thom_json(result: thom.ThomResult) -> dict:
     return {"k": result.k, "codim": result.codim,
             "polynomial": str(result.polynomial),
-            "terms": [[m, _fmt_rat(c)]
+            "terms": [[m, format_rational(c)]
                       for m, c in term_list(result.polynomial)],
             "sign_calibration": result.sign_calibration}
 
@@ -136,6 +136,10 @@ def _cmd_thom(args):
 
 
 def _cmd_thom_scan(args):
+    if args.kmax >= 1 and args.lmax >= 0:
+        # the largest order's table entry and tail size, before any work
+        (args.q_file or thom.QTable.builtin()).get(args.kmax)
+        thom.check_tail_size(args.kmax, args.lmax)
     rows = []
     lines = []
     for k in range(1, args.kmax + 1):
@@ -145,7 +149,7 @@ def _cmd_thom_scan(args):
             line = f"k={k} codim={codim}: {result.polynomial}"
             if args.check_positivity:
                 report = thom.positivity_check(result)
-                entry["negative_terms"] = [[m, _fmt_rat(c)]
+                entry["negative_terms"] = [[m, format_rational(c)]
                                            for m, c in report.negative_terms]
                 line += ("  [all coefficients nonnegative]"
                          if report.all_nonnegative
@@ -156,16 +160,17 @@ def _cmd_thom_scan(args):
 
 
 def _cmd_gg(args):
+    delta, d = (None if t is None else _rat(t) for t in (args.delta, args.d))
     result = hyperbolicity.intersection_polynomial(args.n, args.q_file)
     payload = {"n": args.n, "polynomial": str(result.polynomial),
-               "theta": _fmt_rat(result.theta),
+               "theta": format_rational(result.theta),
                "leading": str(result.leading)}
     poly = result.polynomial
-    if args.delta is not None:
-        poly = poly.evaluate({hyperbolicity.DELTA_VAR: _rat(args.delta)})
+    if delta is not None:
+        poly = poly.evaluate({hyperbolicity.DELTA_VAR: delta})
         payload["delta"] = args.delta
-    if args.d is not None:
-        poly = poly.evaluate({hyperbolicity.D_VAR: _rat(args.d)})
+    if d is not None:
+        poly = poly.evaluate({hyperbolicity.D_VAR: d})
         payload["d"] = args.d
     if args.delta is not None or args.d is not None:
         payload["value"] = str(poly)
@@ -173,8 +178,9 @@ def _cmd_gg(args):
 
 
 def _cmd_theta(args):
-    value = hyperbolicity.leading_constant(args.n, args.q_file)
-    _emit(args, _fmt_rat(value), {"n": args.n, "theta": _fmt_rat(value)})
+    value = format_rational(hyperbolicity.leading_constant(args.n,
+                                                           args.q_file))
+    _emit(args, value, {"n": args.n, "theta": value})
 
 
 def _cmd_euler(args):
@@ -182,13 +188,13 @@ def _cmd_euler(args):
     result = hyperbolicity.euler_characteristic(args.n, d, args.q_file)
     payload = {"n": args.n, "chi": str(result.chi)}
     if d is not None:
-        payload["d"] = _fmt_rat(d)
+        payload["d"] = format_rational(d)
     _emit(args, str(result.chi), payload)
 
 
 def _cmd_rho(args):
     curve = _load_jet(args.jet, args.n, args.k)
-    matrix = [[_fmt_rat(x) for x in row] for row in jets.rho(curve)]
+    matrix = [[format_rational(x) for x in row] for row in jets.rho(curve)]
     text = "\n".join("\t".join(row) for row in matrix)
     _emit(args, text, {"n": args.n, "k": args.k,
                        "basis": _basis_labels(args.n, args.k),
@@ -197,7 +203,7 @@ def _cmd_rho(args):
 
 def _cmd_minors(args):
     curve = _load_jet(args.jet, args.n, args.k)
-    minors = [_fmt_rat(x) for x in jets.invariant_minors(curve)]
+    minors = [format_rational(x) for x in jets.invariant_minors(curve)]
     _emit(args, "\n".join(minors),
           {"n": args.n, "k": args.k, "minors": minors})
 

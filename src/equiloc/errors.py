@@ -23,14 +23,6 @@ class DomainError(EquilocError):
     code = "domain-error"
 
 
-class NotDivisible(DomainError):
-    code = "not-divisible"
-
-
-class NotSymmetric(DomainError):
-    code = "not-symmetric"
-
-
 class NoDominantVariable(DomainError):
     code = "no-dominant-variable"
 

@@ -222,15 +222,3 @@ def euler_characteristic(n: int, d=None,
     chi = residue.coefficient(h, n) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 
-
-def top_intersection(n: int, q: QTable | None = None) -> Polynomial:
-    """Top self-intersection of the tautological class against the
-    hypersurface tail (the positivity form replaced by its degree-only
-    block); equals (n^2)! times the leading m-coefficient of the Euler
-    characteristic."""
-    qn = (q or QTable.builtin()).get(n)
-    h = _hvar(n)
-    residue = _tower_residue(n, qn, _zsum(n) ** (n * n),
-                             _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
-                             _zshift(n, n))
-    return residue.coefficient(h, n) * Polynomial.var(D_VAR)

@@ -63,10 +63,6 @@ class ReparamJet:
     def k(self) -> int:
         return len(self.alphas)
 
-    @classmethod
-    def identity(cls, k: int) -> "ReparamJet":
-        return cls((1,) + (0,) * (k - 1))
-
 
 @dataclass(frozen=True)
 class JetCurve:
@@ -88,10 +84,6 @@ class JetCurve:
     @property
     def k(self) -> int:
         return len(self.coefficients)
-
-    @property
-    def is_regular(self) -> bool:
-        return any(not _is_zero(x) for x in self.coefficients[0])
 
     @classmethod
     def from_derivatives(cls, derivatives) -> "JetCurve":
@@ -140,21 +132,6 @@ def compose(curve: JetCurve, phi: ReparamJet) -> JetCurve:
             row.append(acc)
         rows.append(tuple(row))
     return JetCurve(tuple(rows), n)
-
-
-def compose_reparam(first: ReparamJet, second: ReparamJet) -> ReparamJet:
-    """Jet substitution first o second (apply second, then first)."""
-    if first.k != second.k:
-        raise ValueError("jet orders must match")
-    g = gk_matrix(second)
-    k = first.k
-    out = []
-    for j in range(k):
-        acc = 0
-        for i in range(k):
-            acc = acc + first.alphas[i] * g[i][j]
-        out.append(acc)
-    return ReparamJet(tuple(out))
 
 
 def sym_basis(n: int, k: int) -> list[tuple[int, ...]]:

@@ -4,9 +4,7 @@ Fixed-point sums yield intersection numbers as sums of rational functions
 of the torus weights.  Exactness strategy: the quantities are provably
 weight-independent, so sums are evaluated at random distinct rational
 weights, with agreement across :data:`WEIGHT_DRAWS` independent seeded
-draws as the certificate; a fully symbolic common-denominator mode backs
-the small regression cases.  Fixed points are enumerated
-lexicographically, so symbolic output is canonical.
+draws as the certificate.
 """
 
 from __future__ import annotations
@@ -14,11 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (CHERN, Polynomial, cvar, exact_divide, vandermonde,
-                      wvar, zvar)
+from .algebra import CHERN, Polynomial, cvar, vandermonde, zvar
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
 from .residue import AffineForm, ResidueForm, iterated_residue
@@ -31,36 +27,6 @@ MAX_FIXED_POINTS = 10_000
 
 #: Seeded weight draws that must agree to certify a numeric fixed-point sum.
 WEIGHT_DRAWS = 3
-
-
-@dataclass(frozen=True)
-class GrassFixedPoint:
-    """Coordinate subspace fixed point of the torus on Grass(k, n)."""
-
-    subset: tuple[int, ...]
-    complement: tuple[int, ...]
-
-    def tangent_pairs(self):
-        """Index pairs (s, i) of the tangent weights l_s - l_i."""
-        return [(s, i) for i in self.subset for s in self.complement]
-
-
-def grass_fixed_points(n: int, k: int) -> list[GrassFixedPoint]:
-    universe = range(1, n + 1)
-    return [GrassFixedPoint(s, tuple(j for j in universe if j not in s))
-            for s in itertools.combinations(universe, k)]
-
-
-@dataclass(frozen=True)
-class FlagFixedPoint:
-    """Coordinate flag: an ordered tuple of distinct indices in 1..n."""
-
-    sequence: tuple[int, ...]
-
-
-def flag_fixed_points(n: int, d: int) -> list[FlagFixedPoint]:
-    return [FlagFixedPoint(seq)
-            for seq in itertools.permutations(range(1, n + 1), d)]
 
 
 def flag_dimension(n: int, d: int) -> int:
@@ -119,13 +85,13 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     mu = _distinct(mu)
     orderings = math.factorial(k)
     total = Fraction(0)
-    for pt in grass_fixed_points(n, k):
-        chosen = [mu[i - 1] for i in pt.subset]
+    for subset in itertools.combinations(range(n), k):
+        chosen = [mu[i] for i in subset]
         assignment = {cvar(i): _elementary_values(chosen, i)
                       for i in range(1, k + 1)}
         num = cls.evaluate(assignment).constant_value()
-        den = math.prod(mu[s - 1] - mu[i - 1]
-                        for s, i in pt.tangent_pairs())
+        den = math.prod(mu[s] - mu[i] for i in subset
+                        for s in range(n) if s not in subset)
         total += orderings * num / den
     return total
 
@@ -149,78 +115,35 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     return values[0]
 
 
-def _flag_term_data(n: int, d: int, seq):
-    """Denominator pair data of one flag fixed point: sign and the set of
-    canonical factors (a, b) with a < b standing for l_a - l_b."""
-    sign = 1
-    used = set()
-    for m in range(d):
-        for i in range(m + 1, n):
-            a, b = seq[i], seq[m]
-            if a > b:
-                sign = -sign
-                a, b = b, a
-            used.add((a, b))
-    return sign, used
-
-
-def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights=None):
+def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """Sum over the torus fixed flags of Q at the flag's weights divided by
-    the product of tangent weights.  With numeric weights returns an exact
-    Fraction; with ``weights=None`` runs the symbolic common-denominator
-    mode and returns a Polynomial in l1..ln."""
-    points = flag_fixed_points(n, d)
-    if weights is not None:
-        weights = _distinct(weights)
-        total = Fraction(0)
-        for pt in points:
-            seq = list(pt.sequence) + [j for j in range(1, n + 1)
-                                       if j not in pt.sequence]
-            num = Q.evaluate({zvar(l + 1): weights[seq[l] - 1]
-                              for l in range(d)}).constant_value()
-            den = Fraction(1)
-            for m in range(d):
-                for i in range(m + 1, n):
-                    den *= weights[seq[i] - 1] - weights[seq[m] - 1]
-            total += num / den
-        return total
-    lam = {i: Polynomial.var(wvar(i)) for i in range(1, n + 1)}
-    all_pairs = [(a, b) for a in range(1, n + 1)
-                 for b in range(a + 1, n + 1)]
-    common = vandermonde(wvar(i) for i in range(1, n + 1))
-    total = Polynomial.zero()
-    for pt in points:
-        seq = list(pt.sequence) + [j for j in range(1, n + 1)
-                                   if j not in pt.sequence]
-        sign, used = _flag_term_data(n, d, seq)
-        cofactor = Polynomial.rational(sign)
-        for a, b in all_pairs:
-            if (a, b) not in used:
-                cofactor = cofactor * (lam[a] - lam[b])
-        qval = Q.subs({zvar(l + 1): lam[seq[l]] for l in range(d)})
-        total = total + qval * cofactor
-    return exact_divide(total, common)
+    the product of tangent weights, exactly at the given weights."""
+    weights = _distinct(weights)
+    total = Fraction(0)
+    for head in itertools.permutations(range(n), d):
+        seq = [weights[i] for i in head] + [w for i, w in enumerate(weights)
+                                            if i not in head]
+        num = Q.evaluate({zvar(l + 1): seq[l]
+                          for l in range(d)}).constant_value()
+        den = Fraction(1)
+        for m in range(d):
+            for i in range(m + 1, n):
+                den *= seq[i] - seq[m]
+        total += num / den
+    return total
 
 
-def flag_residue(n: int, d: int, Q: Polynomial, weights=None):
+def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """The same pushforward as :func:`flag_fixed_sum`, computed as the
     iterated residue of the Vandermonde-weighted form with z_1 least and
     z_d most dominant."""
-    zs = [zvar(l) for l in range(1, d + 1)]
-    numerator = Q * vandermonde(zs)
-    if weights is not None:
-        weights = _distinct(weights)
-        consts = [Polynomial.rational(w) for w in weights]
-    else:
-        consts = [Polynomial.var(wvar(i)) for i in range(1, n + 1)]
-    dens = []
-    for z in zs:
-        for cst in consts:
-            dens.append(AffineForm.from_polynomial(cst - Polynomial.var(z)))
-    result = iterated_residue(ResidueForm(numerator, tuple(dens), tuple(zs)))
-    if weights is not None:
-        return result.constant_value()
-    return result
+    weights = _distinct(weights)
+    zs = tuple(zvar(l) for l in range(1, d + 1))
+    dens = tuple(AffineForm.from_polynomial(Polynomial.rational(w)
+                                            - Polynomial.var(z))
+                 for z in zs for w in weights)
+    form = ResidueForm(Q * vandermonde(zs), dens, zs)
+    return iterated_residue(form).constant_value()
 
 
 def random_flag_class(n: int, d: int, rng: random.Random) -> Polynomial:

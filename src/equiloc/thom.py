@@ -9,13 +9,14 @@ module reads its tower residues through the same two functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 from .algebra import (CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial,
                       cvar, vandermonde, zvar)
-from .errors import InputError, MissingQ
+from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import AffineForm, ResidueForm, iterated_residue
 
 _BUILTIN_Q = {
@@ -30,12 +31,10 @@ _BUILTIN_Q = {
 @dataclass(frozen=True)
 class QTable:
     """Numerator polynomials of the residue formula, indexed by the order k.
-    Orders 1..4 are built in; user-supplied entries are kept but flagged
-    unverified."""
+    Orders 1..4 are built in; user-supplied entries may add other orders."""
 
     entries: MappingProxyType = field(
         default_factory=lambda: MappingProxyType(dict(_BUILTIN_Q)))
-    unverified: frozenset = frozenset()
 
     @classmethod
     def builtin(cls) -> "QTable":
@@ -51,7 +50,7 @@ class QTable:
                 f"entry for k={k} may only use z1..z{k}, found {bad}")
         new = dict(self.entries)
         new[k] = poly
-        return QTable(MappingProxyType(new), self.unverified | {k})
+        return QTable(MappingProxyType(new))
 
     def get(self, k: int) -> Polynomial:
         try:
@@ -123,12 +122,32 @@ def _prune_chern(series: LaurentSeries, cmax: int) -> LaurentSeries:
     return LaurentSeries(kept)
 
 
+#: Most terms the Chern-tail product of :func:`residue_form` may reach,
+#: checked before any tail is built.
+MAX_TAIL_TERMS = 2_000
+
+
+def check_tail_size(k: int, codim: int) -> None:
+    """SizeLimitExceeded when the Chern-tail product for (k, codim) would
+    exceed MAX_TAIL_TERMS terms.  After j of the k tails it holds one term
+    per (a_1..a_j) with a_1 + ... + a_j <= cmax = k(codim+1), which is
+    C(cmax + j, j) terms; the check stops at the first j over the limit."""
+    cmax = k * (codim + 1)
+    for j in range(1, k + 1):
+        terms = math.comb(cmax + j, j)
+        if terms > MAX_TAIL_TERMS:
+            raise SizeLimitExceeded(
+                f"order {k}, codimension {codim}: the Chern-tail product "
+                f"reaches {terms} terms, over the limit of {MAX_TAIL_TERMS}")
+
+
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     """The calibrated residue form for (k, codim): :func:`curvilinear_form`
     times ``prod_l c(1/z_l) z_l^codim``.  The tails are cut at Chern weight
     k(codim+1) after each factor; ``Q_k`` and the Vandermonde product carry
     no Chern class, so cutting before they join gives the same numerator."""
     qk = q.get(k)
+    check_tail_size(k, codim)
     cmax = k * (codim + 1)
     tails = _chern_tail(1, codim, cmax)
     for l in range(2, k + 1):

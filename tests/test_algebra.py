@@ -1,4 +1,4 @@
-"""Ring laws, exact division, symmetric reduction and the text grammar."""
+"""Ring laws, the product kernel, evaluation and the text grammar."""
 
 from __future__ import annotations
 
@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS, LaurentSeries,
-                             Polynomial, cvar, evar, exact_divide,
-                             elementary_symmetric, parse_polynomial, svar,
-                             symmetric_reduce, term_list, wvar, zvar)
-from equiloc.errors import (InputError, NotDivisible, NotSymmetric,
-                            SizeLimitExceeded)
+from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
+                             MAX_POWER_TERMS, LaurentSeries,
+                             Polynomial, cvar, parse_polynomial, svar,
+                             term_list, wvar, zvar)
+from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
 
 P = Polynomial
@@ -94,26 +93,6 @@ class TestProductKernel:
         assert (p * p).terms == sparse_product(p, p)
 
 
-class TestExactDivide:
-    def test_examples(self):
-        x, z1, z2 = P.var(X), P.var(zvar(1)), P.var(zvar(2))
-        assert exact_divide(x ** 2 - 1, x - 1) == x + 1
-        assert exact_divide(z1 ** 2 - z2 ** 2, z1 + z2) == z1 - z2
-        with pytest.raises(NotDivisible):
-            exact_divide(x + 1, x - 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_divide(P.one(), P.zero())
-
-    @given(_polys(), _polys())
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, a, b):
-        if b.is_zero:
-            return
-        assert exact_divide(a * b, b) == a
-
-
 class TestEvaluate:
     def test_weights(self):
         p = P.var(wvar(1)) + P.var(wvar(2))
@@ -142,33 +121,6 @@ class TestNilpotency:
         killer = P.var(h, 3 + extra)
         assert killer.is_zero
         assert (p * P.var(h)).degree_in(h) <= 2
-
-
-class TestSymmetricReduce:
-    def test_e2(self):
-        l1, l2, l3 = (P.var(wvar(i)) for i in (1, 2, 3))
-        assert symmetric_reduce(l1 * l2 + l1 * l3 + l2 * l3) == P.var(evar(2))
-
-    def test_newton(self):
-        l1, l2 = P.var(wvar(1)), P.var(wvar(2))
-        e1, e2 = P.var(evar(1)), P.var(evar(2))
-        assert symmetric_reduce(l1 ** 2 + l2 ** 2) == e1 ** 2 - 2 * e2
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            symmetric_reduce(P.var(wvar(1)) - P.var(wvar(2)))
-
-    @given(st.integers(2, 4), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip(self, n, data):
-        # build a random polynomial in e1..en, expand into the weights,
-        # reduce back
-        evars = tuple(evar(i) for i in range(1, n + 1))
-        source = data.draw(_polys(vars=evars, max_terms=3, max_exp=2))
-        mus = [wvar(i) for i in range(1, n + 1)]
-        expanded = source.subs(
-            {evar(i): elementary_symmetric(i, mus) for i in range(1, n + 1)})
-        assert symmetric_reduce(expanded, n) == source
 
 
 class TestGrammar:
@@ -207,6 +159,17 @@ class TestGrammar:
         with pytest.raises(SizeLimitExceeded):
             parse_polynomial(squares[1])
         assert parse_polynomial("z1^100000") == P.var(zvar(1)) ** 100000
+
+    def test_coefficient_bit_limit(self):
+        # 2^e and 3^e are bounded by e and 2e bits; a product by the sum of
+        # its factors' bounds, and denominators count like numerators
+        assert MAX_COEFFICIENT_BITS == 100_000
+        assert parse_polynomial("3^10000") == 3 ** 10000
+        assert parse_polynomial("2^100000*z1") == 2 ** 100000 * P.var(zvar(1))
+        for bad in ("2^100001", "3^30000000", "(1/3)^50001",
+                    "3^40000*3^40000", "(2*z1 + 1)^50001"):
+            with pytest.raises(SizeLimitExceeded):
+                parse_polynomial(bad)
 
     @given(_polys(vars=(zvar(1), wvar(2), cvar(3), svar("h"))))
     @settings(max_examples=60, deadline=None)

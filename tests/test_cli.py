@@ -4,9 +4,12 @@ round-trip of JSON outputs through the input grammars."""
 from __future__ import annotations
 
 import contextlib
+import decimal
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -83,9 +86,14 @@ class TestErrors:
         ("frobnicate", "--k", "1"),
         (),
         ("thom", "--k", "1", "--format", "xml"),
+        ("gg", "--n", "1", "--d", "1e30000000"),
+        ("gg", "--n", "4", "--delta", "0.5"),
+        ("euler", "--n", "1", "--d", " 4"),
     ])
     def test_argument_errors_exit_2(self, capsys, argv):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
@@ -161,6 +169,8 @@ class TestResidueJobs:
         "*".join(f"(a{i}+b{i})" for i in range(16)),
         "(1+z1)^3000",
         "(1+z1+z2+z3)^60",
+        "3^30000000",
+        "*".join(["3^40000"] * 30),
     ])
     def test_costly_products_exit_1_before_work(self, capsys, tmp_path,
                                                 numerator):
@@ -172,6 +182,16 @@ class TestResidueJobs:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-limit"
+
+    def test_long_coefficient_prints(self, capsys, tmp_path):
+        # 3^10000 has 4,772 digits, past the int-to-str limit of 4,300
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "3^10000", "denominators": ["z1"], "order": ["z1"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, err) == (0, "")
+        assert len(out) == 4_774
+        assert decimal.Decimal(out) == decimal.Decimal(-(3 ** 10000))
 
     def test_large_power_exits_1_before_expanding(self, capsys, tmp_path):
         path = tmp_path / "job.json"
@@ -205,7 +225,10 @@ class TestArgumentGuards:
                  ("grass-integrate", "--n", "1000000000", "--k",
                   "500000000", "--class", "c1"),
                  ("flag-check", "--n", "300", "--d", "3"),
-                 ("flag-check", "--n", "3000000", "--d", "1")]
+                 ("flag-check", "--n", "3000000", "--d", "1"),
+                 ("thom", "--k", "2", "--codim", "200"),
+                 ("thom", "--k", "1", "--codim", "1000000000"),
+                 ("thom-scan", "--kmax", "4", "--lmax", "6")]
         for size in (6, 8):
             jet = tmp_path / f"jet{size}.json"
             jet.write_text(json.dumps({"coefficients": [
@@ -365,6 +388,13 @@ class TestScanAndUserTables:
         assert code == 1
         assert json.loads(err)["error"] == "missing-q"
 
+    def test_scan_looks_up_its_largest_order_first(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "thom-scan", "--kmax", "5", "--lmax", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "missing-q"
+
 
 class TestJetCommands:
     @pytest.fixture
@@ -424,13 +454,44 @@ class TestJetCommands:
         assert row2[:2] == ["3/2", "0"]
 
 
+class TestReadmeExamples:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def block(self, heading: str, lang: str) -> str:
+        """The first ``lang`` code block after ``heading`` in the README."""
+        text = self.README.read_text(encoding="utf-8")
+        after = text[text.index(heading):]
+        return after.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+    def test_every_command_runs(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "job.json").write_text(self.block("### Residue jobs",
+                                                      "json"))
+        (tmp_path / "jet.json").write_text(self.block("### Jet files",
+                                                      "json"))
+        monkeypatch.chdir(tmp_path)
+        commands = [shlex.split(line, comments=True)
+                    for line in self.block("## Command line", "sh")
+                    .splitlines()]
+        assert len(commands) == 10
+        for argv in commands:
+            assert argv[0] == "equiloc"
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, err) == (0, ""), argv
+        answer = re.search(r'the\s+answer\s+is\s+`(.*?)`',
+                           self.README.read_text(encoding="utf-8"))
+        assert answer.group(1) == '{"residue": "-l1 - l2"}'
+        code, out, _ = run(capsys, "residue", "--job", "job.json",
+                           "--format", "json")
+        assert (code, json.loads(out)) == (0, json.loads(answer.group(1)))
+
+
 # -- every argument list ends in exit 0, 1 or 2 ------------------------------
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
                   st.text(max_size=4))
 _TEXT = st.lists(st.sampled_from(
     ["z1", "z2", "l1", "h", "c1", "c2", "0", "2", "7", "1/2", "+", "-", "*",
-     "^", "(", ")"]), max_size=10).map(" ".join)
+     "^", "(", ")", "3^10000", "3^30000000"]), max_size=10).map(" ".join)
 _JOB = st.fixed_dictionaries({
     "numerator": st.one_of(_TEXT, _JUNK),
     "denominators": st.one_of(
@@ -445,7 +506,10 @@ _Q_TABLE = st.dictionaries(st.sampled_from(["1", "4", "5", "6", "-1", "x"]),
 _VALUE = {
     "int": st.one_of(st.integers(-2, 2).map(str),
                      st.sampled_from(["", "abc", "1/0", "3/2", "-", "0x1"])),
-    "rational": st.sampled_from(["0", "-1", "5", "1/24", "x", "1/0", ""]),
+    "rational": st.sampled_from(["0", "-1", "+5", "1/24", "x", "1/0", "",
+                                 "0.5", "1e30000000"]),
+    "size": st.one_of(st.integers(-2, 2).map(str),
+                      st.sampled_from(["7", "200", "1000000000"])),
     "text": st.one_of(_TEXT, st.text(max_size=4)),
     "format": st.sampled_from(["text", "json", "xml"]),
     "job": st.one_of(_JUNK, st.lists(_JUNK, max_size=3), _JOB),
@@ -461,8 +525,8 @@ _FLAGS = {
                         "--seed": "int"},
     "flag-check": {"--n": "int", "--d": "int", "--trials": "int",
                    "--seed": "int"},
-    "thom": {"--k": "int", "--codim": "int", "--q-file": "q"},
-    "thom-scan": {"--kmax": "int", "--lmax": "int", "--q-file": "q",
+    "thom": {"--k": "int", "--codim": "size", "--q-file": "q"},
+    "thom-scan": {"--kmax": "size", "--lmax": "size", "--q-file": "q",
                   "--check-positivity": None},
     "gg": {"--n": "int", "--delta": "rational", "--d": "rational",
            "--q-file": "q"},

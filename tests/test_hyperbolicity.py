@@ -11,10 +11,27 @@ import pytest
 from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _log_todd_series, euler_characteristic,
+                                   _hvar, _hypersurface_tail,
+                                   _log_todd_series, _tower_residue, _zshift,
+                                   _zsum, euler_characteristic,
                                    intersection_polynomial, leading_constant,
-                                   positivity_threshold, top_intersection)
+                                   positivity_threshold)
+from equiloc.thom import QTable
+
 P = Polynomial
+
+
+def top_intersection(n: int) -> Polynomial:
+    """Top self-intersection of the tautological class against the
+    hypersurface tail (the positivity form replaced by its degree-only
+    block); equals (n^2)! times the leading m-coefficient of the Euler
+    characteristic."""
+    h = _hvar(n)
+    residue = _tower_residue(n, QTable.builtin().get(n),
+                             _zsum(n) ** (n * n),
+                             _hypersurface_tail(n, h, P.var(D_VAR)),
+                             _zshift(n, n))
+    return residue.coefficient(h, n) * P.var(D_VAR)
 
 
 @pytest.fixture(scope="module")

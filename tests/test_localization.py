@@ -2,33 +2,47 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from equiloc.algebra import Polynomial, parse_polynomial, zvar
+from equiloc.algebra import (Polynomial, parse_polynomial, vandermonde, wvar,
+                             zvar)
 from equiloc.errors import DegreeMismatch, InputError, RepeatedWeights
 from equiloc.localization import (draw_weights, flag_dimension,
-                                  flag_fixed_points, flag_fixed_sum,
-                                  flag_residue, grass_fixed_points,
+                                  flag_fixed_sum, flag_residue,
                                   grass_integrate, grass_sum_at,
                                   random_flag_class, run_flag_trials)
+from equiloc.residue import AffineForm, ResidueForm, iterated_residue
 
 P = Polynomial
 
 
-class TestGrassFixedPoints:
-    def test_enumeration(self):
-        pts = grass_fixed_points(4, 2)
-        assert [p.subset for p in pts] == [
-            (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        assert all(len(p.tangent_pairs()) == 4 for p in pts)
-
-    def test_tangent_pairs_distinct(self):
-        for p in grass_fixed_points(5, 2):
-            pairs = p.tangent_pairs()
-            assert len(set(pairs)) == len(pairs) == 6
+def symbolic_fixed_sum_numerator(n: int, d: int, Q: Polynomial):
+    """The flag fixed-point sum times vandermonde(l1..ln): over each fixed
+    flag, Q at its weights times the product of the factors l_a - l_b
+    (a < b) of the Vandermonde that are not its tangent weights, with the
+    sign of the tangent weights written as l_a - l_b."""
+    lam = {i: P.var(wvar(i)) for i in range(1, n + 1)}
+    total = P.zero()
+    for head in itertools.permutations(range(1, n + 1), d):
+        seq = list(head) + [j for j in range(1, n + 1) if j not in head]
+        sign, used = 1, set()
+        for m in range(d):
+            for i in range(m + 1, n):
+                a, b = seq[i], seq[m]
+                if a > b:
+                    sign, a, b = -sign, b, a
+                used.add((a, b))
+        cofactor = P.rational(sign)
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            if (a, b) not in used:
+                cofactor = cofactor * (lam[a] - lam[b])
+        total = total + Q.subs({zvar(l + 1): lam[seq[l]]
+                                for l in range(d)}) * cofactor
+    return total
 
 
 class TestGrassIntegrate:
@@ -82,20 +96,12 @@ class TestGrassIntegrate:
 
 
 class TestFlagFixedSum:
-    def test_two_point_symbolic(self):
-        value = flag_fixed_sum(2, 1, P.var(zvar(1)))
-        assert value == -1
-
     def test_three_point_numeric(self):
         value = flag_fixed_sum(3, 1, P.var(zvar(1)) ** 2, [0, 1, 2])
         assert value == 1
 
     def test_antisymmetric_cancellation(self):
         assert flag_fixed_sum(2, 2, P.one(), [2, 5]) == 0
-
-    def test_point_count(self):
-        assert len(flag_fixed_points(4, 2)) == 12
-        assert len(flag_fixed_points(5, 3)) == 60
 
     def test_repeated_weights(self):
         with pytest.raises(RepeatedWeights):
@@ -111,11 +117,19 @@ class TestFlagResidue:
         assert flag_residue(2, 2, P.one(), [2, 5]) == 0
 
     def test_symbolic_equals_symbolic_sum(self):
-        # the common-denominator mode backs all sizes up to n = 4
+        # the fixed-point sum over the common denominator vandermonde(l)
+        # is the symbolic residue; checked by multiplying back
         for (n, d, text) in ((2, 1, "z1"), (3, 1, "z1^2"), (3, 2, "z1^2*z2"),
                              (4, 2, "z1^3*z2^2 + 2*z1*z2^4")):
             Q = parse_polynomial(text)
-            assert flag_residue(n, d, Q) == flag_fixed_sum(n, d, Q)
+            lam = [wvar(i) for i in range(1, n + 1)]
+            zs = tuple(zvar(l) for l in range(1, d + 1))
+            dens = tuple(AffineForm.from_polynomial(P.var(w) - P.var(z))
+                         for z in zs for w in lam)
+            residue = iterated_residue(
+                ResidueForm(Q * vandermonde(zs), dens, zs))
+            assert residue * vandermonde(lam) == \
+                symbolic_fixed_sum_numerator(n, d, Q)
 
     def test_cross_oracle_on_random_classes(self):
         rng = random.Random(11)

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from equiloc.algebra import CHERN, Polynomial, parse_polynomial
-from equiloc.errors import InputError, MissingQ
-from equiloc.thom import (QTable, ThomResult, denominator_triples,
+from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
+from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
+                          check_tail_size, denominator_triples,
                           generating_coefficient, positivity_check,
                           ratio_check, thom_polynomial)
 from oracles import brute_thom
@@ -36,7 +37,7 @@ class TestQTable:
     def test_user_entry_flagged_unverified(self):
         q = QTable.builtin().with_entry(5, parse_polynomial("z1 + z2"))
         assert q.get(5) == parse_polynomial("z1 + z2")
-        assert q.unverified == {5}
+        assert QTable.builtin().entries.keys() == {1, 2, 3, 4}
 
     def test_builtin_not_overridable(self):
         with pytest.raises(InputError):
@@ -83,6 +84,16 @@ class TestGoldenValues:
             thom_polynomial(0, 0)
         with pytest.raises(InputError):
             thom_polynomial(2, -1)
+
+    def test_tail_size_limit(self):
+        # the largest codimension accepted for each order k <= 4
+        assert MAX_TAIL_TERMS == 2_000
+        for k, codim in ((1, 1998), (2, 29), (3, 5), (4, 2)):
+            check_tail_size(k, codim)
+            with pytest.raises(SizeLimitExceeded):
+                check_tail_size(k, codim + 1)
+        with pytest.raises(SizeLimitExceeded):
+            thom_polynomial(1, 10 ** 9)
 
 
 class TestOracle:
