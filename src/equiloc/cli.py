@@ -136,10 +136,12 @@ def _cmd_thom(args):
 
 
 def _cmd_thom_scan(args):
-    if args.kmax >= 1 and args.lmax >= 0:
-        # the largest order's table entry and tail size, before any work
-        (args.q_file or thom.QTable.builtin()).get(args.kmax)
-        thom.check_tail_size(args.kmax, args.lmax)
+    if args.kmax < 1 or args.lmax < 0:
+        raise InputError(f"thom-scan needs --kmax >= 1 and --lmax >= 0, got "
+                         f"{args.kmax} and {args.lmax}")
+    # the largest order's table entry and tail size, before any work
+    (args.q_file or thom.QTable.builtin()).get(args.kmax)
+    thom.check_tail_size(args.kmax, args.lmax)
     rows = []
     lines = []
     for k in range(1, args.kmax + 1):

@@ -9,6 +9,11 @@ The n = 1 case is pinned independently by classical curve geometry
 
 The hyperplane class h is nilpotent of order n (h^(n+1) == 0); pairing
 with the fundamental class replaces the surviving h^n by d.
+
+By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
+class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
+:func:`_hypersurface_class`, builds the Chern tail of the tower (g = 1 + y
+at y = h/z_l, one factor per l) and the Todd class (g = (1 - e^-y)/y).
 """
 
 from __future__ import annotations
@@ -62,22 +67,30 @@ def _zshift(n: int, power: int) -> LaurentSeries:
     return LaurentSeries({mono: 1})
 
 
+def _hypersurface_class(n: int, g, y, d_poly: Polynomial) -> Polynomial:
+    """g(d y) * g(y)^-(n+2) for a unit series g with coefficients
+    g[0] == 1, g[1], ... (those past g[n] are not read) and a y that
+    carries h, so y^(n+1) == 0 and the inverse sum_(j<=n) (1 - g(y))^j is
+    exact."""
+    s = sd = 0  # g(y) - 1 and g(d y) - 1
+    power = 1
+    for i, c in enumerate(g[1:n + 1], 1):
+        power = power * y
+        s = s + c * power
+        sd = sd + c * d_poly ** i * power
+    inv = term = 1
+    for _ in range(n):
+        term = term * -s
+        inv = inv + term
+    return (1 + sd) * inv ** (n + 2)
+
+
 def _hypersurface_tail(n: int, h: Var, d_poly: Polynomial) -> LaurentSeries:
-    """prod_l (1 + d h / z_l) * (1 - h/z_l + h^2/z_l^2 - ...)^(n + 2)."""
-    acc = LaurentSeries({Monomial.make([]): 1})
-    hp = Polynomial.var(h)
+    """prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2)."""
+    acc = 1
     for l in range(1, n + 1):
-        zinv = LaurentSeries({Monomial.make([(zvar(l), -1)]): 1})
-        lin = LaurentSeries({Monomial.make([]): 1}) + zinv * hp * d_poly
-        alt = LaurentSeries({Monomial.make([]): 1})
-        term = LaurentSeries({Monomial.make([]): 1})
-        for _ in range(n):
-            term = term * zinv * (-1) * hp
-            alt = alt + term
-        block = LaurentSeries({Monomial.make([]): 1})
-        for _ in range(n + 2):
-            block = block * alt
-        acc = acc * lin * block
+        y = LaurentSeries({Monomial.make([(h, 1), (zvar(l), -1)]): 1})
+        acc = acc * _hypersurface_class(n, (1, 1), y, d_poly)
     return acc
 
 
@@ -144,57 +157,11 @@ def positivity_threshold(result: GGResult, delta) -> int:
     return d0
 
 
-# -- Todd class machinery ------------------------------------------------
-
-def _log_todd_series(n: int) -> list[Fraction]:
-    """Taylor coefficients a_1..a_n of log(x / (1 - e^-x)), computed in a
-    scalar x nilpotent of order n, so every product truncates itself."""
-    x = svar("x", nilpotency=n)
-    # v = (1 - e^-x)/x - 1
-    v = Polynomial.from_terms((Fraction((-1) ** i, math.factorial(i + 1)),
-                               [(x, i)]) for i in range(1, n + 1))
-    log_u = Polynomial.zero()
-    power = v
-    for j in range(1, n + 1):
-        log_u = log_u + Fraction((-1) ** (j - 1), j) * power
-        power = power * v
-    return [-log_u.coefficient(x, i).constant_value()
-            for i in range(1, n + 1)]
-
-
-def _todd_class(n: int, chern: list[Polynomial]) -> Polynomial:
-    """Todd class from the graded pieces chern[1..n] of a total Chern
-    class, via power sums (Newton) and the log-Todd Taylor coefficients;
-    everything lives in an h-nilpotent ring so the exp truncates itself."""
-    e = chern
-    p = [Polynomial.zero()] * (n + 1)
-    for k in range(1, n + 1):
-        acc = Polynomial.rational((-1) ** (k - 1) * k) * e[k]
-        for i in range(1, k):
-            acc = acc + Polynomial.rational((-1) ** (i - 1)) * e[i] * p[k - i]
-        p[k] = acc
-    a = _log_todd_series(n)
-    log_td = Polynomial.zero()
-    for j in range(1, n + 1):
-        log_td = log_td + a[j - 1] * p[j]
-    td = Polynomial.one()
-    term = Polynomial.one()
-    for i in range(1, n + 1):
-        term = term * log_td
-        td = td + Fraction(1, math.factorial(i)) * term
-    return td
-
-
-def _hypersurface_chern(n: int, h: Var, d_poly: Polynomial) -> list[Polynomial]:
-    """Graded pieces of c(T_X) = (1 + h)^(n+2) / (1 + d h), cut at h^n."""
-    hp = Polynomial.var(h)
-    inv = Polynomial.one()
-    term = Polynomial.one()
-    for _ in range(n):
-        term = term * (-1) * d_poly * hp
-        inv = inv + term
-    total = (Polynomial.one() + hp) ** (n + 2) * inv
-    return [total.coefficient(h, i) * hp ** i for i in range(n + 1)]
+def _todd_class(n: int, h: Var, d_poly: Polynomial) -> Polynomial:
+    """td(T_X): the class with series y / (1 - e^-y), whose inverse is
+    g(y) = (1 - e^-y)/y = sum_i (-y)^i / (i+1)!."""
+    g = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
+    return _hypersurface_class(n, g, Polynomial.var(h), d_poly)
 
 
 def euler_characteristic(n: int, d=None,
@@ -204,10 +171,8 @@ def euler_characteristic(n: int, d=None,
     ``d=None`` keeps the degree symbolic."""
     qn = (q or QTable.builtin()).get(n)
     h = _hvar(n)
-    if d is None:
-        d_poly = Polynomial.var(D_VAR)
-    else:
-        d_poly = Polynomial.rational(Fraction(d))
+    d_poly = (Polynomial.var(D_VAR) if d is None
+              else Polynomial.rational(Fraction(d)))
     # Chern character of the tautological weight-m line bundle: by the
     # z-grading only powers n^2-n .. n^2 of m(z_1+...+z_n) can survive
     # against the h-grading, so the exponential is cut there.
@@ -216,8 +181,7 @@ def euler_characteristic(n: int, d=None,
     mp = Polynomial.var(M_VAR)
     for p in range(max(0, n * n - n), n * n + 1):
         ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
-    td = _todd_class(n, _hypersurface_chern(n, h, d_poly))
-    residue = _tower_residue(n, qn, ch, td,
+    residue = _tower_residue(n, qn, ch, _todd_class(n, h, d_poly),
                              _hypersurface_tail(n, h, d_poly), _zshift(n, n))
     chi = residue.coefficient(h, n) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)

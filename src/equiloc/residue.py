@@ -28,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (RESIDUE, Polynomial, Slate, Var, _add_into, _num,
-                      _literal, mul_dense, parse_polynomial, zvar)
-from .errors import InputError, NoDominantVariable, WindowOverflow
+from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate, Var,
+                      _add_into, _height_bits, _num, _literal, mul_dense,
+                      parse_polynomial, zvar)
+from .errors import (InputError, NoDominantVariable, SizeLimitExceeded,
+                     WindowOverflow)
 
 #: Highest geometric expansion order :func:`iterated_residue` builds for
 #: one peeled variable, checked before that variable is expanded.
@@ -111,7 +113,8 @@ class ResidueForm:
 
 def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
-    the expansions of the factors dominated by that variable."""
+    the expansions of the factors dominated by that variable, each given as
+    ``(b, a, bits)`` for the factor w = a z + b of height ``bits``."""
     slices: dict[int, dict] = {}
     for m, c in num.items():
         t = m[zi]
@@ -129,11 +132,18 @@ def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
         raise WindowOverflow(
             f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
             f"limit {MAX_EXPANSION_ORDER}")
+    # tail j = (-b)^j / a^(j+1) has height at most H(w)^(2j+1), since
+    # H(a), H(b) <= H(w) and the height H is submultiplicative
+    bits = sum((2 * jtot + 1) * wbits for _, _, wbits in factors)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise SizeLimitExceeded(
+            f"expansion in {ws.vars[zi].name} may reach coefficients of "
+            f"{bits} bits, over the limit of {MAX_COEFFICIENT_BITS} bits")
     # running product of the factor expansions, graded by total geometric
     # order; tails[j] of one factor is (-1)^j (w - a z)^j / a^(j+1)
     one = {(0,) * len(ws.vars): 1}
     prod = [one]
-    for base, a in factors:
+    for base, a, _ in factors:
         inv_a = _num(Fraction(1) / a)
         step = {m: c * -inv_a for m, c in base.items()}
         tails = [{(0,) * len(ws.vars): inv_a}]
@@ -176,10 +186,10 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
         zi = ws.index[zq]
         factors = []
         for w in groups.get(zq, ()):
-            a = dict(w.linear)[zq]
-            rest = AffineForm(w.constant,
-                              tuple(t for t in w.linear if t[0] is not zq))
-            factors.append((ws.dense(rest.as_polynomial().terms), a))
+            wp = w.as_polynomial()
+            rest = {m: c for m, c in wp.terms.items() if m.exps != ((zq, 1),)}
+            factors.append((ws.dense(rest), dict(w.linear)[zq],
+                            _height_bits(wp)))
         num = _peel(ws, num, factors, zi)
     sign = -1 if d % 2 else 1
     return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})

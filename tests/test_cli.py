@@ -89,6 +89,8 @@ class TestErrors:
         ("gg", "--n", "1", "--d", "1e30000000"),
         ("gg", "--n", "4", "--delta", "0.5"),
         ("euler", "--n", "1", "--d", " 4"),
+        ("thom-scan", "--kmax", "0", "--lmax", "0"),
+        ("thom-scan", "--kmax", "2", "--lmax", "-1"),
     ])
     def test_argument_errors_exit_2(self, capsys, argv):
         start = time.perf_counter()
@@ -182,6 +184,22 @@ class TestResidueJobs:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-limit"
+
+    def test_expansion_coefficient_bits_exit_1_before_work(self, capsys,
+                                                           tmp_path):
+        # tails of 1/(3^40000 z1 - 1) up to order 250 would reach ~32
+        # million bits; the bound is checked before any tail is built
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "z1^250", "denominators": ["3^40000*z1 - 1"],
+            "order": ["z1"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "size-limit"
+        assert " in z1 " in payload["message"]
 
     def test_long_coefficient_prints(self, capsys, tmp_path):
         # 3^10000 has 4,772 digits, past the int-to-str limit of 4,300

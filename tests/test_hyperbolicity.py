@@ -11,9 +11,9 @@ import pytest
 from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _hvar, _hypersurface_tail,
-                                   _log_todd_series, _tower_residue, _zshift,
-                                   _zsum, euler_characteristic,
+                                   _hvar, _hypersurface_tail, _todd_class,
+                                   _tower_residue, _zshift, _zsum,
+                                   euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
 from equiloc.thom import QTable
@@ -39,11 +39,17 @@ def gg():
     return {n: intersection_polynomial(n) for n in (1, 2, 3)}
 
 
-def test_log_todd_golden():
-    # x / (1 - e^-x) = 1 + x/2 + x^2/12 - x^4/720 + O(x^6), whose log is
-    # x/2 - x^2/24 + x^4/2880 + O(x^6)
-    assert _log_todd_series(4) == [Fraction(1, 2), Fraction(-1, 24), 0,
-                                   Fraction(1, 2880)]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_todd_class_golden(n):
+    # Hirzebruch's Todd polynomials 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24 in
+    # the Chern classes of c(T_X) = (1 + h)^(n+2) / (1 + d h), cut at h^n
+    h, d = _hvar(n), P.var(D_VAR)
+    inverse = sum(((-d * P.var(h)) ** j for j in range(n + 1)), P.zero())
+    total = (1 + P.var(h)) ** (n + 2) * inverse
+    c1, c2 = (total.coefficient(h, i) * P.var(h, i) for i in (1, 2))
+    expected = (1 + Fraction(1, 2) * c1 + Fraction(1, 12) * (c1 * c1 + c2)
+                + Fraction(1, 24) * c1 * c2)
+    assert _todd_class(n, h, d) == expected
 
 
 class TestLeadingConstant:
