@@ -9,7 +9,7 @@ from .jets import (JetCurve, ReparamJet, compose, gk_matrix, invariant_minors,
                    rho)
 from .localization import (flag_fixed_sum, flag_residue, grass_integrate,
                            run_flag_trials)
-from .residue import AffineForm, ResidueForm, iterated_residue, residue_job
+from .residue import ResidueForm, iterated_residue, residue_job
 from .thom import (QTable, ThomResult, positivity_check, ratio_check,
                    thom_polynomial)
 

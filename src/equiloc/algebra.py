@@ -443,9 +443,10 @@ def _coerce(x) -> Polynomial:
 
 class LaurentSeries(Polynomial):
     """Laurent polynomial: residue variables may carry negative exponents,
-    every other alphabet stays polynomial.  Sums, negation and coefficients
-    stay Laurent series; products with a plain polynomial on either side
-    come here first (a subclass's reflected operator wins)."""
+    every other alphabet stays polynomial.  Sums, differences, negation and
+    coefficients stay Laurent series; sums, differences and products with a
+    plain polynomial on either side come here first (a subclass's reflected
+    operator wins)."""
 
     __slots__ = ()
 
@@ -461,6 +462,12 @@ class LaurentSeries(Polynomial):
         return LaurentSeries(_mul_terms(self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rsub__(self, other):
+        return -self + other
 
 
 def vandermonde(vs) -> Polynomial:

@@ -1,8 +1,8 @@
 """Intersection polynomial and Euler characteristics of the invariant-jet
 tower of a smooth degree-d hypersurface in P^(n+1).
 
-Every residue here is that of the order-n form built by
-:func:`equiloc.thom.curvilinear_form`, signed by :func:`equiloc.thom.calibrate`.
+Every residue here is the iterated residue of the order-n form built by
+:func:`equiloc.thom.curvilinear_form`, which carries the calibrating sign.
 The n = 1 case is pinned independently by classical curve geometry
 (canonical degree and Riemann-Roch), which fixes the sign of the
 ``z_1 + ... + z_n`` block inside the positivity form R.
@@ -23,13 +23,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentSeries, Monomial, Polynomial, Var, svar, zvar
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, SizeLimitExceeded
 from .residue import iterated_residue
-from .thom import QTable, calibrate, curvilinear_form
+from .thom import QTable, curvilinear_form
 
 D_VAR = svar("d")
 DELTA_VAR = svar("delta")
 M_VAR = svar("m")
+
+
+#: Most terms the largest numerator factor of a tower residue may have,
+#: checked from n before any factor is built: (z_1 + ... + z_n)^(n^2)
+#: for the leading constant, B^(n^2) in the positivity form and the cut
+#: Chern character for the Euler characteristic.
+MAX_FACTOR_TERMS = 50_000
+
+
+def _check_factor_terms(n: int, what: str, terms: int) -> None:
+    if terms > MAX_FACTOR_TERMS:
+        raise SizeLimitExceeded(
+            f"order {n}: {what} reaches {terms} terms, over the limit of "
+            f"{MAX_FACTOR_TERMS}")
 
 
 def _hvar(n: int) -> Var:
@@ -53,13 +67,6 @@ class EulerResult:
     n: int
     d: object  # Fraction for numeric degree, None for symbolic
     chi: Polynomial
-
-
-def _tower_residue(n: int, qn: Polynomial, *factors) -> Polynomial:
-    """Calibrated residue of the order-n curvilinear form times the given
-    numerator factors.  Callers look ``qn`` up first, so a missing table
-    entry fails before any factor is assembled."""
-    return calibrate(n, iterated_residue(curvilinear_form(n, qn, *factors)))
 
 
 def _zshift(n: int, power: int) -> LaurentSeries:
@@ -118,18 +125,23 @@ def leading_constant(n: int, q: QTable | None = None) -> Fraction:
     (z_1...z_n)^n]`` under the calibrated contour; this is the constant
     multiplying the top d-coefficient of the intersection polynomial."""
     qn = (q or QTable.builtin()).get(n)
-    return _tower_residue(n, qn, _zsum(n) ** (n * n),
-                          _zshift(n, n + 1)).constant_value()
+    _check_factor_terms(n, "(z_1 + ... + z_n)^(n^2)",
+                        math.comb(n * n + n - 1, n - 1))
+    form = curvilinear_form(n, qn, _zsum(n) ** (n * n), _zshift(n, n + 1))
+    return iterated_residue(form).constant_value()
 
 
 def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
     """p(n, d, delta): the h^n coefficient of the calibrated residue of the
     positivity form against the hypersurface tail."""
     qn = (q or QTable.builtin()).get(n)
+    # B^(n^2) has at most one term per monomial of degree n^2 in z_1..z_n, h
+    _check_factor_terms(n, "the positivity form", math.comb(n * n + n, n))
     h = _hvar(n)
-    p = _tower_residue(n, qn, _positivity_form(n, h),
-                       _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
-                       _zshift(n, n)).coefficient(h, n)
+    form = curvilinear_form(n, qn, _positivity_form(n, h),
+                            _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
+                            _zshift(n, n))
+    p = iterated_residue(form).coefficient(h, n)
     theta = leading_constant(n, q)
     leading = p.coefficient(D_VAR, n)
     return GGResult(n, p, theta, leading)
@@ -170,6 +182,9 @@ def euler_characteristic(n: int, d=None,
     degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
     ``d=None`` keeps the degree symbolic."""
     qn = (q or QTable.builtin()).get(n)
+    # one term per monomial of degree n^2 - n .. n^2 in z_1..z_n
+    _check_factor_terms(n, "the Chern character",
+                        math.comb(n * n + n, n) - math.comb(n * n - 1, n))
     h = _hvar(n)
     d_poly = (Polynomial.var(D_VAR) if d is None
               else Polynomial.rational(Fraction(d)))
@@ -181,8 +196,8 @@ def euler_characteristic(n: int, d=None,
     mp = Polynomial.var(M_VAR)
     for p in range(max(0, n * n - n), n * n + 1):
         ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
-    residue = _tower_residue(n, qn, ch, _todd_class(n, h, d_poly),
-                             _hypersurface_tail(n, h, d_poly), _zshift(n, n))
-    chi = residue.coefficient(h, n) * d_poly
+    form = curvilinear_form(n, qn, ch, _todd_class(n, h, d_poly),
+                            _hypersurface_tail(n, h, d_poly), _zshift(n, n))
+    chi = iterated_residue(form).coefficient(h, n) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import CHERN, Polynomial, cvar, vandermonde, zvar
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
-from .residue import AffineForm, ResidueForm, iterated_residue
+from .residue import ResidueForm, iterated_residue
 
 _WEIGHT_POOL = range(-999_983, 1_000_003)
 
@@ -139,8 +139,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     z_d most dominant."""
     weights = _distinct(weights)
     zs = tuple(zvar(l) for l in range(1, d + 1))
-    dens = tuple(AffineForm.from_polynomial(Polynomial.rational(w)
-                                            - Polynomial.var(z))
+    dens = tuple(Polynomial.rational(w) - Polynomial.var(z)
                  for z in zs for w in weights)
     form = ResidueForm(Q * vandermonde(zs), dens, zs)
     return iterated_residue(form).constant_value()

@@ -4,9 +4,12 @@ Conventions
 -----------
 A :class:`ResidueForm` carries an explicit dominance order of its residue
 variables, least dominant first (contour radii grow along the order); the
-order is never inferred from variable names.  Each denominator factor is
-expanded as a geometric series in its dominant variable (the highest-ranked
-residue variable it contains):
+order is never inferred from variable names.  Its denominator factors are
+plain polynomials, each affine in the residue variables: every term is a
+rational multiple of one residue variable or free of them (a factor that
+is not is an InputError, one without a residue variable a
+NoDominantVariable).  Each factor is expanded as a geometric series in its
+dominant variable (the highest-ranked residue variable it contains):
 
     1/w = sum_j (-1)^j (w - a*z_q)^j / (a*z_q)^(j+1)
 
@@ -40,60 +43,13 @@ MAX_EXPANSION_ORDER = 256
 
 
 @dataclass(frozen=True)
-class AffineForm:
-    """Degree-one denominator factor: rational linear part in the residue
-    variables plus a polynomial constant part in everything else."""
-
-    constant: Polynomial
-    linear: tuple[tuple[Var, Fraction], ...]
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "AffineForm":
-        const: dict = {}
-        lin: dict[Var, Fraction] = {}
-        for m, c in p.terms.items():
-            zpart = [(v, e) for v, e in m.exps if v.kind == RESIDUE]
-            if not zpart:
-                const[m] = c
-                continue
-            if len(zpart) > 1 or zpart[0][1] != 1 or len(m.exps) > 1:
-                raise InputError(f"denominator factor is not affine: {p}")
-            v = zpart[0][0]
-            lin[v] = lin.get(v, Fraction(0)) + c
-        linear = tuple(sorted(((v, Fraction(c)) for v, c in lin.items() if c),
-                              key=lambda t: t[0].sort_key))
-        return cls(Polynomial(const), linear)
-
-    def residue_variables(self) -> tuple[Var, ...]:
-        return tuple(v for v, _ in self.linear)
-
-    def dominant(self, order: tuple[Var, ...]) -> tuple[Var, Fraction]:
-        """Dominant variable and its coefficient under the given order."""
-        if not self.linear:
-            raise NoDominantVariable(
-                f"pure parameter factor has no residue variable: {self.constant}")
-        rank = {v: i for i, v in enumerate(order)}
-        for v, _ in self.linear:
-            if v not in rank:
-                raise InputError(
-                    f"residue variable {v.name} missing from the order")
-        v, a = max(self.linear, key=lambda t: rank[t[0]])
-        return v, a
-
-    def as_polynomial(self) -> Polynomial:
-        p = self.constant
-        for v, a in self.linear:
-            p = p + Polynomial.var(v) * a
-        return p
-
-
-@dataclass(frozen=True)
 class ResidueForm:
-    """Numerator with a multiset of affine denominators and the dominance
-    order of the residue variables, least dominant first."""
+    """Numerator with a multiset of denominator factors, each affine in the
+    residue variables, and the dominance order of the residue variables,
+    least dominant first."""
 
     numerator: Polynomial
-    denominators: tuple[AffineForm, ...]
+    denominators: tuple[Polynomial, ...]
     order: tuple[Var, ...]
 
     def __post_init__(self):
@@ -101,14 +57,31 @@ class ResidueForm:
         if len(allowed) != len(self.order):
             names = ", ".join(v.name for v in self.order)
             raise InputError(f"repeated residue variable in the order: {names}")
-        seen = {v for m in self.numerator.terms for v in m.variables()
-                if v.kind == RESIDUE}
-        for w in self.denominators:
-            seen.update(w.residue_variables())
+        seen = {v for p in (self.numerator, *self.denominators)
+                for v in p.variables() if v.kind == RESIDUE}
         missing = seen - allowed
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise InputError(f"residue variables not in the order: {names}")
+
+
+def _split(w: Polynomial, rank: dict[Var, int]):
+    """``(z, a, rest)`` with ``w = a*z + rest``, ``z`` the highest-ranked
+    residue variable of ``w`` and ``rest`` its other terms.  InputError
+    when a term of ``w`` is not linear in one residue variable or free of
+    them; NoDominantVariable when ``w`` has no residue variable."""
+    linear = {}
+    for m, c in w.terms.items():
+        if any(v.kind == RESIDUE for v, _ in m.exps):
+            if len(m.exps) > 1 or m.exps[0][1] != 1:
+                raise InputError(f"denominator factor is not affine: {w}")
+            linear[m.exps[0][0]] = c
+    if not linear:
+        raise NoDominantVariable(
+            f"pure parameter factor has no residue variable: {w}")
+    z = max(linear, key=rank.__getitem__)
+    rest = {m: c for m, c in w.terms.items() if m.exps != ((z, 1),)}
+    return z, linear[z], rest
 
 
 def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
@@ -171,27 +144,20 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
     order: ``(-1)^d`` times the ``z_1^-1 ... z_d^-1`` coefficient of the
     expanded product.  The result contains no residue variables."""
     order = tuple(form.order)
-    d = len(order)
-    groups: dict[Var, list[AffineForm]] = {}
-    for w in form.denominators:
-        zq, _ = w.dominant(order)
-        groups.setdefault(zq, []).append(w)
+    rank = {v: i for i, v in enumerate(order)}
+    groups: dict[Var, list] = {}
     variables = set(order) | form.numerator.variables()
     for w in form.denominators:
-        variables.update(w.constant.variables())
-        variables.update(w.residue_variables())
+        z, a, rest = _split(w, rank)
+        groups.setdefault(z, []).append((rest, a, _height_bits(w)))
+        variables |= w.variables()
     ws = Slate(variables)
     num = ws.dense(form.numerator.terms)
-    for zq in reversed(order):
-        zi = ws.index[zq]
-        factors = []
-        for w in groups.get(zq, ()):
-            wp = w.as_polynomial()
-            rest = {m: c for m, c in wp.terms.items() if m.exps != ((zq, 1),)}
-            factors.append((ws.dense(rest), dict(w.linear)[zq],
-                            _height_bits(wp)))
-        num = _peel(ws, num, factors, zi)
-    sign = -1 if d % 2 else 1
+    for z in reversed(order):
+        factors = [(ws.dense(rest), a, bits)
+                   for rest, a, bits in groups.get(z, ())]
+        num = _peel(ws, num, factors, ws.index[z])
+    sign = -1 if len(order) % 2 else 1
     return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})
 
 
@@ -216,7 +182,6 @@ def residue_job(job: dict) -> dict:
                 f"order entries must be residue variables, got {name!r}")
         order.append(zvar(_literal(name[1:])))
     numerator = parse_polynomial(num_text)
-    dens = tuple(AffineForm.from_polynomial(parse_polynomial(t))
-                 for t in den_texts)
+    dens = tuple(parse_polynomial(t) for t in den_texts)
     result = iterated_residue(ResidueForm(numerator, dens, tuple(order)))
     return {"residue": str(result)}

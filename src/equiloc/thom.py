@@ -2,8 +2,8 @@
 iterated-residue formula, with positivity and coefficient-ratio reports.
 
 The residue form, its contour and its sign are built in one place,
-:func:`curvilinear_form` and :func:`calibrate`; the hyperbolicity
-module reads its tower residues through the same two functions.
+:func:`curvilinear_form`: its plain iterated residue is the calibrated
+value, and the hyperbolicity module reads its tower residues the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import MappingProxyType
 from .algebra import (CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial,
                       cvar, vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
-from .residue import AffineForm, ResidueForm, iterated_residue
+from .residue import ResidueForm, iterated_residue
 
 _BUILTIN_Q = {
     1: Polynomial.one(),
@@ -41,6 +41,8 @@ class QTable:
         return cls()
 
     def with_entry(self, k: int, poly: Polynomial) -> "QTable":
+        if k < 1:
+            raise InputError(f"order k must be >= 1, got {k}")
         if k in _BUILTIN_Q:
             raise InputError(f"will not override the built-in entry k={k}")
         bad = [v.name for v in poly.variables()
@@ -76,32 +78,25 @@ def denominator_triples(k: int) -> list[tuple[int, int, int]]:
 
 
 def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
-    """The calibrated residue form of order k: numerator ``Q_k *
+    """The calibrated residue form of order k: numerator ``(-1)^k Q_k *
     prod_{i<j}(z_i - z_j)`` (``qk`` is the table entry) times the given
     factors, multiplied in order; denominators ``z_i + z_j - z_l`` over
     :func:`denominator_triples`; contour ``z_1..z_k``, ``z_k`` most dominant.
 
-    With :func:`calibrate` applied on top of the engine's orientation, its
-    residue is the plain ``(z_1...z_k)^-1`` coefficient of the expansion.
+    The global sign ``(-1)^k``, carried by ``Q_k`` as the smallest factor,
+    cancels the engine's orientation ``(-1)^k``, so the iterated residue of
+    this form is the plain ``(z_1...z_k)^-1`` coefficient of the expansion.
     This makes the k = 1 family come out as ``+c_(codim+1)`` and is
     asserted against classical values for k = 2, 3 in the tests.
     """
     zs = tuple(zvar(l) for l in range(1, k + 1))
-    numerator = LaurentSeries(qk.terms) * vandermonde(zs)
+    numerator = LaurentSeries((-qk if k % 2 else qk).terms) * vandermonde(zs)
     for f in factors:
         numerator = numerator * f
-    dens = tuple(
-        AffineForm.from_polynomial(Polynomial.var(zs[i - 1])
-                                   + Polynomial.var(zs[j - 1])
-                                   - Polynomial.var(zs[l - 1]))
-        for i, j, l in denominator_triples(k))
+    dens = tuple(Polynomial.var(zs[i - 1]) + Polynomial.var(zs[j - 1])
+                 - Polynomial.var(zs[l - 1])
+                 for i, j, l in denominator_triples(k))
     return ResidueForm(numerator, dens, zs)
-
-
-def calibrate(k: int, value):
-    """``value`` times the global sign ``(-1)^k`` that calibrates the
-    residue of :func:`curvilinear_form` (see there)."""
-    return value * (-1 if k % 2 else 1)
 
 
 def _chern_tail(l: int, codim: int, cmax: int) -> LaurentSeries:
@@ -164,9 +159,8 @@ def thom_polynomial(k: int, codim: int,
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
-    form = residue_form(k, codim, q)
-    poly = calibrate(k, iterated_residue(form))
-    return ThomResult(k, codim, poly, calibrate(k, 1))
+    poly = iterated_residue(residue_form(k, codim, q))
+    return ThomResult(k, codim, poly, (-1) ** k)
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,7 @@ def generating_coefficient(k: int, exponents,
     shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
                            for i in range(k)])
     form = curvilinear_form(k, q.get(k), LaurentSeries({shift: 1}))
-    value = calibrate(k, iterated_residue(form))
-    return value.constant_value()
+    return iterated_residue(form).constant_value()
 
 
 @dataclass(frozen=True)

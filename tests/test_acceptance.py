@@ -20,7 +20,7 @@ from equiloc.hyperbolicity import (DELTA_VAR, D_VAR, M_VAR,
 from equiloc.jets import JetCurve, ReparamJet, compose, invariant_minors
 from equiloc.localization import (draw_weights, flag_fixed_sum, flag_residue,
                                   grass_integrate, random_flag_class)
-from equiloc.residue import AffineForm, ResidueForm, iterated_residue
+from equiloc.residue import ResidueForm, iterated_residue
 from equiloc.thom import thom_polynomial
 from oracles import brute_residue, brute_thom
 from test_jets import GOLDEN_JET, golden_matrix
@@ -174,8 +174,7 @@ def test_criterion_13_residue_property_suites():
     ok = True
     for d in (1, 2, 3):
         order = tuple(zvar(i) for i in range(1, d + 1))
-        dens = tuple(AffineForm.from_polynomial(P.var(zvar(i)))
-                     for i in range(1, d + 1))
+        dens = tuple(P.var(zvar(i)) for i in range(1, d + 1))
         value = iterated_residue(ResidueForm(P.one(), dens, order))
         ok = ok and value == (-1) ** d
     # linearity on 100 random two-variable forms
@@ -190,8 +189,7 @@ def test_criterion_13_residue_property_suites():
             if rng.random() < 0.5:
                 parts.append(f"{rng.randint(1, 3)}*l1")
             den_texts.append(" + ".join(parts))
-        dens = tuple(AffineForm.from_polynomial(parse_polynomial(t))
-                     for t in den_texts)
+        dens = tuple(parse_polynomial(t) for t in den_texts)
 
         def rand_num():
             pairs = []

@@ -202,7 +202,8 @@ class TestLaurentSeries:
         z = zvar(1)
         a = LaurentSeries({Monomial.make([(z, e)]): 1 for e in (-2, -1, 0)})
         p = Polynomial.var(z) + 1
-        for value in (a + p, a - p, -a, a * p, p * a, a.coefficient(z, -1)):
+        for value in (a + p, a - p, p + a, p - a, 1 - a, -a, a * p, p * a,
+                      a.coefficient(z, -1)):
             assert type(value) is LaurentSeries
         assert (p * a).terms == (a * p).terms
         coeffs = {m.exponent(z): c for m, c in (a * p).terms.items()}

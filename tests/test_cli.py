@@ -139,6 +139,7 @@ class TestResidueJobs:
         {"numerator": "1", "denominators": [1], "order": ["z1"]},
         {"numerator": "1", "denominators": ["z1"], "order": "z1"},
         ["1", ["z1"], ["z1"]],
+        {"numerator": "1", "denominators": ["z1^2"], "order": ["z1"]},
     ])
     def test_malformed_job_exits_2(self, capsys, tmp_path, job):
         path = tmp_path / "job.json"
@@ -155,6 +156,15 @@ class TestResidueJobs:
         code, out, err = run(capsys, "residue", "--job", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
+
+    def test_pure_parameter_denominator_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "1", "denominators": ["z1", "l1 + 1"],
+            "order": ["z1"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "no-dominant-variable"
 
     def test_expansion_overflow_names_the_variable(self, capsys, tmp_path):
         path = tmp_path / "job.json"
@@ -247,6 +257,12 @@ class TestArgumentGuards:
                  ("thom", "--k", "2", "--codim", "200"),
                  ("thom", "--k", "1", "--codim", "1000000000"),
                  ("thom-scan", "--kmax", "4", "--lmax", "6")]
+        # orders past the built-in table, supplied by a q-file
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"5": "1", "6": "1", "7": "1"}))
+        for argv in (("gg", "--n", "5"), ("euler", "--n", "5", "--d", "9"),
+                     ("theta", "--n", "6"), ("thom", "--k", "7")):
+            argvs.append(argv + ("--q-file", str(qfile)))
         for size in (6, 8):
             jet = tmp_path / f"jet{size}.json"
             jet.write_text(json.dumps({"coefficients": [
@@ -392,7 +408,8 @@ class TestScanAndUserTables:
             lambda v: v.index if v.name.startswith("c") else 0)
         assert degrees == {5}
 
-    @pytest.mark.parametrize("table", [{"5": 7}, ["z1"], {"5": None}])
+    @pytest.mark.parametrize("table", [{"5": 7}, ["z1"], {"5": None},
+                                       {"0": "1"}])
     def test_bad_q_file_exits_2(self, capsys, tmp_path, table):
         qfile = tmp_path / "q.json"
         qfile.write_text(json.dumps(table))

@@ -12,11 +12,11 @@ from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
                                    _hvar, _hypersurface_tail, _todd_class,
-                                   _tower_residue, _zshift, _zsum,
-                                   euler_characteristic,
+                                   _zshift, _zsum, euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
-from equiloc.thom import QTable
+from equiloc.residue import iterated_residue
+from equiloc.thom import QTable, curvilinear_form
 
 P = Polynomial
 
@@ -27,10 +27,9 @@ def top_intersection(n: int) -> Polynomial:
     block); equals (n^2)! times the leading m-coefficient of the Euler
     characteristic."""
     h = _hvar(n)
-    residue = _tower_residue(n, QTable.builtin().get(n),
-                             _zsum(n) ** (n * n),
-                             _hypersurface_tail(n, h, P.var(D_VAR)),
-                             _zshift(n, n))
+    residue = iterated_residue(curvilinear_form(
+        n, QTable.builtin().get(n), _zsum(n) ** (n * n),
+        _hypersurface_tail(n, h, P.var(D_VAR)), _zshift(n, n)))
     return residue.coefficient(h, n) * P.var(D_VAR)
 
 

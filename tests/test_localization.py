@@ -15,7 +15,7 @@ from equiloc.localization import (draw_weights, flag_dimension,
                                   flag_fixed_sum, flag_residue,
                                   grass_integrate, grass_sum_at,
                                   random_flag_class, run_flag_trials)
-from equiloc.residue import AffineForm, ResidueForm, iterated_residue
+from equiloc.residue import ResidueForm, iterated_residue
 
 P = Polynomial
 
@@ -124,8 +124,7 @@ class TestFlagResidue:
             Q = parse_polynomial(text)
             lam = [wvar(i) for i in range(1, n + 1)]
             zs = tuple(zvar(l) for l in range(1, d + 1))
-            dens = tuple(AffineForm.from_polynomial(P.var(w) - P.var(z))
-                         for z in zs for w in lam)
+            dens = tuple(P.var(w) - P.var(z) for z in zs for w in lam)
             residue = iterated_residue(
                 ResidueForm(Q * vandermonde(zs), dens, zs))
             assert residue * vandermonde(lam) == \

@@ -10,20 +10,15 @@ import pytest
 from equiloc.algebra import (LaurentSeries, Monomial, Polynomial,
                              parse_polynomial, wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
-from equiloc.residue import (AffineForm, ResidueForm, iterated_residue,
-                             residue_job)
+from equiloc.residue import ResidueForm, iterated_residue, residue_job
 from oracles import brute_residue
 
 P = Polynomial
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
 
-def form_of(text: str) -> AffineForm:
-    return AffineForm.from_polynomial(parse_polynomial(text))
-
-
 def res(numerator, den_texts, order):
-    dens = tuple(form_of(t) for t in den_texts)
+    dens = tuple(parse_polynomial(t) for t in den_texts)
     return iterated_residue(ResidueForm(numerator, dens, order))
 
 
@@ -51,6 +46,11 @@ class TestIteratedResidue:
         with pytest.raises(NoDominantVariable):
             res(P.one(), ["z1", "l1 + 1"], (Z1,))
 
+    @pytest.mark.parametrize("text", ["z1^2", "l1*z1", "z1*z2", "z1 + z2^2"])
+    def test_non_affine_denominator_rejected(self, text):
+        with pytest.raises(InputError, match="not affine"):
+            res(P.one(), ["z1", text], (Z1, Z2))
+
     def test_variable_missing_from_order(self):
         with pytest.raises(InputError):
             res(P.one(), ["z1", "z1 - z2"], (Z1,))
@@ -70,7 +70,7 @@ class TestIteratedResidue:
 
     def test_repeated_order_entry_rejected(self):
         with pytest.raises(InputError):
-            ResidueForm(P.one(), (form_of("z1"),), (Z1, Z1))
+            ResidueForm(P.one(), (P.var(Z1),), (Z1, Z1))
 
     def test_window_overflow(self):
         num = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
