@@ -480,6 +480,18 @@ def vandermonde(vs) -> Polynomial:
     return out
 
 
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts >= 1`` nonnegative integers summing to
+    ``total``, in lexicographic order, via the C(total + j, j) prefixes of
+    each length j < parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
 # -- text grammar -------------------------------------------------------
 
 _VAR_KINDS = {"z": zvar, "l": wvar, "c": cvar}

@@ -8,7 +8,8 @@ The n = 1 case is pinned independently by classical curve geometry
 ``z_1 + ... + z_n`` block inside the positivity form R.
 
 The hyperplane class h is nilpotent of order n (h^(n+1) == 0); pairing
-with the fundamental class replaces the surviving h^n by d.
+with the fundamental class replaces h^n by d.  The residue keeps h-degree,
+so :func:`_h_top` builds only the h^n part of the numerator.
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
@@ -52,9 +53,9 @@ def _hvar(n: int) -> Var:
 
 @dataclass(frozen=True)
 class GGResult:
-    """Intersection polynomial data: p(n, d, delta) is the h^n coefficient
-    of the residue; pairing with the fundamental class gives the actual
-    intersection number d * p."""
+    """Intersection polynomial data: p(n, d, delta) is the residue of the
+    h^n part of the numerator; pairing with the fundamental class gives the
+    actual intersection number d * p."""
 
     n: int
     polynomial: Polynomial
@@ -101,6 +102,12 @@ def _hypersurface_tail(n: int, h: Var, d_poly: Polynomial) -> LaurentSeries:
     return acc
 
 
+def _h_top(a: Polynomial, b: Polynomial, h: Var, n: int) -> Polynomial:
+    """The h^n coefficient of ``a * b``; no other h-grade is formed."""
+    return sum((a.coefficient(h, j) * b.coefficient(h, n - j)
+                for j in range(n + 1)), Polynomial.zero())
+
+
 def _zsum(n: int) -> Polynomial:
     acc = Polynomial.zero()
     for l in range(1, n + 1):
@@ -132,16 +139,15 @@ def leading_constant(n: int, q: QTable | None = None) -> Fraction:
 
 
 def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
-    """p(n, d, delta): the h^n coefficient of the calibrated residue of the
-    positivity form against the hypersurface tail."""
+    """p(n, d, delta): the calibrated residue of the h^n part of the
+    positivity form times the hypersurface tail."""
     qn = (q or QTable.builtin()).get(n)
     # B^(n^2) has at most one term per monomial of degree n^2 in z_1..z_n, h
     _check_factor_terms(n, "the positivity form", math.comb(n * n + n, n))
     h = _hvar(n)
-    form = curvilinear_form(n, qn, _positivity_form(n, h),
-                            _hypersurface_tail(n, h, Polynomial.var(D_VAR)),
-                            _zshift(n, n))
-    p = iterated_residue(form).coefficient(h, n)
+    top = _h_top(_positivity_form(n, h),
+                 _hypersurface_tail(n, h, Polynomial.var(D_VAR)), h, n)
+    p = iterated_residue(curvilinear_form(n, qn, _zshift(n, n), top))
     theta = leading_constant(n, q)
     leading = p.coefficient(D_VAR, n)
     return GGResult(n, p, theta, leading)
@@ -196,8 +202,9 @@ def euler_characteristic(n: int, d=None,
     mp = Polynomial.var(M_VAR)
     for p in range(max(0, n * n - n), n * n + 1):
         ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
-    form = curvilinear_form(n, qn, ch, _todd_class(n, h, d_poly),
-                            _hypersurface_tail(n, h, d_poly), _zshift(n, n))
-    chi = iterated_residue(form).coefficient(h, n) * d_poly
+    top = _h_top(_todd_class(n, h, d_poly), _hypersurface_tail(n, h, d_poly),
+                 h, n)
+    form = curvilinear_form(n, qn, _zshift(n, n), top, ch)
+    chi = iterated_residue(form) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import CHERN, Polynomial, cvar, vandermonde, zvar
+from .algebra import CHERN, Polynomial, compositions, cvar, vandermonde, zvar
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
 from .residue import ResidueForm, iterated_residue
@@ -148,7 +148,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
 def random_flag_class(n: int, d: int, rng: random.Random) -> Polynomial:
     """Random homogeneous polynomial in z1..zd of degree dim Flag_d(n)."""
     degree = flag_dimension(n, d)
-    monomials = [c for c in _compositions(degree, d)]
+    monomials = list(compositions(degree, d))
     pairs = []
     for exps in monomials:
         if rng.random() < 0.35:
@@ -160,15 +160,6 @@ def random_flag_class(n: int, d: int, rng: random.Random) -> Polynomial:
         pairs.append((1, [(zvar(i + 1), e)
                           for i, e in enumerate(exps) if e]))
     return Polynomial.from_terms(pairs)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:

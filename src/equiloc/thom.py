@@ -4,6 +4,7 @@ iterated-residue formula, with positivity and coefficient-ratio reports.
 The residue form, its contour and its sign are built in one place,
 :func:`curvilinear_form`: its plain iterated residue is the calibrated
 value, and the hyperbolicity module reads its tower residues the same way.
+The residue keeps Chern weight, so only the Thom polynomial's is built.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import (CHERN, RESIDUE, LaurentSeries, Monomial, Polynomial,
-                      cvar, vandermonde, zvar)
+from .algebra import (RESIDUE, LaurentSeries, Monomial, Polynomial,
+                      compositions, cvar, vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
@@ -55,6 +56,8 @@ class QTable:
         return QTable(MappingProxyType(new))
 
     def get(self, k: int) -> Polynomial:
+        if k < 1:
+            raise InputError(f"order k must be >= 1, got {k}")
         try:
             return self.entries[k]
         except KeyError:
@@ -99,34 +102,17 @@ def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
     return ResidueForm(numerator, dens, zs)
 
 
-def _chern_tail(l: int, codim: int, cmax: int) -> LaurentSeries:
-    """c(1/z_l) * z_l^codim with the Chern series cut at c_cmax."""
-    terms = {}
-    for a in range(cmax + 1):
-        pairs = [(zvar(l), codim - a)] if codim - a else []
-        if a:
-            pairs.append((cvar(a), 1))
-        terms[Monomial.make(pairs)] = 1
-    return LaurentSeries(terms)
-
-
-def _prune_chern(series: LaurentSeries, cmax: int) -> LaurentSeries:
-    kept = {m: c for m, c in series.terms.items()
-            if m.weighted_degree(lambda v: v.index if v.kind == CHERN else 0)
-            <= cmax}
-    return LaurentSeries(kept)
-
-
-#: Most terms the Chern-tail product of :func:`residue_form` may reach,
-#: checked before any tail is built.
+#: Most terms the cut Chern-tail product for (k, codim) may reach, which
+#: bounds the work of :func:`residue_form`; checked before it starts.
 MAX_TAIL_TERMS = 2_000
 
 
 def check_tail_size(k: int, codim: int) -> None:
-    """SizeLimitExceeded when the Chern-tail product for (k, codim) would
-    exceed MAX_TAIL_TERMS terms.  After j of the k tails it holds one term
-    per (a_1..a_j) with a_1 + ... + a_j <= cmax = k(codim+1), which is
-    C(cmax + j, j) terms; the check stops at the first j over the limit."""
+    """SizeLimitExceeded when the Chern-tail product for (k, codim), cut at
+    weight cmax = k(codim+1), would exceed MAX_TAIL_TERMS terms.  After j of
+    the k tails it would hold C(cmax + j, j) terms; for j < k that is the
+    number of prefixes of length j ``compositions(cmax, k)`` visits in
+    :func:`residue_form`.  The check stops at the first j over the limit."""
     cmax = k * (codim + 1)
     for j in range(1, k + 1):
         terms = math.comb(cmax + j, j)
@@ -138,24 +124,24 @@ def check_tail_size(k: int, codim: int) -> None:
 
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     """The calibrated residue form for (k, codim): :func:`curvilinear_form`
-    times ``prod_l c(1/z_l) z_l^codim``.  The tails are cut at Chern weight
-    k(codim+1) after each factor; ``Q_k`` and the Vandermonde product carry
-    no Chern class, so cutting before they join gives the same numerator."""
+    times the part of ``prod_l c(1/z_l) z_l^codim`` of Chern weight cmax =
+    k(codim+1), the only weight the residue reads, since no other factor
+    has a Chern class: one term ``prod_l c_(a_l) z_l^(codim - a_l)``
+    (c_0 = 1) per composition (a_1..a_k) of cmax."""
     qk = q.get(k)
     check_tail_size(k, codim)
     cmax = k * (codim + 1)
-    tails = _chern_tail(1, codim, cmax)
-    for l in range(2, k + 1):
-        tails = _prune_chern(tails * _chern_tail(l, codim, cmax), cmax)
-    return curvilinear_form(k, qk, tails)
+    terms = {}
+    for parts in compositions(cmax, k):
+        pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
+        terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
+    return curvilinear_form(k, qk, LaurentSeries(terms))
 
 
 def thom_polynomial(k: int, codim: int,
                     q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
     classes c_1..c_{k(codim+1)} of the difference bundle."""
-    if k < 1:
-        raise InputError(f"order k must be >= 1, got {k}")
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()

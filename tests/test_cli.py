@@ -91,6 +91,9 @@ class TestErrors:
         ("euler", "--n", "1", "--d", " 4"),
         ("thom-scan", "--kmax", "0", "--lmax", "0"),
         ("thom-scan", "--kmax", "2", "--lmax", "-1"),
+        ("gg", "--n", "0"),
+        ("theta", "--n", "-2"),
+        ("euler", "--n", "0"),
     ])
     def test_argument_errors_exit_2(self, capsys, argv):
         start = time.perf_counter()
@@ -422,6 +425,16 @@ class TestScanAndUserTables:
         code, _, err = run(capsys, "thom", "--k", "5", "--codim", "0")
         assert code == 1
         assert json.loads(err)["error"] == "missing-q"
+
+    @pytest.mark.parametrize("kmax,lmax", [("1", "1998"), ("2", "29")])
+    def test_largest_accepted_scans_finish(self, capsys, kmax, lmax):
+        # the largest codims the tail limit accepts for k = 1, 2
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "thom-scan", "--kmax", kmax,
+                           "--lmax", lmax)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert len(out.splitlines()) == int(kmax) * (int(lmax) + 1)
 
     def test_scan_looks_up_its_largest_order_first(self, capsys):
         start = time.perf_counter()

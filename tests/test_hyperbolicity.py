@@ -7,12 +7,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiloc.algebra import Polynomial, parse_polynomial
+from equiloc.algebra import LaurentSeries, Polynomial, parse_polynomial, zvar
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _hvar, _hypersurface_tail, _todd_class,
-                                   _zshift, _zsum, euler_characteristic,
+                                   _h_top, _hvar, _hypersurface_tail,
+                                   _todd_class, _zshift, _zsum,
+                                   euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
 from equiloc.residue import iterated_residue
@@ -31,6 +34,25 @@ def top_intersection(n: int) -> Polynomial:
         n, QTable.builtin().get(n), _zsum(n) ** (n * n),
         _hypersurface_tail(n, h, P.var(D_VAR)), _zshift(n, n)))
     return residue.coefficient(h, n) * P.var(D_VAR)
+
+
+def _h_series(n: int):
+    """Laurent series over z1, z1^-1 and h, nilpotent of order n; terms
+    past h^n are dropped as they are built."""
+    h = _hvar(n)
+    mono = st.tuples(st.integers(-2, 2), st.integers(0, n + 1)).map(
+        lambda e: [(zvar(1), e[0]), (h, e[1])])
+    term = st.tuples(st.integers(-9, 9), mono)
+    return st.lists(term, max_size=6).map(LaurentSeries.from_terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_h_top_is_the_h_n_coefficient_of_the_product(n, data):
+    a, b = data.draw(_h_series(n)), data.draw(_h_series(n))
+    h = _hvar(n)
+    assert _h_top(a, b, h, n) == (a * b).coefficient(h, n)
 
 
 @pytest.fixture(scope="module")

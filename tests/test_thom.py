@@ -12,7 +12,7 @@ from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           check_tail_size, denominator_triples,
                           generating_coefficient, positivity_check,
-                          ratio_check, thom_polynomial)
+                          ratio_check, residue_form, thom_polynomial)
 from oracles import brute_thom
 
 P = Polynomial
@@ -94,6 +94,16 @@ class TestGoldenValues:
                 check_tail_size(k, codim + 1)
         with pytest.raises(SizeLimitExceeded):
             thom_polynomial(1, 10 ** 9)
+
+    @pytest.mark.parametrize("k,codim", [
+        (1, 0), (2, 1), (3, 0), (4, 0), (1, 1998),
+    ])
+    def test_form_holds_only_the_thom_weight(self, k, codim):
+        # the residue keeps Chern weight, and only k(codim+1) is read
+        numerator = residue_form(k, codim, QTable.builtin()).numerator
+        assert weighted_degrees(numerator) == {k * (codim + 1)}
+        if k == 1:
+            assert len(numerator.terms) == 1
 
 
 class TestOracle:
