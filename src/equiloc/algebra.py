@@ -390,29 +390,24 @@ class Polynomial:
                 acc[rest] = acc.get(rest, 0) + c
         return type(self)({m: c for m, c in acc.items() if c})
 
-    def subs(self, mapping) -> "Polynomial":
-        """Substitute variables by polynomials or rationals, exactly.
-        Rational values fold into the coefficient; only polynomial values
-        are multiplied in."""
-        mapping = {v: _coerce(p) for v, p in mapping.items()}
-        values = {v: p.terms.get(ONE_MONO, 0) for v, p in mapping.items()
-                  if p.is_constant}
+    def evaluate(self, assignment) -> "Polynomial":
+        """Partial evaluation at rational values; other variables stay."""
+        values = {v: _num(x) for v, x in assignment.items()}
         out: dict = {}
         for m, c in self.terms.items():
+            keep = []
             for v, e in m.exps:
                 if v in values:
                     c = c * values[v] ** e
-            keep = tuple(p for p in m.exps if p[0] not in mapping)
-            term = {Monomial(keep): c}
-            for v, e in m.exps:
-                if v in mapping and v not in values:
-                    term = _mul_terms(term, (mapping[v] ** e).terms)
-            _add_into(out, term)
-        return Polynomial(out)
-
-    def evaluate(self, assignment) -> "Polynomial":
-        """Partial evaluation at rational values; other variables stay."""
-        return self.subs(assignment)
+                else:
+                    keep.append((v, e))
+            rest = Monomial(tuple(keep))
+            nc = out.get(rest, 0) + c
+            if nc:
+                out[rest] = nc
+            elif rest in out:
+                del out[rest]
+        return type(self)(out)
 
     def __str__(self):
         return _format_terms(self.terms)
@@ -482,14 +477,11 @@ def vandermonde(vs) -> Polynomial:
 
 def compositions(total: int, parts: int):
     """Every tuple of ``parts >= 1`` nonnegative integers summing to
-    ``total``, in lexicographic order, via the C(total + j, j) prefixes of
-    each length j < parts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    ``total``, in lexicographic order: stars and bars, with the bars at
+    each (parts - 1)-subset of the total + parts - 1 slots in turn."""
+    end = total + parts - 1
+    for bars in itertools.combinations(range(end), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
 
 
 # -- text grammar -------------------------------------------------------

@@ -8,8 +8,11 @@ The n = 1 case is pinned independently by classical curve geometry
 ``z_1 + ... + z_n`` block inside the positivity form R.
 
 The hyperplane class h is nilpotent of order n (h^(n+1) == 0); pairing
-with the fundamental class replaces h^n by d.  The residue keeps h-degree,
-so :func:`_h_top` builds only the h^n part of the numerator.
+with the fundamental class replaces h^n by d.  The denominators are
+homogeneous in the z's alone, so the residue reads a numerator only at h^n
+and z-degree n^2 - n; :func:`_tower_form` builds just that part, and the
+intersection polynomial and the Euler characteristic differ only in its
+z-free coefficients x_j.
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
@@ -33,18 +36,28 @@ DELTA_VAR = svar("delta")
 M_VAR = svar("m")
 
 
-#: Most terms the largest numerator factor of a tower residue may have,
-#: checked from n before any factor is built: (z_1 + ... + z_n)^(n^2)
-#: for the leading constant, B^(n^2) in the positivity form and the cut
-#: Chern character for the Euler characteristic.
+#: Most terms the largest numerator factors of a tower residue may have
+#: together, checked from n before any factor is built: the powers of
+#: Z = z_1 + ... + z_n, Z^(n^2) for the leading constant and
+#: Z^(n^2-n) .. Z^(n^2) for the intersection polynomial and the Euler
+#: characteristic.
 MAX_FACTOR_TERMS = 50_000
 
 
-def _check_factor_terms(n: int, what: str, terms: int) -> None:
-    if terms > MAX_FACTOR_TERMS:
+def _table_entry(n: int, q: QTable | None, low: int) -> Polynomial:
+    """Q_n from the table, once the terms of Z^low .. Z^(n^2), one per
+    monomial of degree low .. n^2 in z_1..z_n, are within MAX_FACTOR_TERMS.
+    For n >= 2, Z^(n^2) alone has more than n^2 terms, so a larger n is
+    rejected before any binomial is formed."""
+    qn = (q or QTable.builtin()).get(n)
+    terms = (math.comb(n * n + n, n) - math.comb(low + n - 1, n)
+             if n * n <= MAX_FACTOR_TERMS else None)
+    if terms is None or terms > MAX_FACTOR_TERMS:
         raise SizeLimitExceeded(
-            f"order {n}: {what} reaches {terms} terms, over the limit of "
-            f"{MAX_FACTOR_TERMS}")
+            f"order {n}: the powers of z_1 + ... + z_n reach "
+            f"{'more than n^2' if terms is None else terms} terms, over the "
+            f"limit of {MAX_FACTOR_TERMS}")
+    return qn
 
 
 def _hvar(n: int) -> Var:
@@ -102,12 +115,6 @@ def _hypersurface_tail(n: int, h: Var, d_poly: Polynomial) -> LaurentSeries:
     return acc
 
 
-def _h_top(a: Polynomial, b: Polynomial, h: Var, n: int) -> Polynomial:
-    """The h^n coefficient of ``a * b``; no other h-grade is formed."""
-    return sum((a.coefficient(h, j) * b.coefficient(h, n - j)
-                for j in range(n + 1)), Polynomial.zero())
-
-
 def _zsum(n: int) -> Polynomial:
     acc = Polynomial.zero()
     for l in range(1, n + 1):
@@ -115,15 +122,17 @@ def _zsum(n: int) -> Polynomial:
     return acc
 
 
-def _positivity_form(n: int, h: Var) -> Polynomial:
-    """R = B^(n^2) - n^2 B^(n^2-1) (2n^2 h + delta C(n+1,2)(d-n-2) h) with
-    B = (z_1 + ... + z_n) + 2n^2 h."""
-    hp = Polynomial.var(h)
-    base = _zsum(n) + 2 * n * n * hp
-    twist = (2 * n * n * hp
-             + Polynomial.var(DELTA_VAR) * math.comb(n + 1, 2)
-             * (Polynomial.var(D_VAR) - (n + 2)) * hp)
-    return base ** (n * n) - n * n * base ** (n * n - 1) * twist
+def _tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
+    """The order-n form of sum_j xs[j] Z^(n^2-j) T_(n-j) (z_1...z_n)^-n:
+    the part of (sum_j xs[j] h^j Z^(n^2-j)) times the tail that the residue
+    reads, since T_i, its h^i coefficient, has z-degree -i."""
+    h, zsum = _hvar(n), _zsum(n)
+    tail = _hypersurface_tail(n, h, d_poly)
+    top, power = Polynomial.zero(), zsum ** (n * n - n)
+    for j in range(n, -1, -1):
+        top = top + xs[j] * power * tail.coefficient(h, n - j)
+        power = power * zsum
+    return curvilinear_form(n, qn, _zshift(n, n), top)
 
 
 def leading_constant(n: int, q: QTable | None = None) -> Fraction:
@@ -131,23 +140,25 @@ def leading_constant(n: int, q: QTable | None = None) -> Fraction:
     ``prod(z_i - z_j) Q_n (z_1+...+z_n)^(n^2) / [prod(z_i+z_j-z_l)
     (z_1...z_n)^n]`` under the calibrated contour; this is the constant
     multiplying the top d-coefficient of the intersection polynomial."""
-    qn = (q or QTable.builtin()).get(n)
-    _check_factor_terms(n, "(z_1 + ... + z_n)^(n^2)",
-                        math.comb(n * n + n - 1, n - 1))
+    qn = _table_entry(n, q, n * n)
     form = curvilinear_form(n, qn, _zsum(n) ** (n * n), _zshift(n, n + 1))
     return iterated_residue(form).constant_value()
 
 
 def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
-    """p(n, d, delta): the calibrated residue of the h^n part of the
-    positivity form times the hypersurface tail."""
-    qn = (q or QTable.builtin()).get(n)
-    # B^(n^2) has at most one term per monomial of degree n^2 in z_1..z_n, h
-    _check_factor_terms(n, "the positivity form", math.comb(n * n + n, n))
-    h = _hvar(n)
-    top = _h_top(_positivity_form(n, h),
-                 _hypersurface_tail(n, h, Polynomial.var(D_VAR)), h, n)
-    p = iterated_residue(curvilinear_form(n, qn, _zshift(n, n), top))
+    """p(n, d, delta): the calibrated residue of the positivity form
+    R = B^N - N B^(N-1) t h times the hypersurface tail, with B = Z + b h,
+    N = n^2, b = 2n^2 and t = b + delta C(n+1,2)(d-n-2); the h^j
+    coefficient of R is x_j Z^(N-j), x_j = C(N,j) b^j - N C(N-1,j-1)
+    b^(j-1) t."""
+    qn = _table_entry(n, q, n * n - n)
+    big, b = n * n, 2 * n * n
+    t = b + (Polynomial.var(DELTA_VAR) * math.comb(n + 1, 2)
+             * (Polynomial.var(D_VAR) - (n + 2)))
+    xs = [math.comb(big, j) * b ** j
+          - (big * math.comb(big - 1, j - 1) * b ** (j - 1) * t if j else 0)
+          for j in range(n + 1)]
+    p = iterated_residue(_tower_form(n, qn, xs, Polynomial.var(D_VAR)))
     theta = leading_constant(n, q)
     leading = p.coefficient(D_VAR, n)
     return GGResult(n, p, theta, leading)
@@ -187,24 +198,15 @@ def euler_characteristic(n: int, d=None,
     """Euler characteristic of the weight-m invariant-jet sheaf on a smooth
     degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
     ``d=None`` keeps the degree symbolic."""
-    qn = (q or QTable.builtin()).get(n)
-    # one term per monomial of degree n^2 - n .. n^2 in z_1..z_n
-    _check_factor_terms(n, "the Chern character",
-                        math.comb(n * n + n, n) - math.comb(n * n - 1, n))
+    qn = _table_entry(n, q, n * n - n)
     h = _hvar(n)
     d_poly = (Polynomial.var(D_VAR) if d is None
               else Polynomial.rational(Fraction(d)))
-    # Chern character of the tautological weight-m line bundle: by the
-    # z-grading only powers n^2-n .. n^2 of m(z_1+...+z_n) can survive
-    # against the h-grading, so the exponential is cut there.
-    zsum = _zsum(n)
-    ch = Polynomial.zero()
-    mp = Polynomial.var(M_VAR)
-    for p in range(max(0, n * n - n), n * n + 1):
-        ch = ch + Fraction(1, math.factorial(p)) * mp ** p * zsum ** p
-    top = _h_top(_todd_class(n, h, d_poly), _hypersurface_tail(n, h, d_poly),
-                 h, n)
-    form = curvilinear_form(n, qn, _zshift(n, n), top, ch)
-    chi = iterated_residue(form) * d_poly
+    # h^j of the Todd class meets the one term of the Chern character
+    # e^(m Z) of the weight-m tautological bundle the residue reads
+    td, big = _todd_class(n, h, d_poly), n * n
+    xs = [td.coefficient(h, j) * Fraction(1, math.factorial(big - j))
+          * Polynomial.var(M_VAR, big - j) for j in range(n + 1)]
+    chi = iterated_residue(_tower_form(n, qn, xs, d_poly)) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)
 

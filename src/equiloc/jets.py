@@ -26,12 +26,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Polynomial, _add_into, mul_dense
+from .algebra import Polynomial, _add_into, compositions, mul_dense
 from .errors import SingularLinearPart, SizeLimitExceeded, TooFewColumns
 
 #: Most sub-minors :func:`kxk_minors` may hold in one level (its widest
 #: level has C(M, min(k, M // 2)) of them), checked before any is computed.
 MAX_MINORS = 100_000
+
+#: Most work :func:`rho` may do, (k^2 + n) per column: n basis exponents,
+#: k entries, and term products that reach k^3 / 6 in all at n = 1.
+MAX_RHO_WORK = 1_000_000
 
 
 def _value(x):
@@ -137,12 +141,8 @@ def compose(curve: JetCurve, phi: ReparamJet) -> JetCurve:
 def sym_basis(n: int, k: int) -> list[tuple[int, ...]]:
     """Exponent vectors of the monomial basis of Sym^<=k C^n: degree-major,
     decreasing lex within each degree."""
-    basis = []
-    for degree in range(1, k + 1):
-        level = [e for e in itertools.product(range(degree, -1, -1), repeat=n)
-                 if sum(e) == degree]
-        basis.extend(sorted(level, reverse=True))
-    return basis
+    return [e for degree in range(1, k + 1)
+            for e in sorted(compositions(degree, n), reverse=True)]
 
 
 def sym_dimension(n: int, k: int) -> int:
@@ -165,6 +165,11 @@ def rho(curve: JetCurve):
     ordered compositions j = a_1 + ... + a_i, the polynomial products
     v_(a_1) ... v_(a_i), written in the documented monomial basis."""
     k, n = curve.k, curve.n
+    work = (k * k + n) * sym_dimension(n, k)
+    if work > MAX_RHO_WORK:
+        raise SizeLimitExceeded(
+            f"rho of a {k}-jet in C^{n}: (k^2 + n) * columns = {work}, over "
+            f"the limit of {MAX_RHO_WORK}")
     vs = [_linear_form(row) for row in curve.coefficients]
     # comp[i][j] = sum over compositions of j into i parts of the products
     comp = [None] + [[None] * (k + 1) for _ in range(k)]

@@ -109,10 +109,10 @@ MAX_TAIL_TERMS = 2_000
 
 def check_tail_size(k: int, codim: int) -> None:
     """SizeLimitExceeded when the Chern-tail product for (k, codim), cut at
-    weight cmax = k(codim+1), would exceed MAX_TAIL_TERMS terms.  After j of
-    the k tails it would hold C(cmax + j, j) terms; for j < k that is the
-    number of prefixes of length j ``compositions(cmax, k)`` visits in
-    :func:`residue_form`.  The check stops at the first j over the limit."""
+    weight cmax = k(codim+1), would exceed MAX_TAIL_TERMS terms: after j of
+    the k tails it would hold C(cmax + j, j).  :func:`residue_form` builds
+    only its C(cmax + k - 1, k - 1) terms of weight cmax, so this bounds
+    that work.  The check stops at the first j over the limit."""
     cmax = k * (codim + 1)
     for j in range(1, k + 1):
         terms = math.comb(cmax + j, j)

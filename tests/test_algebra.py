@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              MAX_POWER_TERMS, LaurentSeries,
-                             Polynomial, cvar, parse_polynomial, svar,
-                             term_list, wvar, zvar)
+                             Polynomial, compositions, cvar,
+                             parse_polynomial, svar, term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
 
@@ -111,6 +111,40 @@ class TestEvaluate:
     def test_partial(self):
         p = P.var(X) * P.var(Y)
         assert p.evaluate({X: Fraction(1, 2)}) == Fraction(1, 2) * P.var(Y)
+
+    def test_cancellation_and_type(self):
+        p = LaurentSeries.from_terms([(1, [(X, 1), (zvar(1), -1)]),
+                                      (-2, [(Y, 1), (zvar(1), -1)])])
+        q = p.evaluate({X: Fraction(4, 2), Y: 1})
+        assert q.is_zero and isinstance(q, LaurentSeries)
+        r = p.evaluate({X: 3})
+        assert isinstance(r, LaurentSeries)
+        assert r == LaurentSeries.from_terms([(3, [(zvar(1), -1)]),
+                                              (-2, [(Y, 1), (zvar(1), -1)])])
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+class TestCompositions:
+    def test_matches_recursive_definition(self):
+        for total in range(8):
+            for parts in range(1, 6):
+                assert list(compositions(total, parts)) == \
+                    list(_recursive_compositions(total, parts))
+
+    def test_many_parts(self):
+        # past the recursion limit, which a recursive generator would hit
+        tuples = list(compositions(1, 2000))
+        assert len(tuples) == 2000
+        assert tuples[0] == (0,) * 1999 + (1,)
+        assert tuples[-1] == (1,) + (0,) * 1999
 
 
 class TestNilpotency:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import hashlib
 import io
 import json
 import os
@@ -56,6 +57,19 @@ class TestGoldenCommands:
                            "--d", "5")
         assert code == 0
         assert out == "2\n"
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--n", "2"), "d2bbff872b45da4e65e9d0cdc709a8d8"
+                       "4c88727159a83f58ce7bbd6af871f77a"),
+        (("--n", "3"), "4550f70216c35a56006a4a485f503c34"
+                       "81984c7eda559f3521dbd5b425e04251"),
+        (("--n", "3", "--d", "9"), "7ec7f616c7d5ba3f3e71dcdf3841ecbc"
+                                   "0aa9ef0971a19428c42bad00316a528a"),
+    ], ids=["n2", "n3", "n3-d9"])
+    def test_euler_output_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "euler", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrors:
@@ -273,12 +287,30 @@ class TestArgumentGuards:
                 for i in range(size)]}))
             argvs.append(("minors", "--n", str(size), "--k", str(size),
                           "--jet", str(jet)))
+        for n, k in ((60, 6), (1, 1000)):
+            jet = tmp_path / f"jet{n}x{k}.json"
+            jet.write_text(json.dumps({"coefficients": [["1"] * n] * k}))
+            argvs.append(("rho", "--n", str(n), "--k", str(k),
+                          "--jet", str(jet)))
         for argv in argvs:
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1, argv
             assert (code, out) == (1, ""), argv
             assert json.loads(err)["error"] == "size-limit"
+
+    def test_tower_orders_far_past_the_limit_exit_1(self, capsys, tmp_path):
+        # the term count is not formed from binomials of this size
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({"100000": "1", "10000000": "1"}))
+        for command in ("gg", "theta", "euler"):
+            for n in ("100000", "10000000"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, command, "--n", n,
+                                     "--q-file", str(qfile))
+                assert time.perf_counter() - start < 1, (command, n)
+                assert (code, out) == (1, ""), (command, n)
+                assert json.loads(err)["error"] == "size-limit"
 
     SUBCOMMANDS = {
         "residue": ("--job", "job.json"),
@@ -468,6 +500,19 @@ class TestJetCommands:
         assert code == 0
         import math
         assert len(out.splitlines()) == math.comb(9, 3)
+
+    def test_many_dimensions_first_order(self, capsys, tmp_path):
+        # the basis is built degree by degree, not filtered from all
+        # (k + 1)^n exponent vectors
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"coefficients": [
+            [str(j) for j in range(1, 27)]]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "minors", "--n", "26", "--k", "1",
+                           "--jet", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert out.split() == [str(j) for j in range(1, 27)]
 
     def test_shape_mismatch(self, capsys, jet_file):
         code, _, err = run(capsys, "rho", "--n", "2", "--k", "4",

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import LaurentSeries, Polynomial, parse_polynomial, zvar
+from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _h_top, _hvar, _hypersurface_tail,
-                                   _todd_class, _zshift, _zsum,
+                                   _hvar, _hypersurface_tail, _todd_class,
+                                   _tower_form, _zshift, _zsum,
                                    euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
@@ -36,23 +36,25 @@ def top_intersection(n: int) -> Polynomial:
     return residue.coefficient(h, n) * P.var(D_VAR)
 
 
-def _h_series(n: int):
-    """Laurent series over z1, z1^-1 and h, nilpotent of order n; terms
-    past h^n are dropped as they are built."""
-    h = _hvar(n)
-    mono = st.tuples(st.integers(-2, 2), st.integers(0, n + 1)).map(
-        lambda e: [(zvar(1), e[0]), (h, e[1])])
-    term = st.tuples(st.integers(-9, 9), mono)
-    return st.lists(term, max_size=6).map(LaurentSeries.from_terms)
+_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_h_top_is_the_h_n_coefficient_of_the_product(n, data):
-    a, b = data.draw(_h_series(n)), data.draw(_h_series(n))
-    h = _hvar(n)
-    assert _h_top(a, b, h, n) == (a * b).coefficient(h, n)
+@settings(max_examples=20, deadline=None)
+def test_tower_form_is_the_read_part_of_the_product(n, data):
+    # the numerator is the h^n coefficient of sum_j x_j h^j Z^(n^2-j) times
+    # the tail, exactly, at a symbolic or a rational degree
+    xs = data.draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))
+    d_poly = data.draw(st.one_of(st.just(P.var(D_VAR)),
+                                 _RATIONAL.map(P.rational)))
+    h, qn = _hvar(n), QTable.builtin().get(n)
+    lift = sum((x * P.var(h, j) * _zsum(n) ** (n * n - j)
+                for j, x in enumerate(xs)), P.zero())
+    expected = (lift * _hypersurface_tail(n, h, d_poly)).coefficient(h, n)
+    form = _tower_form(n, qn, xs, d_poly)
+    assert form.numerator == curvilinear_form(n, qn, _zshift(n, n),
+                                              expected).numerator
 
 
 @pytest.fixture(scope="module")

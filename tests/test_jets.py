@@ -132,6 +132,18 @@ class TestRho:
         assert sym_dimension(2, 4) == 14
         assert sym_dimension(3, 3) == 19
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_matches_filtered_product(self, n):
+        for k in range(5):
+            expected = []
+            for degree in range(1, k + 1):
+                level = [e for e in itertools.product(range(degree + 1),
+                                                      repeat=n)
+                         if sum(e) == degree]
+                expected.extend(sorted(level, reverse=True))
+            assert sym_basis(n, k) == expected
+            assert len(expected) == sym_dimension(n, k)
+
     def test_order_two_rows(self):
         v11, v12, v21, v22 = (P.var(svar(s))
                               for s in ("v11", "v12", "v21", "v22"))

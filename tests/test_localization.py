@@ -40,8 +40,10 @@ def symbolic_fixed_sum_numerator(n: int, d: int, Q: Polynomial):
         for a, b in itertools.combinations(range(1, n + 1), 2):
             if (a, b) not in used:
                 cofactor = cofactor * (lam[a] - lam[b])
-        total = total + Q.subs({zvar(l + 1): lam[seq[l]]
-                                for l in range(d)}) * cofactor
+        rename = {zvar(l + 1): wvar(seq[l]) for l in range(d)}
+        renamed = P.from_terms((c, [(rename.get(v, v), e) for v, e in m.exps])
+                               for m, c in Q.terms.items())
+        total = total + renamed * cofactor
     return total
 
 
