@@ -205,14 +205,19 @@ def _add_into(acc: dict, terms, scale=1):
 # -- the product kernel ------------------------------------------------
 
 class Slate:
-    """A fixed variable list, sorted; over it a term is keyed by its dense
-    exponent tuple.  ``caps`` holds ``(slot, t)`` for each variable
-    nilpotent of order ``t``."""
+    """A fixed variable list: ``first`` in the given order, then the other
+    variables sorted; over it a term is keyed by its dense exponent tuple.
+    ``caps`` holds ``(slot, t)`` for each variable nilpotent of order
+    ``t``.  :meth:`sparse` lists exponents in slate order, so its
+    monomials are canonical as long as the nonzero ``first`` slots of each
+    key are in sorted order."""
 
     __slots__ = ("vars", "index", "caps")
 
-    def __init__(self, variables):
-        self.vars = tuple(sorted(variables, key=lambda v: v.sort_key))
+    def __init__(self, variables, first=()):
+        rest = set(variables).difference(first)
+        self.vars = tuple(first) + tuple(sorted(rest,
+                                                key=lambda v: v.sort_key))
         self.index = {v: i for i, v in enumerate(self.vars)}
         self.caps = tuple((i, v.nilpotency) for i, v in enumerate(self.vars)
                           if v.nilpotency is not None)
@@ -610,12 +615,12 @@ class _Parser:
         negate = self.peek() == "-"
         if self.peek() in "+-":
             self.next()
-        acc = -self.term() if negate else self.term()
+        acc: dict = {}
+        _add_into(acc, self.term().terms, -1 if negate else 1)
         while self.peek() in "+-":
             op = self.next()[0]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+            _add_into(acc, self.term().terms, 1 if op == "+" else -1)
+        return Polynomial(acc)
 
     def term(self) -> Polynomial:
         acc = self.power()
@@ -636,6 +641,10 @@ class _Parser:
                     f"a {t}-term polynomial to the power {exp} may have "
                     f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
             _check_bits(exp * _height_bits(base))
+            if len(base.terms) == 1:
+                (m, c), = base.terms.items()
+                m = Monomial.make((v, e * exp) for v, e in m.exps)
+                return Polynomial({} if m is None else {m: _num(c ** exp)})
             return _power(base, exp, self.product)
         return base
 

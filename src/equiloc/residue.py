@@ -21,9 +21,31 @@ Evaluation peels variables from the most dominant down: at each step the
 form is held as a Laurent expansion in one variable whose coefficients are
 exact polynomials in everything below, the ``z^-1`` coefficient is
 extracted, and the remaining factors are processed recursively.  The
-expansion order needed at each step is read off the numerator's degree
-span, so results are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked
-before each variable is expanded.
+expansion order needed at each step is read off the numerator slices that
+can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below), so results
+are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked before each
+variable is expanded.
+
+Degree budget
+-------------
+Let ``s_p`` be the number of factors dominated by ``z_p``.  Every term of
+the rest ``b = w - a*z_p`` of such a factor is a rational multiple of a
+lower residue variable or free of them, so the tail
+``(-b)^j / (a*z_p)^(j+1)`` lowers a term's total degree in the residue
+variables by at least 1: its ``z_p``-degree is ``-(j+1)`` and its degree in
+the lower variables at most ``j``.  Reading the ``z_p^-1`` coefficient
+raises that degree by 1 again, so the peel of ``z_p`` lowers it by at
+least ``s_p - 1``, and the degree of every term that survives the last peel
+is 0.  Hence, when ``z_q`` is peeled, a numerator term of ``z_q``-degree
+``t`` and degree ``D`` in ``z_1 .. z_(q-1)`` can contribute only if
+
+    D + reach >= need_q = sum over p < q of (s_p - 1),
+
+where ``reach = t + 1 - s_q``, the total expansion order the term calls
+for, when some factor's rest holds a lower residue variable, and 0 when
+none does.  Terms that fail are dropped before any expansion is built.
+The residue variables take the first slots of the :class:`Slate`, in
+contour order, so ``D`` is the sum of a term's leading exponents.
 """
 
 from __future__ import annotations
@@ -84,23 +106,29 @@ def _split(w: Polynomial, rank: dict[Var, int]):
     return z, linear[z], rest
 
 
-def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
+def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
     the expansions of the factors dominated by that variable, each given as
-    ``(b, a, bits)`` for the factor w = a z + b of height ``bits``."""
+    ``(b, a, bits)`` for the factor w = a z + b of height ``bits``.  The
+    slots below ``zi`` hold the less dominant residue variables; a term
+    is dropped first unless its degree in them plus its reach is at least
+    ``need`` (the degree budget of the module docstring).  With a lower
+    residue variable in some ``b`` the reach is the term's expansion order
+    ``t + 1 - s``, so the test reads the degree in slots ``0..zi``."""
+    s = len(factors)
+    lifts = any(any(m[:zi]) for b, _, _ in factors for m in b)
+    upto, low = (zi + 1, need + s - 1) if lifts else (zi, need)
     slices: dict[int, dict] = {}
     for m, c in num.items():
         t = m[zi]
-        key = m[:zi] + (0,) + m[zi + 1:]
-        slices.setdefault(t, {})[key] = c
-    s = len(factors)
+        if t + 1 < s or sum(m[:upto]) < low:
+            continue
+        slices.setdefault(t, {})[m[:zi] + (0,) + m[zi + 1:]] = c
     if s == 0:
         return slices.get(-1, {})
     if not slices:
         return {}
     jtot = max(slices) + 1 - s
-    if jtot < 0:
-        return {}
     if jtot > MAX_EXPANSION_ORDER:
         raise WindowOverflow(
             f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
@@ -133,9 +161,8 @@ def _peel(ws: Slate, num: dict, factors, zi: int) -> dict:
         prod = new
     out: dict = {}
     for t, sl in slices.items():
-        torder = t + 1 - s
-        if 0 <= torder <= jtot and prod[torder]:
-            _add_into(out, mul_dense(sl, prod[torder], ws.caps))
+        if prod[t + 1 - s]:
+            _add_into(out, mul_dense(sl, prod[t + 1 - s], ws.caps))
     return out
 
 
@@ -151,12 +178,14 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
         z, a, rest = _split(w, rank)
         groups.setdefault(z, []).append((rest, a, _height_bits(w)))
         variables |= w.variables()
-    ws = Slate(variables)
+    ws = Slate(variables, first=order)
     num = ws.dense(form.numerator.terms)
-    for z in reversed(order):
+    need = sum(len(groups.get(z, ())) - 1 for z in order)
+    for zi in reversed(range(len(order))):
         factors = [(ws.dense(rest), a, bits)
-                   for rest, a, bits in groups.get(z, ())]
-        num = _peel(ws, num, factors, ws.index[z])
+                   for rest, a, bits in groups.get(order[zi], ())]
+        need -= len(factors) - 1
+        num = _peel(ws, num, factors, zi, need)
     sign = -1 if len(order) % 2 else 1
     return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})
 

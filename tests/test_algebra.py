@@ -194,6 +194,18 @@ class TestGrammar:
             parse_polynomial(squares[1])
         assert parse_polynomial("z1^100000") == P.var(zvar(1)) ** 100000
 
+    @pytest.mark.parametrize("base,exp", [
+        ("-3/2*z1^2*l3", 5), ("2*x*z2", 0), ("z1*z2", 3), ("-7", 4),
+        ("x^2*y", 1)])
+    def test_one_term_power_matches_repeated_products(self, base, exp):
+        value = parse_polynomial(f"({base})^{exp}")
+        expected = P.one()
+        for _ in range(exp):
+            expected = expected * parse_polynomial(base)
+        assert value == expected
+        assert [type(c) for c in value.terms.values()] == \
+            [type(c) for c in expected.terms.values()]
+
     def test_coefficient_bit_limit(self):
         # 2^e and 3^e are bounded by e and 2e bits; a product by the sum of
         # its factors' bounds, and denominators count like numerators

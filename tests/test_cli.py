@@ -194,6 +194,19 @@ class TestResidueJobs:
         assert payload["message"] == \
             "expansion order 300 in z2 exceeds the limit 256"
 
+    def test_slice_that_cannot_reach_the_residue_is_not_expanded(
+            self, capsys, tmp_path):
+        # the z2 peel of z2^300 leaves z1-degree 0, but the three poles in
+        # z1 need z1^2, and l1 - z2 holds no z1 to lift it: the order-300
+        # slice is dropped before the window check
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "z2^300",
+            "denominators": ["l1 - z2", "l1 - z1", "l2 - z1", "l3 - z1"],
+            "order": ["z1", "z2"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out, err) == (0, "0\n", "")
+
     @pytest.mark.parametrize("numerator", [
         "*".join(f"(a{i}+b{i})" for i in range(16)),
         "(1+z1)^3000",

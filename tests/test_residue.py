@@ -8,8 +8,10 @@ import random
 import pytest
 
 from equiloc.algebra import (LaurentSeries, Monomial, Polynomial,
-                             parse_polynomial, wvar, zvar)
+                             compositions, parse_polynomial, vandermonde,
+                             wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
+from equiloc.localization import flag_dimension, flag_fixed_sum
 from equiloc.residue import ResidueForm, iterated_residue, residue_job
 from oracles import brute_residue
 
@@ -163,6 +165,125 @@ class TestProperties:
             low = brute_residue(num, parsed, names, 8)
             high = brute_residue(num, parsed, names, 13)
             assert engine == low == high
+
+
+def _budget_form(rng):
+    """A random form with d <= 3 residue variables for the degree budget:
+    the contour is a shuffled index order, one variable may have no factor
+    (s_p = 0), each factor's rest draws up to two of its lower z's, l1/l2
+    and a constant, and the Laurent numerator puts its degree on the most
+    dominant variable, with exponents down to -1 on the others."""
+    d = rng.randint(1, 3)
+    order = [zvar(i) for i in range(1, d + 1)]
+    rng.shuffle(order)
+    bare = rng.randrange(d) if d > 1 else None
+    counts = [0 if q == bare else rng.randint(1, 3) for q in range(d)]
+    while sum(counts) > 4:
+        counts[rng.choice([q for q, c in enumerate(counts) if c > 1])] -= 1
+    dens = []
+    for q, z in enumerate(order):
+        for _ in range(counts[q]):
+            pool = [f"{rng.choice((-2, -1, 1, 2))}*{low.name}"
+                    for low in order[:q]]
+            pool += [f"{rng.randint(1, 3)}*l{rng.randint(1, 2)}",
+                     str(rng.choice((-2, -1, 1, 3)))]
+            parts = [f"{rng.choice((-2, -1, 1, 2))}*{z.name}"]
+            parts += rng.sample(pool, rng.randint(0, 2))
+            dens.append(" + ".join(parts))
+    terms: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [(z, rng.randint(-1, 1)) for z in order[:-1]]
+        mono.append((order[-1], rng.randint(0, 3)))
+        if rng.random() < 0.3:
+            mono.append((wvar(rng.randint(1, 2)), 1))
+        m = Monomial.make(mono)
+        terms[m] = terms.get(m, 0) + rng.choice((-3, -1, 1, 2))
+    num = LaurentSeries({m: c for m, c in terms.items() if c})
+    return num, dens, tuple(order)
+
+
+class TestDegreeBudget:
+    """The engine drops numerator terms that cannot reach z_1^-1...z_d^-1;
+    the brute-force oracle keeps every term, so a budget that is too tight
+    (s_p in place of s_p - 1, or no lift from lower z's in the factor
+    rests) shows up as a disagreement."""
+
+    def test_random_forms_match_brute_force_at_two_orders(self):
+        rng = random.Random(6)
+        nonzero = 0
+        for _ in range(60):
+            num, dens, order = _budget_form(rng)
+            parsed = [parse_polynomial(t) for t in dens]
+            engine = iterated_residue(ResidueForm(num, tuple(parsed), order))
+            names = [v.name for v in order]
+            low = brute_residue(num, parsed, names, 4)
+            high = brute_residue(num, parsed, names, 6)
+            assert engine == low == high
+            nonzero += not engine.is_zero
+        assert nonzero >= 15
+
+    @pytest.mark.parametrize("num,dens,order", [
+        # z1 carries two factors, so z2's peel needs one degree of z1,
+        # which only the z1 in z2 - z1 supplies
+        ({(Z2, 1)}, ["z2 - z1", "z1 + 1", "z1 + 2"], ["z1", "z2"]),
+        ({(Z1, 4), (Z2, -1)}, ["z1 + 2*z2 - l1", "z2 + 1", "3*z2 - l2",
+                               "z3 - z2"], ["z2", "z3", "z1"]),
+        ({(Z1, 2), (Z2, 1)}, ["z1 + z2 - l1", "z2 + 2", "z2 - l2",
+                              "z2 + z3", "z3"], ["z3", "z2", "z1"]),
+    ], ids=["lift", "laurent-unordered", "three-levels"])
+    def test_lift_from_lower_variables(self, num, dens, order):
+        numerator = LaurentSeries({Monomial.make(num): 1})
+        parsed = [parse_polynomial(t) for t in dens]
+        value = iterated_residue(ResidueForm(
+            numerator, tuple(parsed), tuple(zvar(int(n[1:])) for n in order)))
+        assert not value.is_zero
+        assert value == brute_residue(numerator, parsed, order, 6)
+
+
+def _flag_form(n, d, cls, zs):
+    dens = tuple(P.var(wvar(i)) - P.var(z) for z in zs
+                 for i in range(1, n + 1))
+    return ResidueForm(cls * vandermonde(zs), dens, zs)
+
+
+def _random_class(degree, d, rng):
+    """Every monomial of the degree in z1..zd, with random nonzero integer
+    coefficients."""
+    return P.from_terms(
+        (rng.choice((-1, 1)) * rng.randint(1, 9),
+         [(zvar(i + 1), e) for i, e in enumerate(exps)])
+        for exps in compositions(degree, d))
+
+
+class TestFlagPushforwardOracles:
+    """Flag pushforwards with symbolic weights against oracles that share
+    nothing with the residue engine."""
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (7, 4), (8, 4)])
+    def test_top_degree_is_a_vandermonde_coefficient(self, n, d):
+        # each 1/prod_i (l_i - z_j) is (-1)^n z_j^-n (1 + O(1/z_j)), and
+        # V * class has degree d(n - 1), so only z_j^(n-1) of each is read
+        zs = tuple(zvar(j) for j in range(1, d + 1))
+        rng = random.Random(f"top-{n}-{d}")
+        cls = _random_class(flag_dimension(n, d), d, rng)
+        top = Monomial.make([(z, n - 1) for z in zs])
+        coefficient = (cls * vandermonde(zs)).terms.get(top, 0)
+        assert coefficient
+        expected = (-1) ** (d * (n + 1)) * coefficient
+        assert iterated_residue(_flag_form(n, d, cls, zs)) == expected
+
+    @pytest.mark.parametrize("n,d", [(5, 3), (6, 4)])
+    def test_above_top_degree_matches_fixed_points(self, n, d):
+        zs = tuple(zvar(j) for j in range(1, d + 1))
+        rng = random.Random(f"above-{n}-{d}")
+        cls = _random_class(flag_dimension(n, d) + 2, d, rng)
+        value = iterated_residue(_flag_form(n, d, cls, zs))
+        assert value.degree() == 2
+        for _ in range(2):
+            weights = rng.sample(range(-40, 41), n)
+            at = value.evaluate({wvar(i + 1): w
+                                 for i, w in enumerate(weights)})
+            assert at == flag_fixed_sum(n, d, cls, weights)
 
 
 class TestJsonJobs:
