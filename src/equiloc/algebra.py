@@ -9,9 +9,12 @@ Variables come in four disjoint alphabets:
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
 
-Terms are stored sparsely, keyed by :class:`Monomial`.  Every product in
-the package is computed by one kernel, :func:`mul_dense`, on terms keyed
-by dense exponent tuples over a :class:`Slate` of variables.
+Terms are stored sparsely, keyed by :class:`Monomial`.  Every product of
+two polynomials goes through :func:`_mul_terms`: a one-term operand is
+merged into each term of the other, and any other pair goes to one
+kernel, :func:`mul_dense`, on terms keyed by dense exponent tuples over a
+:class:`Slate` of variables (the residue engine and the jet composition
+call the kernel directly).
 
 A scalar may be declared nilpotent of order ``t`` (``x^(t+1) == 0``).  A
 dead power is dropped in two places, so a polynomial never stores one:
@@ -244,7 +247,8 @@ def mul_dense(a: dict, b: dict, caps=()) -> dict:
     """The product of two term dicts keyed by exponent tuples of one length;
     coefficients need only ``+`` and ``*``.  A product term is dropped when
     its exponent at ``slot`` exceeds ``t`` for some ``(slot, t)`` in
-    ``caps``.  Every polynomial product in the package comes here."""
+    ``caps``.  Every product of polynomials with more than one term each
+    comes here."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -269,7 +273,21 @@ def mul_dense(a: dict, b: dict, caps=()) -> dict:
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
-    of the variables of both."""
+    of the variables of both.  A one-term operand is merged into each term
+    of the other by :meth:`Monomial.make` instead: exponents add, so
+    distinct terms stay distinct and only a nilpotent cap drops one."""
+    if len(a) != 1:
+        a, b = b, a
+    if len(a) == 1:
+        (m0, c0), = a.items()
+        if not m0.exps:
+            return {m: _num(c * c0) for m, c in b.items()}
+        out = {}
+        for m, c in b.items():
+            m = Monomial.make(m0.exps + m.exps)
+            if m is not None:
+                out[m] = _num(c * c0)
+        return out
     slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
     return slate.sparse(mul_dense(slate.dense(a), slate.dense(b), slate.caps))
 

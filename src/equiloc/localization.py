@@ -5,6 +5,14 @@ of the torus weights.  Exactness strategy: the quantities are provably
 weight-independent, so sums are evaluated at random distinct rational
 weights, with agreement across :data:`WEIGHT_DRAWS` independent seeded
 draws as the certificate.
+
+A fixed-point sum runs on integer-scaled weights: the weights are scaled
+once by the common multiple L of their denominators, the class is read
+once into integer terms, and each fixed point adds one exact ``Fraction``
+of two ints, its class value over its product of tangent weights.  The
+powers of L and the class's coefficient denominator are applied once, at
+the end.  A class holding a variable the sum does not assign is an
+``InputError`` before any fixed point is summed.
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import attrgetter, mul
 
-from .algebra import CHERN, Polynomial, compositions, cvar, vandermonde, zvar
+from .algebra import (Polynomial, Slate, compositions, cvar, vandermonde,
+                      zvar)
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
 from .residue import ResidueForm, iterated_residue
@@ -31,10 +41,6 @@ WEIGHT_DRAWS = 3
 
 def flag_dimension(n: int, d: int) -> int:
     return d * n - d * (d + 1) // 2
-
-
-def _elementary_values(values, i):
-    return sum(map(math.prod, itertools.combinations(values, i)), Fraction(0))
 
 
 def _check_fixed_points(space: str, counts) -> None:
@@ -57,19 +63,76 @@ def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
     return [Fraction(w) for w in rng.sample(_WEIGHT_POOL, n)]
 
 
+def _require_variables(poly: Polynomial, var, count: int,
+                       what: str) -> None:
+    """InputError naming the first variable of ``poly`` other than
+    var(1)..var(count)."""
+    allowed = {var(i) for i in range(1, count + 1)}
+    for v in sorted(poly.variables(), key=attrgetter("sort_key")):
+        if v not in allowed:
+            raise InputError(f"{what} must be a polynomial in {var(1).name}"
+                             f"..{var(count).name}, found {v.name}")
+
+
 def grass_class_degree_check(n: int, k: int, cls: Polynomial):
     """Require every monomial to use c_1..c_k only, with weighted degree
     (deg c_i = i) equal to dim Grass(k, n) = k(n-k)."""
     target = k * (n - k)
-    for v in cls.variables():
-        if v.kind != CHERN or not (1 <= v.index <= k):
-            raise InputError(
-                f"class must be a polynomial in c1..c{k}, found {v.name}")
+    _require_variables(cls, cvar, k, "class")
     degrees = cls.weighted_degrees(lambda v: v.index)
     if degrees - {target}:
         found = sorted(degrees - {target})
         raise DegreeMismatch(
             f"class has weighted degree {found}, expected {target}")
+
+
+def _scaled(weights) -> tuple[list[int], int]:
+    """The weights, checked pairwise distinct, as the integers L·w_i, and
+    L, the least common multiple of their denominators."""
+    weights = _distinct(weights)
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (scale // w.denominator) for w in weights], scale
+
+
+def _integer_terms(poly: Polynomial, variables, grades, scale: int):
+    """``poly``, a polynomial in ``variables`` only, read for evaluation at
+    integer-scaled values: returns (coeffs, columns, den, top) such that,
+    when each variable of grade g takes a value x/scale^g,
+
+        poly = Σ_t coeffs[t]·Π_j x_j^columns[j][t] / (den · scale^top).
+
+    The coefficients are ints and columns[j] lists the exponents of
+    variable j.  ``den`` clears the coefficient denominators and ``top`` is
+    the largest weighted degree; a term of weighted degree g carries
+    scale^(top − g), so a non-homogeneous ``poly`` stays exact."""
+    dense = Slate(variables, variables).dense(poly.terms)
+    den = math.lcm(*(c.denominator for c in dense.values()))
+    degrees = [sum(map(mul, grades, exps)) for exps in dense]
+    top = max(degrees, default=0)
+    coeffs = [c.numerator * (den // c.denominator) * scale ** (top - g)
+              for c, g in zip(dense.values(), degrees)]
+    columns = [tuple(exps[j] for exps in dense)
+               for j in range(len(variables))]
+    return coeffs, columns, den, top
+
+
+def _value(coeffs, columns, powers) -> int:
+    """Σ_t coeffs[t]·Π_j powers[j][columns[j][t]]: the integer terms of
+    :func:`_integer_terms` at the values whose power tables are
+    ``powers``."""
+    acc = coeffs
+    for row, column in zip(powers, columns):
+        acc = map(mul, acc, map(row.__getitem__, column))
+    return sum(acc)
+
+
+def _elementary(values) -> list[int]:
+    """e_1..e_k of the k values, from the expansion of Π (1 + x·t)."""
+    e = [1] + [0] * len(values)
+    for j, x in enumerate(values, 1):
+        for i in range(j, 0, -1):
+            e[i] += e[i - 1] * x
+    return e[1:]
 
 
 def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
@@ -81,19 +144,25 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     subspace, so each of the C(n, k) coordinate subspaces contributes with
     multiplicity k!.  The plain subspace-indexed sum is this value divided
     by k!.
+
+    The sum runs on the integer-scaled weights u = L·mu: there c_i is
+    e_i(u)/L^i, each tangent weight is a difference of two u over L, and
+    each subspace adds one exact ``Fraction``.
     """
-    mu = _distinct(mu)
-    orderings = math.factorial(k)
+    u, scale = _scaled(mu)
+    _require_variables(cls, cvar, k, "class")
+    coeffs, columns, den, top = _integer_terms(
+        cls, [cvar(i) for i in range(1, k + 1)], range(1, k + 1), scale)
+    tops = [max(column, default=0) for column in columns]
     total = Fraction(0)
     for subset in itertools.combinations(range(n), k):
-        chosen = [mu[i] for i in subset]
-        assignment = {cvar(i): _elementary_values(chosen, i)
-                      for i in range(1, k + 1)}
-        num = cls.evaluate(assignment).constant_value()
-        den = math.prod(mu[s] - mu[i] for i in subset
-                        for s in range(n) if s not in subset)
-        total += orderings * num / den
-    return total
+        powers = [[x ** e for e in range(t + 1)]
+                  for x, t in zip(_elementary([u[i] for i in subset]), tops)]
+        tangent = math.prod(u[s] - u[i] for i in subset
+                            for s in range(n) if s not in subset)
+        total += Fraction(_value(coeffs, columns, powers), tangent)
+    return (math.factorial(k) * total
+            * Fraction(scale) ** (k * (n - k) - top) / den)
 
 
 def grass_integrate(n: int, k: int, cls: Polynomial, *,
@@ -117,20 +186,32 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
 
 def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """Sum over the torus fixed flags of Q at the flag's weights divided by
-    the product of tangent weights, exactly at the given weights."""
-    weights = _distinct(weights)
+    the product of tangent weights, exactly at the given weights.
+
+    The fixed flags are the ordered d-tuples ``head`` of coordinate lines;
+    z_(m+1) takes the weight of line head[m], whose tangent weights are
+    w_i − w_head[m] over the lines i not in head[:m+1].  The sum runs on
+    the integer-scaled weights u = L·w, one exact ``Fraction`` per fixed
+    flag; the powers of L and Q's coefficient denominator are applied
+    once, at the end."""
+    u, scale = _scaled(weights)
+    _require_variables(Q, zvar, d, "Q")
+    coeffs, columns, den, top = _integer_terms(
+        Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
+    most = max(itertools.chain(*columns), default=0)
+    powers = [[x ** e for e in range(most + 1)] for x in u]
     total = Fraction(0)
     for head in itertools.permutations(range(n), d):
-        seq = [weights[i] for i in head] + [w for i, w in enumerate(weights)
-                                            if i not in head]
-        num = Q.evaluate({zvar(l + 1): seq[l]
-                          for l in range(d)}).constant_value()
-        den = Fraction(1)
-        for m in range(d):
-            for i in range(m + 1, n):
-                den *= seq[i] - seq[m]
-        total += num / den
-    return total
+        tangent = 1
+        rest = list(range(n))
+        for h in head:
+            rest.remove(h)
+            uh = u[h]
+            for i in rest:
+                tangent *= u[i] - uh
+        total += Fraction(_value(coeffs, columns, [powers[h] for h in head]),
+                          tangent)
+    return total * Fraction(scale) ** (flag_dimension(n, d) - top) / den
 
 
 def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:

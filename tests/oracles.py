@@ -11,11 +11,16 @@ order the result is exact, and enlarging the order must never change it.
 pairwise ``Monomial.make`` merge the package multiplied with before it
 had one dense kernel.  :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
+:func:`flag_fixed_sum` and :func:`grass_sum_at` are the references for the
+integer fixed-point kernels: each fixed point's value by
+``Polynomial.evaluate`` at the rational weights, summed in ``Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from equiloc.algebra import Monomial, Polynomial
@@ -176,3 +181,46 @@ def brute_thom(k: int, codim: int, J: int) -> Polynomial:
         text = "*".join(f"{n}^{e}" if e != 1 else n for n, e in key) or "1"
         out = out + Polynomial.rational(c) * parse_polynomial(text)
     return out
+
+
+def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
+    """Reference for :func:`equiloc.localization.flag_fixed_sum`: Q
+    evaluated at each fixed flag's rational weights, over the product of
+    its tangent weights, summed in ``Fraction`` arithmetic."""
+    from equiloc.algebra import zvar
+
+    weights = [Fraction(w) for w in weights]
+    total = Fraction(0)
+    for head in itertools.permutations(range(n), d):
+        seq = [weights[i] for i in head] + [w for i, w in enumerate(weights)
+                                            if i not in head]
+        num = Q.evaluate({zvar(l + 1): seq[l]
+                          for l in range(d)}).constant_value()
+        den = Fraction(1)
+        for m in range(d):
+            for i in range(m + 1, n):
+                den *= seq[i] - seq[m]
+        total += num / den
+    return total
+
+
+def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
+    """Reference for :func:`equiloc.localization.grass_sum_at`: cls
+    evaluated at the elementary symmetric functions of each subset's
+    rational weights, over its tangent weights, times k!."""
+    from equiloc.algebra import cvar
+
+    mu = [Fraction(w) for w in mu]
+    orderings = math.factorial(k)
+    total = Fraction(0)
+    for subset in itertools.combinations(range(n), k):
+        chosen = [mu[i] for i in subset]
+        assignment = {cvar(i): sum(map(math.prod,
+                                       itertools.combinations(chosen, i)),
+                                   Fraction(0))
+                      for i in range(1, k + 1)}
+        num = cls.evaluate(assignment).constant_value()
+        den = math.prod(mu[s] - mu[i] for i in subset
+                        for s in range(n) if s not in subset)
+        total += orderings * num / den
+    return total

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              MAX_POWER_TERMS, LaurentSeries,
-                             Polynomial, compositions, cvar,
+                             Polynomial, _Parser, compositions, cvar,
                              parse_polynomial, svar, term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
@@ -85,12 +85,17 @@ def _laurent(max_terms=4):
 
 
 class TestProductKernel:
-    @given(_laurent(), _laurent(), _polys(vars=(X, H2, cvar(1))))
+    @given(_laurent(), _laurent(), _polys(vars=(X, H2, cvar(1))),
+           _laurent(max_terms=1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_sparse_reference(self, a, b, p):
+    def test_matches_sparse_reference(self, a, b, p, t):
         assert (a * b).terms == sparse_product(a, b)
         assert (p * a).terms == sparse_product(p, a)
         assert (p * p).terms == sparse_product(p, p)
+        # a one-term side skips the slate: z1^-1 * z1 must still cancel
+        # and a dead power of the nilpotent h must still drop
+        assert (t * a).terms == sparse_product(t, a)
+        assert (a * t).terms == sparse_product(a, t)
 
 
 class TestEvaluate:
@@ -193,6 +198,24 @@ class TestGrammar:
         with pytest.raises(SizeLimitExceeded):
             parse_polynomial(squares[1])
         assert parse_polynomial("z1^100000") == P.var(zvar(1)) ** 100000
+
+    @given(_polys(vars=(X, Y, zvar(1)), max_terms=1),
+           _polys(vars=(X, Y, zvar(1))))
+    @settings(max_examples=80, deadline=None)
+    def test_one_term_product_matches_kernel(self, a, b):
+        expected = P(sparse_product(a, b))
+        assert parse_polynomial(f"({a})*({b})") == expected
+        assert parse_polynomial(f"({b})*({a})") == expected
+
+    @given(_polys(vars=(X, H2), max_terms=1), _polys(vars=(X, H2)))
+    @settings(max_examples=80, deadline=None)
+    def test_one_term_product_drops_dead_powers(self, a, b):
+        # the text grammar has no nilpotent scalars, so the parser's
+        # product is called on polynomials that hold one
+        parser = _Parser("x*h")
+        expected = P(sparse_product(a, b))
+        assert parser.product(a, b) == expected
+        assert parser.product(b, a) == expected
 
     @pytest.mark.parametrize("base,exp", [
         ("-3/2*z1^2*l3", 5), ("2*x*z2", 0), ("z1*z2", 3), ("-7", 4),

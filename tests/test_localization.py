@@ -7,9 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiloc.algebra import (Polynomial, parse_polynomial, vandermonde, wvar,
-                             zvar)
+import oracles
+from equiloc.algebra import (Polynomial, cvar, parse_polynomial, svar,
+                             vandermonde, wvar, zvar)
 from equiloc.errors import DegreeMismatch, InputError, RepeatedWeights
 from equiloc.localization import (draw_weights, flag_dimension,
                                   flag_fixed_sum, flag_residue,
@@ -108,6 +111,107 @@ class TestFlagFixedSum:
     def test_repeated_weights(self):
         with pytest.raises(RepeatedWeights):
             flag_fixed_sum(3, 1, P.var(zvar(1)), [1, 2, 1])
+
+
+def _coeffs():
+    return st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def _classes(variables, max_exp=3):
+    """Polynomials in ``variables`` with int and Fraction coefficients:
+    zero, constant and non-homogeneous ones included."""
+    mono = st.lists(st.tuples(st.sampled_from(variables),
+                              st.integers(0, max_exp)),
+                    max_size=len(variables))
+    return st.lists(st.tuples(_coeffs(), mono), max_size=5).map(
+        Polynomial.from_terms)
+
+
+def _weights(n):
+    """n distinct rationals of either sign with unlike denominators."""
+    return st.lists(st.fractions(min_value=-30, max_value=30,
+                                 max_denominator=9),
+                    min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def _flag_cases(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n))
+    Q = draw(_classes([zvar(l) for l in range(1, d + 1)]))
+    return n, d, Q, draw(_weights(n))
+
+
+@st.composite
+def _grass_cases(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    cls = draw(_classes([cvar(i) for i in range(1, k + 1)]))
+    return n, k, cls, draw(_weights(n))
+
+
+class TestIntegerKernels:
+    """The integer-weight kernels against the ``Polynomial.evaluate``
+    references in ``oracles``."""
+
+    @given(_flag_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_flag_fixed_sum_matches_reference(self, case):
+        n, d, Q, weights = case
+        value = flag_fixed_sum(n, d, Q, weights)
+        assert type(value) is Fraction
+        assert value == oracles.flag_fixed_sum(n, d, Q, weights)
+
+    @given(_grass_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_grass_sum_at_matches_reference(self, case):
+        n, k, cls, mu = case
+        value = grass_sum_at(n, k, cls, mu)
+        assert type(value) is Fraction
+        assert value == oracles.grass_sum_at(n, k, cls, mu)
+
+    def test_many_weights(self):
+        # 120 fixed points of 119 tangent weights each, a class with a
+        # Fraction coefficient and terms below the top degree
+        rng = random.Random(120)
+        weights = [w + Fraction(1, rng.randint(2, 12))
+                   for w in rng.sample(range(-10_000, 10_000), 120)]
+        Q = parse_polynomial("z1^119 - 5/3*z1^118 + 7*z1^3 - 2")
+        value = flag_fixed_sum(120, 1, Q, weights)
+        assert value == oracles.flag_fixed_sum(120, 1, Q, weights)
+        # only z1^119 reaches the top divided difference
+        assert value == -1
+
+
+class TestForeignVariables:
+    """A variable the fixed-point sum does not assign is a typed error that
+    names it, raised before any fixed point is summed."""
+
+    @pytest.mark.parametrize("text,name", [
+        ("z1*l1", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3"), ("c1", "c1")])
+    def test_flag_fixed_sum(self, text, name):
+        with pytest.raises(InputError, match=f"found {name}$"):
+            flag_fixed_sum(4, 2, parse_polynomial(text), [1, 2, 3, 4])
+
+    def test_flag_nilpotent_scalar(self):
+        Q = P.var(zvar(1)) * P.var(svar("eps", nilpotency=1))
+        with pytest.raises(InputError, match="found eps$"):
+            flag_fixed_sum(3, 1, Q, [1, 2, 3])
+
+    @pytest.mark.parametrize("text,name", [
+        ("c1*z1", "z1"), ("c2 + l2", "l2"), ("c1*c3", "c3"), ("x", "x")])
+    def test_grass_sum_at(self, text, name):
+        with pytest.raises(InputError, match=f"found {name}$"):
+            grass_sum_at(4, 2, parse_polynomial(text), [1, 2, 3, 4])
+
+    def test_checked_before_summing(self):
+        # 9.4e7 and 1.9e11 fixed points: only a check made first answers
+        with pytest.raises(InputError, match="found l1$"):
+            flag_fixed_sum(100, 4, parse_polynomial("z1*l1"), range(100))
+        with pytest.raises(InputError, match="found c9$"):
+            grass_sum_at(100, 8, parse_polynomial("c9"), range(100))
 
 
 class TestFlagResidue:
