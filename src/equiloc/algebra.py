@@ -16,13 +16,10 @@ kernel, :func:`mul_dense`, on terms keyed by dense exponent tuples over a
 :class:`Slate` of variables (the residue engine and the jet composition
 call the kernel directly).
 
-A scalar may be declared nilpotent of order ``t`` (``x^(t+1) == 0``).  A
-dead power is dropped in two places, so a polynomial never stores one:
-when a monomial is built (:meth:`Monomial.make`) and in the product
-kernel (the slate's ``caps``).  Coefficients are exact rationals (stored
-as ``int`` when the denominator is 1).  The canonical term order used for
-serialization is graded lexicographic over the fixed variable order,
-largest first, which makes all printed output byte-stable.
+Coefficients are exact rationals (stored as ``int`` when the denominator
+is 1).  The canonical term order used for serialization is graded
+lexicographic over the fixed variable order, largest first, which makes
+all printed output byte-stable.
 """
 
 from __future__ import annotations
@@ -41,18 +38,18 @@ RESIDUE, WEIGHT, CHERN, SCALAR = 0, 1, 2, 3
 class Var:
     """Interned variable; identity equality, fixed total order."""
 
-    __slots__ = ("kind", "index", "name", "nilpotency", "sort_key", "_hash")
+    __slots__ = ("kind", "index", "name", "sort_key", "_hash")
     _registry: dict[tuple, "Var"] = {}
+    nilpotency = None  # nothing is nilpotent; perfbench/tracing.py reads it
 
-    def __new__(cls, kind, index, name, nilpotency=None):
-        key = (kind, index, name, nilpotency)
+    def __new__(cls, kind, index, name):
+        key = (kind, index, name)
         v = cls._registry.get(key)
         if v is None:
             v = object.__new__(cls)
             v.kind = kind
             v.index = index
             v.name = name
-            v.nilpotency = nilpotency
             v.sort_key = (kind, index if index is not None else 0, name)
             v._hash = hash(key)
             cls._registry[key] = v
@@ -80,9 +77,8 @@ def cvar(i: int) -> Var:
     return Var(CHERN, i, f"c{i}")
 
 
-def svar(name: str, nilpotency: int | None = None) -> Var:
-    """Named scalar; ``nilpotency=t`` declares ``name^(t+1) == 0``."""
-    return Var(SCALAR, None, name, nilpotency)
+def svar(name: str) -> Var:
+    return Var(SCALAR, None, name)
 
 
 def _num(c):
@@ -103,19 +99,13 @@ class Monomial:
         self._hash = hash(exps)
 
     @classmethod
-    def make(cls, pairs) -> "Monomial | None":
-        """Build from (var, exp) pairs; None when a nilpotent cap kills it."""
+    def make(cls, pairs) -> "Monomial":
+        """Build from (var, exp) pairs; a variable's exponents add up."""
         acc: dict[Var, int] = {}
         for v, e in pairs:
             acc[v] = acc.get(v, 0) + e
-        items = []
-        for v, e in sorted(acc.items(), key=lambda p: p[0].sort_key):
-            if e == 0:
-                continue
-            if v.nilpotency is not None and e > v.nilpotency:
-                return None
-            items.append((v, e))
-        return cls(tuple(items))
+        return cls(tuple((v, e) for v, e in sorted(
+            acc.items(), key=lambda p: p[0].sort_key) if e))
 
     def __hash__(self):
         return self._hash
@@ -210,20 +200,17 @@ def _add_into(acc: dict, terms, scale=1):
 class Slate:
     """A fixed variable list: ``first`` in the given order, then the other
     variables sorted; over it a term is keyed by its dense exponent tuple.
-    ``caps`` holds ``(slot, t)`` for each variable nilpotent of order
-    ``t``.  :meth:`sparse` lists exponents in slate order, so its
-    monomials are canonical as long as the nonzero ``first`` slots of each
-    key are in sorted order."""
+    :meth:`sparse` lists exponents in slate order, so its monomials are
+    canonical as long as the nonzero ``first`` slots of each key are in
+    sorted order."""
 
-    __slots__ = ("vars", "index", "caps")
+    __slots__ = ("vars", "index")
 
     def __init__(self, variables, first=()):
         rest = set(variables).difference(first)
         self.vars = tuple(first) + tuple(sorted(rest,
                                                 key=lambda v: v.sort_key))
         self.index = {v: i for i, v in enumerate(self.vars)}
-        self.caps = tuple((i, v.nilpotency) for i, v in enumerate(self.vars)
-                          if v.nilpotency is not None)
 
     def dense(self, terms: dict) -> dict:
         out = {}
@@ -243,12 +230,10 @@ class Slate:
         return out
 
 
-def mul_dense(a: dict, b: dict, caps=()) -> dict:
+def mul_dense(a: dict, b: dict) -> dict:
     """The product of two term dicts keyed by exponent tuples of one length;
-    coefficients need only ``+`` and ``*``.  A product term is dropped when
-    its exponent at ``slot`` exceeds ``t`` for some ``(slot, t)`` in
-    ``caps``.  Every product of polynomials with more than one term each
-    comes here."""
+    coefficients need only ``+`` and ``*``.  Every product of polynomials
+    with more than one term each comes here."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
@@ -256,13 +241,6 @@ def mul_dense(a: dict, b: dict, caps=()) -> dict:
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(map(add, ma, mb))
-            dead = False
-            for i, cap in caps:
-                if m[i] > cap:
-                    dead = True
-                    break
-            if dead:
-                continue
             nc = get(m, 0) + ca * cb
             if nc:
                 out[m] = nc
@@ -275,21 +253,17 @@ def _mul_terms(a: dict, b: dict) -> dict:
     """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
     of the variables of both.  A one-term operand is merged into each term
     of the other by :meth:`Monomial.make` instead: exponents add, so
-    distinct terms stay distinct and only a nilpotent cap drops one."""
+    distinct terms stay distinct."""
     if len(a) != 1:
         a, b = b, a
     if len(a) == 1:
         (m0, c0), = a.items()
         if not m0.exps:
             return {m: _num(c * c0) for m, c in b.items()}
-        out = {}
-        for m, c in b.items():
-            m = Monomial.make(m0.exps + m.exps)
-            if m is not None:
-                out[m] = _num(c * c0)
-        return out
+        return {Monomial.make(m0.exps + m.exps): _num(c * c0)
+                for m, c in b.items()}
     slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
-    return slate.sparse(mul_dense(slate.dense(a), slate.dense(b), slate.caps))
+    return slate.sparse(mul_dense(slate.dense(a), slate.dense(b)))
 
 
 class Polynomial:
@@ -319,18 +293,14 @@ class Polynomial:
 
     @classmethod
     def var(cls, v: Var, exp: int = 1) -> "Polynomial":
-        m = Monomial.make([(v, exp)])
-        return cls({m: 1} if m is not None else {})
+        return cls({Monomial.make([(v, exp)]): 1})
 
     @classmethod
     def from_terms(cls, pairs) -> "Polynomial":
         """pairs: iterable of (coefficient, [(var, exp), ...])."""
         acc: dict = {}
         for c, mexps in pairs:
-            m = Monomial.make(mexps)
-            if m is None:
-                continue
-            _add_into(acc, {m: _num(c)})
+            _add_into(acc, {Monomial.make(mexps): _num(c)})
         return cls(acc)
 
     # -- ring operations ----------------------------------------------
@@ -662,7 +632,7 @@ class _Parser:
             if len(base.terms) == 1:
                 (m, c), = base.terms.items()
                 m = Monomial.make((v, e * exp) for v, e in m.exps)
-                return Polynomial({} if m is None else {m: _num(c ** exp)})
+                return Polynomial({m: _num(c ** exp)})
             return _power(base, exp, self.product)
         return base
 

@@ -7,17 +7,20 @@ The n = 1 case is pinned independently by classical curve geometry
 (canonical degree and Riemann-Roch), which fixes the sign of the
 ``z_1 + ... + z_n`` block inside the positivity form R.
 
-The hyperplane class h is nilpotent of order n (h^(n+1) == 0); pairing
-with the fundamental class replaces h^n by d.  The denominators are
-homogeneous in the z's alone, so the residue reads a numerator only at h^n
-and z-degree n^2 - n; :func:`_tower_form` builds just that part, and the
-intersection polynomial and the Euler characteristic differ only in its
-z-free coefficients x_j.
+The hyperplane class h satisfies h^(n+1) == 0 on the hypersurface, and
+pairing with the fundamental class replaces h^n by d, so a series in h is
+held as the list of its coefficients of h^0 .. h^n; :func:`_series_mul`
+multiplies two such lists and cuts the product at h^n.  The denominators
+are homogeneous in the z's alone, so the residue reads a numerator only at
+h^n and z-degree n^2 - n; :func:`_tower_form` builds just that part, and
+the intersection polynomial and the Euler characteristic differ only in
+its z-free coefficients x_j.
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
-:func:`_hypersurface_class`, builds the Chern tail of the tower (g = 1 + y
-at y = h/z_l, one factor per l) and the Todd class (g = (1 - e^-y)/y).
+:func:`_hypersurface_class`, gives its coefficient list in y, read as the
+Todd class at y = h (g = (1 - e^-y)/y) and, at y = h/z_l with one factor
+per l, as the Chern tail of the tower (g = 1 + y).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentSeries, Monomial, Polynomial, Var, svar, zvar
+from .algebra import LaurentSeries, Monomial, Polynomial, svar, zvar
 from .errors import DomainError, InputError, SizeLimitExceeded
 from .residue import iterated_residue
 from .thom import QTable, curvilinear_form
@@ -60,10 +63,6 @@ def _table_entry(n: int, q: QTable | None, low: int) -> Polynomial:
     return qn
 
 
-def _hvar(n: int) -> Var:
-    return svar("h", nilpotency=n)
-
-
 @dataclass(frozen=True)
 class GGResult:
     """Intersection polynomial data: p(n, d, delta) is the residue of the
@@ -88,31 +87,40 @@ def _zshift(n: int, power: int) -> LaurentSeries:
     return LaurentSeries({mono: 1})
 
 
-def _hypersurface_class(n: int, g, y, d_poly: Polynomial) -> Polynomial:
-    """g(d y) * g(y)^-(n+2) for a unit series g with coefficients
-    g[0] == 1, g[1], ... (those past g[n] are not read) and a y that
-    carries h, so y^(n+1) == 0 and the inverse sum_(j<=n) (1 - g(y))^j is
-    exact."""
-    s = sd = 0  # g(y) - 1 and g(d y) - 1
-    power = 1
-    for i, c in enumerate(g[1:n + 1], 1):
-        power = power * y
-        s = s + c * power
-        sd = sd + c * d_poly ** i * power
-    inv = term = 1
-    for _ in range(n):
-        term = term * -s
-        inv = inv + term
-    return (1 + sd) * inv ** (n + 2)
+def _series_mul(a: list, b: list, n: int) -> list:
+    """The product of two series given as lists of at most n + 1
+    coefficients, cut at the power n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:n + 1 - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
-def _hypersurface_tail(n: int, h: Var, d_poly: Polynomial) -> LaurentSeries:
-    """prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2)."""
-    acc = 1
+def _hypersurface_class(n: int, g, d_poly: Polynomial) -> list:
+    """Coefficients 0..n in y of g(d y) * g(y)^-(n+2), for a unit series g
+    with rational coefficients g[0] == 1, g[1], ... (those past g[n] are
+    not read)."""
+    g = list(g[:n + 1]) + [0] * (n + 1 - len(g))
+    inv = [1]  # 1 / g(y)
+    for k in range(1, n + 1):
+        inv.append(-sum(g[i] * inv[k - i] for i in range(1, k + 1)))
+    power = [1]
+    for _ in range(n + 2):
+        power = _series_mul(power, inv, n)
+    return _series_mul([c * d_poly ** i for i, c in enumerate(g)], power, n)
+
+
+def _hypersurface_tail(n: int, d_poly: Polynomial) -> list:
+    """[T_0, ..., T_n], the coefficients of h^0 .. h^n of
+    prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2); T_i has z-degree -i."""
+    cls = _hypersurface_class(n, (1, 1), d_poly)
+    tail = [1]
     for l in range(1, n + 1):
-        y = LaurentSeries({Monomial.make([(h, 1), (zvar(l), -1)]): 1})
-        acc = acc * _hypersurface_class(n, (1, 1), y, d_poly)
-    return acc
+        factor = [c * LaurentSeries({Monomial.make([(zvar(l), -i)]): 1})
+                  for i, c in enumerate(cls)]
+        tail = _series_mul(tail, factor, n)
+    return tail
 
 
 def _zsum(n: int) -> Polynomial:
@@ -126,11 +134,11 @@ def _tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
     """The order-n form of sum_j xs[j] Z^(n^2-j) T_(n-j) (z_1...z_n)^-n:
     the part of (sum_j xs[j] h^j Z^(n^2-j)) times the tail that the residue
     reads, since T_i, its h^i coefficient, has z-degree -i."""
-    h, zsum = _hvar(n), _zsum(n)
-    tail = _hypersurface_tail(n, h, d_poly)
+    zsum = _zsum(n)
+    tail = _hypersurface_tail(n, d_poly)
     top, power = Polynomial.zero(), zsum ** (n * n - n)
     for j in range(n, -1, -1):
-        top = top + xs[j] * power * tail.coefficient(h, n - j)
+        top = top + xs[j] * power * tail[n - j]
         power = power * zsum
     return curvilinear_form(n, qn, _zshift(n, n), top)
 
@@ -186,11 +194,12 @@ def positivity_threshold(result: GGResult, delta) -> int:
     return d0
 
 
-def _todd_class(n: int, h: Var, d_poly: Polynomial) -> Polynomial:
-    """td(T_X): the class with series y / (1 - e^-y), whose inverse is
-    g(y) = (1 - e^-y)/y = sum_i (-y)^i / (i+1)!."""
+def _todd_class(n: int, d_poly: Polynomial) -> list:
+    """Coefficients 0..n in h of td(T_X): the class with series
+    y / (1 - e^-y), whose inverse is g(y) = (1 - e^-y)/y =
+    sum_i (-y)^i / (i+1)!."""
     g = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
-    return _hypersurface_class(n, g, Polynomial.var(h), d_poly)
+    return _hypersurface_class(n, g, d_poly)
 
 
 def euler_characteristic(n: int, d=None,
@@ -199,13 +208,12 @@ def euler_characteristic(n: int, d=None,
     degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
     ``d=None`` keeps the degree symbolic."""
     qn = _table_entry(n, q, n * n - n)
-    h = _hvar(n)
     d_poly = (Polynomial.var(D_VAR) if d is None
               else Polynomial.rational(Fraction(d)))
     # h^j of the Todd class meets the one term of the Chern character
     # e^(m Z) of the weight-m tautological bundle the residue reads
-    td, big = _todd_class(n, h, d_poly), n * n
-    xs = [td.coefficient(h, j) * Fraction(1, math.factorial(big - j))
+    td, big = _todd_class(n, d_poly), n * n
+    xs = [td[j] * Fraction(1, math.factorial(big - j))
           * Polynomial.var(M_VAR, big - j) for j in range(n + 1)]
     chi = iterated_residue(_tower_form(n, qn, xs, d_poly)) * d_poly
     return EulerResult(n, None if d is None else Fraction(d), chi)

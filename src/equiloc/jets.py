@@ -171,24 +171,16 @@ def rho(curve: JetCurve):
             f"rho of a {k}-jet in C^{n}: (k^2 + n) * columns = {work}, over "
             f"the limit of {MAX_RHO_WORK}")
     vs = [_linear_form(row) for row in curve.coefficients]
-    # comp[i][j] = sum over compositions of j into i parts of the products
-    comp = [None] + [[None] * (k + 1) for _ in range(k)]
-    comp[1] = [None] + [dict(vs[j - 1]) for j in range(1, k + 1)]
-    for i in range(2, k + 1):
-        comp[i] = [None] * (k + 1)
-        for j in range(i, k + 1):
-            acc: dict = {}
-            for a in range(1, j - i + 2):
-                _add_into(acc, mul_dense(vs[a - 1], comp[i - 1][j - a]))
-            comp[i][j] = acc
-    basis = sym_basis(n, k)
-    matrix = []
+    # rows[j - 1] = g_j, the sum over all compositions of j; split off the
+    # first part a: g_j = v_j + sum_(a<j) v_a g_(j-a)
+    rows: list[dict] = []
     for j in range(1, k + 1):
-        row_form: dict = {}
-        for i in range(1, j + 1):
-            _add_into(row_form, comp[i][j])
-        matrix.append([row_form.get(e, 0) for e in basis])
-    return matrix
+        acc = dict(vs[j - 1])
+        for a in range(1, j):
+            _add_into(acc, mul_dense(vs[a - 1], rows[j - a - 1]))
+        rows.append(acc)
+    basis = sym_basis(n, k)
+    return [[row.get(e, 0) for e in basis] for row in rows]
 
 
 def _check_minor_count(k: int, cols: int) -> None:

@@ -11,8 +11,9 @@ once by the common multiple L of their denominators, the class is read
 once into integer terms, and each fixed point adds one exact ``Fraction``
 of two ints, its class value over its product of tangent weights.  The
 powers of L and the class's coefficient denominator are applied once, at
-the end.  A class holding a variable the sum does not assign is an
-``InputError`` before any fixed point is summed.
+the end.  A weight list whose length is not n, or a class holding a
+variable the sum does not assign, is an ``InputError`` before any fixed
+point is summed.
 """
 
 from __future__ import annotations
@@ -52,8 +53,12 @@ def _check_fixed_points(space: str, counts) -> None:
                                     f"{MAX_FIXED_POINTS} fixed points")
 
 
-def _distinct(weights) -> list[Fraction]:
+def _distinct(n: int, weights) -> list[Fraction]:
+    """The n weights as Fractions, checked to be n and pairwise distinct."""
     weights = [Fraction(w) for w in weights]
+    if len(weights) != n:
+        raise InputError(f"need one weight per coordinate line: n = {n}, "
+                         f"got {len(weights)} weights")
     if len(set(weights)) != len(weights):
         raise RepeatedWeights("weight values must be pairwise distinct")
     return weights
@@ -86,10 +91,10 @@ def grass_class_degree_check(n: int, k: int, cls: Polynomial):
             f"class has weighted degree {found}, expected {target}")
 
 
-def _scaled(weights) -> tuple[list[int], int]:
-    """The weights, checked pairwise distinct, as the integers L·w_i, and
-    L, the least common multiple of their denominators."""
-    weights = _distinct(weights)
+def _scaled(n: int, weights) -> tuple[list[int], int]:
+    """The n weights, checked by :func:`_distinct`, as the integers L·w_i,
+    and L, the least common multiple of their denominators."""
+    weights = _distinct(n, weights)
     scale = math.lcm(*(w.denominator for w in weights))
     return [w.numerator * (scale // w.denominator) for w in weights], scale
 
@@ -149,7 +154,7 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     e_i(u)/L^i, each tangent weight is a difference of two u over L, and
     each subspace adds one exact ``Fraction``.
     """
-    u, scale = _scaled(mu)
+    u, scale = _scaled(n, mu)
     _require_variables(cls, cvar, k, "class")
     coeffs, columns, den, top = _integer_terms(
         cls, [cvar(i) for i in range(1, k + 1)], range(1, k + 1), scale)
@@ -194,7 +199,7 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     the integer-scaled weights u = L·w, one exact ``Fraction`` per fixed
     flag; the powers of L and Q's coefficient denominator are applied
     once, at the end."""
-    u, scale = _scaled(weights)
+    u, scale = _scaled(n, weights)
     _require_variables(Q, zvar, d, "Q")
     coeffs, columns, den, top = _integer_terms(
         Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
@@ -218,7 +223,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """The same pushforward as :func:`flag_fixed_sum`, computed as the
     iterated residue of the Vandermonde-weighted form with z_1 least and
     z_d most dominant."""
-    weights = _distinct(weights)
+    weights = _distinct(n, weights)
     zs = tuple(zvar(l) for l in range(1, d + 1))
     dens = tuple(Polynomial.rational(w) - Polynomial.var(z)
                  for z in zs for w in weights)

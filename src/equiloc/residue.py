@@ -149,7 +149,7 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
         step = {m: c * -inv_a for m, c in base.items()}
         tails = [{(0,) * len(ws.vars): inv_a}]
         for _ in range(jtot):
-            tails.append(mul_dense(tails[-1], step, ws.caps) if step else {})
+            tails.append(mul_dense(tails[-1], step) if step else {})
         new = [dict() for _ in range(jtot + 1)]
         for t_old, pterms in enumerate(prod):
             if not pterms:
@@ -157,12 +157,12 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
             for j in range(jtot + 1 - t_old):
                 if tails[j]:
                     _add_into(new[t_old + j],
-                              mul_dense(pterms, tails[j], ws.caps))
+                              mul_dense(pterms, tails[j]))
         prod = new
     out: dict = {}
     for t, sl in slices.items():
         if prod[t + 1 - s]:
-            _add_into(out, mul_dense(sl, prod[t + 1 - s], ws.caps))
+            _add_into(out, mul_dense(sl, prod[t + 1 - s]))
     return out
 
 

@@ -9,7 +9,11 @@ order the result is exact, and enlarging the order must never change it.
 
 :func:`sparse_product` is the reference for the product kernel: the
 pairwise ``Monomial.make`` merge the package multiplied with before it
-had one dense kernel.  :func:`permutation_det` is the reference for the
+had one dense kernel.  :func:`hypersurface_class` and
+:func:`hypersurface_tail` are the references for the coefficient lists of
+the hyperbolicity module: every product multiplied out in a plain scalar
+``H``, with no cut at H^n, and coefficients read by
+``Polynomial.coefficient``.  :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`flag_fixed_sum` and :func:`grass_sum_at` are the references for the
 integer fixed-point kernels: each fixed point's value by
@@ -23,24 +27,49 @@ import itertools
 import math
 from fractions import Fraction
 
-from equiloc.algebra import Monomial, Polynomial
+from equiloc.algebra import LaurentSeries, Monomial, Polynomial, svar, zvar
+
+H = svar("h")
 
 
 def sparse_product(a: Polynomial, b: Polynomial) -> dict:
-    """Terms of ``a * b``, one ``Monomial.make`` merge per pair of terms;
-    a pair whose merge overflows a nilpotency cap is dropped."""
+    """Terms of ``a * b``, one ``Monomial.make`` merge per pair of terms."""
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             m = Monomial.make(ma.exps + mb.exps)
-            if m is None:
-                continue
             nc = out.get(m, 0) + ca * cb
             if nc:
                 out[m] = nc
             elif m in out:
                 del out[m]
     return out
+
+
+def hypersurface_class(n: int, g, d_poly: Polynomial) -> Polynomial:
+    """g(d H) * (sum_(j<=n) (1 - g(H))^j)^(n+2), multiplied out in full.
+    The sum agrees with 1/g(H) up to H^n, so the coefficients of H^0..H^n
+    are those of g(d H) / g(H)^(n+2); the higher ones are not."""
+    s = sd = Polynomial.zero()  # g(H) - 1 and g(d H) - 1
+    for i, c in enumerate(g[1:n + 1], 1):
+        s = s + c * Polynomial.var(H, i)
+        sd = sd + c * d_poly ** i * Polynomial.var(H, i)
+    inverse = sum(((-s) ** j for j in range(n + 1)), Polynomial.zero())
+    return (1 + sd) * inverse ** (n + 2)
+
+
+def hypersurface_tail(n: int, d_poly: Polynomial) -> LaurentSeries:
+    """prod_l (1 + d y_l) / (1 + y_l)^(n+2) at y_l = H/z_l, with each factor
+    the H^0..H^n part of :func:`hypersurface_class` (the higher powers
+    cannot reach the H^n coefficient of the product) and the product of
+    the n factors multiplied out in full."""
+    cls = hypersurface_class(n, (1, 1), d_poly)
+    acc = Polynomial.one()
+    for l in range(1, n + 1):
+        y = LaurentSeries({Monomial.make([(H, 1), (zvar(l), -1)]): 1})
+        acc = acc * sum((cls.coefficient(H, i) * y ** i
+                         for i in range(n + 1)), Polynomial.zero())
+    return acc
 
 
 def permutation_det(rows):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _hvar, _hypersurface_tail, _todd_class,
+                                   _hypersurface_class, _todd_class,
                                    _tower_form, _zshift, _zsum,
                                    euler_characteristic,
                                    intersection_polynomial, leading_constant,
@@ -22,6 +23,7 @@ from equiloc.residue import iterated_residue
 from equiloc.thom import QTable, curvilinear_form
 
 P = Polynomial
+H = oracles.H
 
 
 def top_intersection(n: int) -> Polynomial:
@@ -29,14 +31,27 @@ def top_intersection(n: int) -> Polynomial:
     hypersurface tail (the positivity form replaced by its degree-only
     block); equals (n^2)! times the leading m-coefficient of the Euler
     characteristic."""
-    h = _hvar(n)
     residue = iterated_residue(curvilinear_form(
         n, QTable.builtin().get(n), _zsum(n) ** (n * n),
-        _hypersurface_tail(n, h, P.var(D_VAR)), _zshift(n, n)))
-    return residue.coefficient(h, n) * P.var(D_VAR)
+        oracles.hypersurface_tail(n, P.var(D_VAR)), _zshift(n, n)))
+    return residue.coefficient(H, n) * P.var(D_VAR)
 
 
 _RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+_DEGREE = st.one_of(st.just(P.var(D_VAR)), _RATIONAL.map(P.rational))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_hypersurface_class_is_the_cut_product(n, data):
+    # coefficients 0..n of the full product in a plain h, for unit series
+    # g given by 1 to n + 2 coefficients (a short g is padded with zeros)
+    g = [1] + data.draw(st.lists(_RATIONAL, max_size=n + 1))
+    d_poly = data.draw(_DEGREE)
+    full = oracles.hypersurface_class(n, g, d_poly)
+    assert _hypersurface_class(n, g, d_poly) == [full.coefficient(H, i)
+                                                 for i in range(n + 1)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -46,12 +61,11 @@ def test_tower_form_is_the_read_part_of_the_product(n, data):
     # the numerator is the h^n coefficient of sum_j x_j h^j Z^(n^2-j) times
     # the tail, exactly, at a symbolic or a rational degree
     xs = data.draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))
-    d_poly = data.draw(st.one_of(st.just(P.var(D_VAR)),
-                                 _RATIONAL.map(P.rational)))
-    h, qn = _hvar(n), QTable.builtin().get(n)
-    lift = sum((x * P.var(h, j) * _zsum(n) ** (n * n - j)
+    d_poly = data.draw(_DEGREE)
+    qn = QTable.builtin().get(n)
+    lift = sum((x * P.var(H, j) * _zsum(n) ** (n * n - j)
                 for j, x in enumerate(xs)), P.zero())
-    expected = (lift * _hypersurface_tail(n, h, d_poly)).coefficient(h, n)
+    expected = (lift * oracles.hypersurface_tail(n, d_poly)).coefficient(H, n)
     form = _tower_form(n, qn, xs, d_poly)
     assert form.numerator == curvilinear_form(n, qn, _zshift(n, n),
                                               expected).numerator
@@ -65,14 +79,16 @@ def gg():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_todd_class_golden(n):
     # Hirzebruch's Todd polynomials 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24 in
-    # the Chern classes of c(T_X) = (1 + h)^(n+2) / (1 + d h), cut at h^n
-    h, d = _hvar(n), P.var(D_VAR)
-    inverse = sum(((-d * P.var(h)) ** j for j in range(n + 1)), P.zero())
-    total = (1 + P.var(h)) ** (n + 2) * inverse
-    c1, c2 = (total.coefficient(h, i) * P.var(h, i) for i in (1, 2))
+    # the Chern classes of c(T_X) = (1 + h)^(n+2) / (1 + d h), read at
+    # h^0..h^n
+    d = P.var(D_VAR)
+    inverse = sum(((-d * P.var(H)) ** j for j in range(n + 1)), P.zero())
+    total = (1 + P.var(H)) ** (n + 2) * inverse
+    c1, c2 = (total.coefficient(H, i) * P.var(H, i) for i in (1, 2))
     expected = (1 + Fraction(1, 2) * c1 + Fraction(1, 12) * (c1 * c1 + c2)
                 + Fraction(1, 24) * c1 * c2)
-    assert _todd_class(n, h, d) == expected
+    assert _todd_class(n, d) == [expected.coefficient(H, i)
+                                 for i in range(n + 1)]
 
 
 class TestLeadingConstant:
