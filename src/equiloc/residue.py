@@ -20,11 +20,17 @@ of ``dz/(z_1...z_d)`` is ``(-1)^d``.
 Evaluation peels variables from the most dominant down: at each step the
 form is held as a Laurent expansion in one variable whose coefficients are
 exact polynomials in everything below, the ``z^-1`` coefficient is
-extracted, and the remaining factors are processed recursively.  The
-expansion order needed at each step is read off the numerator slices that
-can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below), so results
-are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked before each
-variable is expanded.
+extracted, and the remaining factors are processed recursively.  A form's
+numerator is ``prefactor * numerator``; the residue is linear, so the
+first peel, of ``z_k``, is ``sum_e P_e * peel(z_k^e * B)`` over the
+``z_k^e`` slices ``P_e`` of the prefactor ``P`` (``B`` is the numerator).
+It is taken as ``sum_t B_t * sum_e P_e * E_(t+e+1-s_k)``, with ``B_t``
+the ``z_k^t`` slices of ``B`` and ``E_j`` the order-j part of the
+expansions: the small factors meet first, and ``P * B`` is never formed.
+The expansion order needed at each step is read off the numerator slices
+that can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below), so
+results are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked before
+each variable is expanded.
 
 Degree budget
 -------------
@@ -46,11 +52,24 @@ for, when some factor's rest holds a lower residue variable, and 0 when
 none does.  Terms that fail are dropped before any expansion is built.
 The residue variables take the first slots of the :class:`Slate`, in
 contour order, so ``D`` is the sum of a term's leading exponents.
+
+At the first peel a term of ``B`` meets each prefactor slice ``P_e``: a
+term of ``P_e`` adds ``e`` to the ``z_k``-degree and its own degree
+``D'`` in the lower variables to ``D``.  The term of ``B`` can reach with
+``P_e`` if it passes the test with ``need`` lowered by the slice's gain,
+the largest ``D'``, plus ``e`` when the reach counts, over the slice's
+terms.  A term that reaches with no slice is dropped, and ``B_t`` meets
+only the slices, each as a whole, that one of its terms reaches with.
+The largest ``D'`` is needed, not the first or the smallest, because a
+slice need not be homogeneous in the lower variables (a table entry
+``Q_k`` from a q-file need not be).  The factor expansions are built
+once, to the largest order that any pair of a ``B_t`` and a ``P_e`` it
+meets calls for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate, Var,
@@ -68,19 +87,23 @@ MAX_EXPANSION_ORDER = 256
 class ResidueForm:
     """Numerator with a multiset of denominator factors, each affine in the
     residue variables, and the dominance order of the residue variables,
-    least dominant first."""
+    least dominant first.  The numerator is ``prefactor * numerator``; the
+    engine multiplies the prefactor's slices into the denominator
+    expansions at the first peel, so a small factor of a large numerator
+    belongs there."""
 
     numerator: Polynomial
     denominators: tuple[Polynomial, ...]
     order: tuple[Var, ...]
+    prefactor: Polynomial = field(default_factory=Polynomial.one)
 
     def __post_init__(self):
         allowed = set(self.order)
         if len(allowed) != len(self.order):
             names = ", ".join(v.name for v in self.order)
             raise InputError(f"repeated residue variable in the order: {names}")
-        seen = {v for p in (self.numerator, *self.denominators)
-                for v in p.variables() if v.kind == RESIDUE}
+        parts = (self.prefactor, self.numerator, *self.denominators)
+        seen = {v for p in parts for v in p.variables() if v.kind == RESIDUE}
         missing = seen - allowed
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
@@ -106,29 +129,57 @@ def _split(w: Polynomial, rank: dict[Var, int]):
     return z, linear[z], rest
 
 
-def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
-    """Coefficient of ``z^-1`` (variable slot ``zi``) of the numerator times
-    the expansions of the factors dominated by that variable, each given as
-    ``(b, a, bits)`` for the factor w = a z + b of height ``bits``.  The
-    slots below ``zi`` hold the less dominant residue variables; a term
-    is dropped first unless its degree in them plus its reach is at least
-    ``need`` (the degree budget of the module docstring).  With a lower
-    residue variable in some ``b`` the reach is the term's expansion order
-    ``t + 1 - s``, so the test reads the degree in slots ``0..zi``."""
+def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
+          pre: dict) -> dict:
+    """Coefficient of ``z^-1`` (variable slot ``zi``) of ``pre * num``
+    times the expansions of the factors dominated by that variable, each
+    given as ``(b, a, bits)`` for the factor w = a z + b of height ``bits``.
+    The slots below ``zi`` hold the less dominant residue variables.
+
+    With ``num_t`` and ``pre_e`` the ``z^t`` and ``z^e`` slices of ``num``
+    and ``pre`` and ``E_j`` the order-j part of the product of the factor
+    expansions, the peel is ``sum_t num_t * sum_e pre_e * E_(t+e+1-s)``:
+    the small factors meet first, ``pre * num`` is never formed, and the
+    expansions are built once, to the largest order any pair calls for.
+    A term of ``num`` is dropped first unless, for some slice of ``pre``,
+    its degree in the lower slots plus its reach plus that slice's gain is
+    at least ``need`` (the degree budget of the module docstring), and
+    ``num_t`` meets only the slices for which one of its terms passes.
+    With a lower residue variable in some ``b`` the reach is the expansion
+    order ``t + e + 1 - s``, so the test reads the degree in slots
+    ``0..zi`` of both; a slice's gain is the largest such degree among its
+    terms."""
     s = len(factors)
     lifts = any(any(m[:zi]) for b, _, _ in factors for m in b)
     upto, low = (zi + 1, need + s - 1) if lifts else (zi, need)
+    pres: dict[int, dict] = {}
+    gain: dict[int, int] = {}
+    for m, c in pre.items():
+        e, g = m[zi], sum(m[:upto])
+        pres.setdefault(e, {})[m[:zi] + (0,) + m[zi + 1:]] = c
+        gain[e] = max(gain.get(e, g), g)
+    top, emax = max(gain.values(), default=0), max(pres, default=0)
     slices: dict[int, dict] = {}
     for m, c in num.items():
         t = m[zi]
-        if t + 1 < s or sum(m[:upto]) < low:
+        if t + 1 + emax < s or sum(m[:upto]) + top < low:
             continue
         slices.setdefault(t, {})[m[:zi] + (0,) + m[zi + 1:]] = c
-    if s == 0:
-        return slices.get(-1, {})
-    if not slices:
+    # num_t meets pre_e at expansion order j = t + e + 1 - s (with no
+    # factor the expansion is 1, of order 0 only) if one of its terms
+    # passes the budget with pre_e's gain
+    reads = {}
+    for t, sl in slices.items():
+        pairs = [(e, t + e + 1 - s) for e in pres
+                 if (t + e + 1 >= s if s else t + e == -1)
+                 and (gain[e] == top or any(
+                     sum(k[:zi]) + (t if lifts else 0) + gain[e] >= low
+                     for k in sl))]
+        if pairs:
+            reads[t] = pairs
+    if not reads:
         return {}
-    jtot = max(slices) + 1 - s
+    jtot = max(j for pairs in reads.values() for _, j in pairs)
     if jtot > MAX_EXPANSION_ORDER:
         raise WindowOverflow(
             f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
@@ -142,12 +193,13 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
             f"{bits} bits, over the limit of {MAX_COEFFICIENT_BITS} bits")
     # running product of the factor expansions, graded by total geometric
     # order; tails[j] of one factor is (-1)^j (w - a z)^j / a^(j+1)
-    one = {(0,) * len(ws.vars): 1}
+    zero = (0,) * len(ws.vars)
+    one = {zero: 1}
     prod = [one]
     for base, a, _ in factors:
         inv_a = _num(Fraction(1) / a)
         step = {m: c * -inv_a for m, c in base.items()}
-        tails = [{(0,) * len(ws.vars): inv_a}]
+        tails = [{zero: inv_a}]
         for _ in range(jtot):
             tails.append(mul_dense(tails[-1], step) if step else {})
         new = [dict() for _ in range(jtot + 1)]
@@ -159,33 +211,53 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int) -> dict:
                     _add_into(new[t_old + j],
                               mul_dense(pterms, tails[j]))
         prod = new
+    # the small factors meet first: num_t times sum_e pre_e * prod[j]
     out: dict = {}
-    for t, sl in slices.items():
-        if prod[t + 1 - s]:
-            _add_into(out, mul_dense(sl, prod[t + 1 - s]))
+    for t, pairs in reads.items():
+        near = _sum([prod[j] if pres[e] == one else mul_dense(pres[e], prod[j])
+                     for e, j in pairs if prod[j]])
+        if near:
+            sl = slices[t]
+            _add_into(out, sl if near == one else mul_dense(sl, near))
+    return out
+
+
+def _sum(parts: list) -> dict:
+    """The sum of term dicts; a single one is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    out: dict = {}
+    for p in parts:
+        _add_into(out, p)
     return out
 
 
 def iterated_residue(form: ResidueForm) -> Polynomial:
     """The iterated residue at infinity of the form under its dominance
     order: ``(-1)^d`` times the ``z_1^-1 ... z_d^-1`` coefficient of the
-    expanded product.  The result contains no residue variables."""
+    expanded product.  The result contains no residue variables.  The
+    prefactor is multiplied in slice by slice at the first peel."""
     order = tuple(form.order)
     rank = {v: i for i, v in enumerate(order)}
     groups: dict[Var, list] = {}
-    variables = set(order) | form.numerator.variables()
+    variables = (set(order) | form.numerator.variables()
+                 | form.prefactor.variables())
     for w in form.denominators:
         z, a, rest = _split(w, rank)
         groups.setdefault(z, []).append((rest, a, _height_bits(w)))
         variables |= w.variables()
+    if not order:  # nothing to peel
+        return form.prefactor * form.numerator
     ws = Slate(variables, first=order)
     num = ws.dense(form.numerator.terms)
+    pre = ws.dense(form.prefactor.terms)
     need = sum(len(groups.get(z, ())) - 1 for z in order)
     for zi in reversed(range(len(order))):
         factors = [(ws.dense(rest), a, bits)
                    for rest, a, bits in groups.get(order[zi], ())]
         need -= len(factors) - 1
-        num = _peel(ws, num, factors, zi, need)
+        num = _peel(ws, num, factors, zi, need, pre)
+        pre = {(0,) * len(ws.vars): 1}
     sign = -1 if len(order) % 2 else 1
     return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})
 

@@ -83,23 +83,28 @@ def denominator_triples(k: int) -> list[tuple[int, int, int]]:
 def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
     """The calibrated residue form of order k: numerator ``(-1)^k Q_k *
     prod_{i<j}(z_i - z_j)`` (``qk`` is the table entry) times the given
-    factors, multiplied in order; denominators ``z_i + z_j - z_l`` over
+    factors; denominators ``z_i + z_j - z_l`` over
     :func:`denominator_triples`; contour ``z_1..z_k``, ``z_k`` most dominant.
 
-    The global sign ``(-1)^k``, carried by ``Q_k`` as the smallest factor,
-    cancels the engine's orientation ``(-1)^k``, so the iterated residue of
-    this form is the plain ``(z_1...z_k)^-1`` coefficient of the expansion.
-    This makes the k = 1 family come out as ``+c_(codim+1)`` and is
-    asserted against classical values for k = 2, 3 in the tests.
+    The factor with the most terms is the form's numerator, multiplied by
+    nothing; ``(-1)^k Q_k``, the Vandermonde and the other factors make up
+    its prefactor, which the engine multiplies slice by slice into the
+    denominator expansions at the first peel.  The global sign ``(-1)^k`` cancels the engine's
+    orientation ``(-1)^k``, so the iterated residue of this form is the
+    plain ``(z_1...z_k)^-1`` coefficient of the expansion.  This makes the
+    k = 1 family come out as ``+c_(codim+1)`` and is asserted against
+    classical values for k = 2, 3 in the tests.
     """
     zs = tuple(zvar(l) for l in range(1, k + 1))
-    numerator = LaurentSeries((-qk if k % 2 else qk).terms) * vandermonde(zs)
-    for f in factors:
-        numerator = numerator * f
+    *small, body = (sorted(factors, key=lambda f: len(f.terms))
+                    or [Polynomial.one()])
+    prefactor = LaurentSeries((-qk if k % 2 else qk).terms) * vandermonde(zs)
+    for f in small:
+        prefactor = prefactor * f
     dens = tuple(Polynomial.var(zs[i - 1]) + Polynomial.var(zs[j - 1])
                  - Polynomial.var(zs[l - 1])
                  for i, j, l in denominator_triples(k))
-    return ResidueForm(numerator, dens, zs)
+    return ResidueForm(body, dens, zs, prefactor)
 
 
 #: Most terms the cut Chern-tail product for (k, codim) may reach, which
@@ -171,7 +176,11 @@ def generating_coefficient(k: int, exponents,
                            q: QTable | None = None) -> Fraction:
     """Exact coefficient of ``z^exponents`` in the Laurent expansion of the
     generating function ``prod(z_i - z_j) Q_k / prod(z_i + z_j - z_l)`` on
-    the calibrated contour (z_k most dominant)."""
+    the calibrated contour (z_k most dominant); InputError unless there
+    are exactly k exponents."""
+    if len(exponents) != k:
+        raise InputError(f"order {k} needs {k} exponents, got "
+                         f"{len(exponents)}")
     q = q or QTable.builtin()
     shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
                            for i in range(k)])

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from equiloc.algebra import parse_polynomial
 from equiloc.cli import main
+from equiloc.residue import ResidueForm, iterated_residue
+from equiloc.thom import QTable, residue_form
 
 
 def run(capsys, *argv):
@@ -440,6 +442,26 @@ class TestScanAndUserTables:
         assert len(lines) == 4
         assert lines[0] == "k=1 codim=0: c1  [all coefficients nonnegative]"
         assert "c1^2 + c2" in lines[2]
+
+    @pytest.mark.parametrize("entry", ["z1 + z2^2 + z1*z5^2",
+                                       "z1 + z2^2 - z3*z4*z5 + 2*z2^3"])
+    def test_non_homogeneous_q_entry(self, capsys, tmp_path, entry):
+        # z1 + z2^2 gives the prefactor's z5-slices terms of several degrees
+        # in z1..z4, and only the degree-3 part reaches the residue; the
+        # output must be the residue of the multiplied-out form (codim 1 is
+        # over MAX_TAIL_TERMS at k = 5)
+        qfile = tmp_path / "q5.json"
+        qfile.write_text(json.dumps({"5": entry}))
+        table = QTable.builtin().with_entry(5, parse_polynomial(entry))
+        form = residue_form(5, 0, table)
+        whole = ResidueForm(form.prefactor * form.numerator,
+                            form.denominators, form.order)
+        expected = iterated_residue(whole)
+        assert not expected.is_zero
+        code, out, _ = run(capsys, "thom", "--k", "5", "--codim", "0",
+                           "--q-file", str(qfile))
+        assert code == 0
+        assert out == f"{expected}\n"
 
     def test_user_q_file(self, capsys, tmp_path):
         # any homogeneous degree-3 entry exercises the k=5 plumbing; the

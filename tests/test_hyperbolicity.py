@@ -67,8 +67,9 @@ def test_tower_form_is_the_read_part_of_the_product(n, data):
                 for j, x in enumerate(xs)), P.zero())
     expected = (lift * oracles.hypersurface_tail(n, d_poly)).coefficient(H, n)
     form = _tower_form(n, qn, xs, d_poly)
-    assert form.numerator == curvilinear_form(n, qn, _zshift(n, n),
-                                              expected).numerator
+    read = curvilinear_form(n, qn, _zshift(n, n), expected)
+    assert (form.prefactor, form.numerator) == (read.prefactor,
+                                                read.numerator)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiloc.algebra import (LaurentSeries, Monomial, Polynomial,
                              compositions, parse_polynomial, vandermonde,
@@ -238,6 +240,66 @@ class TestDegreeBudget:
             numerator, tuple(parsed), tuple(zvar(int(n[1:])) for n in order)))
         assert not value.is_zero
         assert value == brute_residue(numerator, parsed, order, 6)
+
+
+def _random_prefactor(rng, order):
+    """1 one time in five, else two to four terms in the order's variables
+    and l1 with exponents -2..2; the exponents of the most dominant
+    variable z_k come from a pair, so the z_k-slices often hold terms of
+    several degrees in the lower variables."""
+    if rng.random() < 0.2:
+        return P.one()
+    tops = [rng.randint(-2, 2) for _ in range(2)]
+    terms: dict = {}
+    for _ in range(rng.randint(2, 4)):
+        exps = [rng.randint(-2, 2) for _ in order[:-1]] + [rng.choice(tops)]
+        m = Monomial.make(list(zip(order, exps))
+                          + [(wvar(1), rng.randint(0, 1))])
+        terms[m] = terms.get(m, 0) + rng.choice((-3, -1, 1, 2))
+    return LaurentSeries({m: c for m, c in terms.items() if c})
+
+
+class TestPrefactor:
+    """The engine multiplies a form's prefactor in slice by slice at the
+    first peel; the result must be that of the multiplied-out form."""
+
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=150, deadline=None)
+    def test_prefactor_equals_the_multiplied_out_form(self, seed):
+        rng = random.Random(seed)
+        num, dens, order = _budget_form(rng)
+        parsed = tuple(parse_polynomial(t) for t in dens)
+        pre = _random_prefactor(rng, order)
+        split = iterated_residue(ResidueForm(num, parsed, order, pre))
+        assert split == iterated_residue(ResidueForm(pre * num, parsed, order))
+
+    @pytest.mark.parametrize("texts", [("1", "z1^2"), ("z1^2", "1")])
+    def test_slice_budget_reads_its_highest_lower_degree(self, texts):
+        # z1 carries three factors, so z2's peel needs lower degree 2; the
+        # body 1 reaches it only through the z1^2 of the slice 1 + z1^2,
+        # whichever term of the slice comes first
+        prefactor = P({next(iter(parse_polynomial(t).terms)): 1
+                       for t in texts})
+        dens = ["z2", "z1 + 1", "z1 + 2", "z1 + 3"]
+        value = iterated_residue(ResidueForm(
+            P.one(), tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
+        assert value == 1 == res(prefactor, dens, (Z1, Z2))
+
+    def test_each_slice_keeps_its_own_budget(self):
+        # with the same factors, the z2-slices z1^2 and z1^3 z2 of the
+        # prefactor meet the body terms 1 and z2^-1; z1^2 brings the
+        # degree 2 that 1 needs, though its gain is below the other's
+        prefactor = parse_polynomial("z1^2 + z1^3*z2")
+        body = LaurentSeries({Monomial.make([]): 1,
+                              Monomial.make([(Z2, -1)]): 1})
+        dens = ["z2", "z1 + 1", "z1 + 2", "z1 + 3"]
+        value = iterated_residue(ResidueForm(
+            body, tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
+        assert value == -5 == res(prefactor * body, dens, (Z1, Z2))
+
+    def test_prefactor_variable_missing_from_order(self):
+        with pytest.raises(InputError, match="not in the order: z2"):
+            ResidueForm(P.one(), (P.var(Z1),), (Z1,), P.var(Z2))
 
 
 def _flag_form(n, d, cls, zs):

@@ -157,6 +157,13 @@ class TestGeneratingCoefficients:
         assert generating_coefficient(2, (3, -3)) == 4
         assert generating_coefficient(2, (0, -1)) == 0
 
+    @pytest.mark.parametrize("exponents", [(0, 0, 0, 0), (0, 0)])
+    def test_exponent_count_must_be_k(self, exponents):
+        # at k = 3, (0, 0, 0, 0) gave 1 with its fourth entry ignored and
+        # (0, 0) an untyped IndexError
+        with pytest.raises(InputError, match="order 3 needs 3 exponents"):
+            generating_coefficient(3, exponents)
+
     def test_ratio_report_k1_vacuous(self):
         report = ratio_check(1, depth=3)
         assert report.ratios == ()
