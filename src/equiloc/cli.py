@@ -32,10 +32,21 @@ def _rat(text: str) -> Fraction:
     raise InputError(f"not a rational number: {text!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; InputError when a key repeats, since any one
+    reading of it would be a guess."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise InputError(f"repeated JSON key: {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(
             f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -55,13 +66,11 @@ def _emit(args, text_value, json_value):
 
 def _load_jet(path: str, n: int, k: int) -> jets.JetCurve:
     data = _load_json(path)
-    if "coefficients" in data:
-        rows, derivative = data["coefficients"], False
-    elif "derivatives" in data:
-        rows, derivative = data["derivatives"], True
-    else:
-        raise InputError(
-            "jet file needs a 'coefficients' or 'derivatives' array")
+    arrays = [a for a in ("coefficients", "derivatives") if a in data]
+    if len(arrays) != 1:
+        raise InputError("jet file needs one 'coefficients' or one "
+                         "'derivatives' array")
+    rows, derivative = data[arrays[0]], arrays == ["derivatives"]
     if (min(n, k) < 1 or not isinstance(rows, list) or len(rows) != k
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise InputError(f"jet file must hold a {k} x {n} array, n, k >= 1")

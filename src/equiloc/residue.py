@@ -28,9 +28,10 @@ It is taken as ``sum_t B_t * sum_e P_e * E_(t+e+1-s_k)``, with ``B_t``
 the ``z_k^t`` slices of ``B`` and ``E_j`` the order-j part of the
 expansions: the small factors meet first, and ``P * B`` is never formed.
 The expansion order needed at each step is read off the numerator slices
-that can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below), so
-results are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked before
-each variable is expanded.
+that can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below) and,
+at the first peel, the largest ``e``, so results are exact;
+:data:`MAX_EXPANSION_ORDER` bounds it, checked before each variable is
+expanded.
 
 Degree budget
 -------------
@@ -53,18 +54,15 @@ none does.  Terms that fail are dropped before any expansion is built.
 The residue variables take the first slots of the :class:`Slate`, in
 contour order, so ``D`` is the sum of a term's leading exponents.
 
-At the first peel a term of ``B`` meets each prefactor slice ``P_e``: a
-term of ``P_e`` adds ``e`` to the ``z_k``-degree and its own degree
-``D'`` in the lower variables to ``D``.  The term of ``B`` can reach with
-``P_e`` if it passes the test with ``need`` lowered by the slice's gain,
-the largest ``D'``, plus ``e`` when the reach counts, over the slice's
-terms.  A term that reaches with no slice is dropped, and ``B_t`` meets
-only the slices, each as a whole, that one of its terms reaches with.
-The largest ``D'`` is needed, not the first or the smallest, because a
-slice need not be homogeneous in the lower variables (a table entry
-``Q_k`` from a q-file need not be).  The factor expansions are built
-once, to the largest order that any pair of a ``B_t`` and a ``P_e`` it
-meets calls for.
+At the first peel a term of ``B`` meets the terms of ``P``: a term of
+``P_e`` adds ``e`` to the ``z_k``-degree and its own degree ``D'`` in the
+lower variables to ``D``.  So ``need`` is lowered by the gain of ``P``,
+the largest ``D'``, plus ``e`` when the reach counts, over its terms; a
+term of ``B`` that fails even so is dropped, and each ``B_t`` left meets
+every ``P_e``.  The largest is needed, not the first: ``P`` need not be
+homogeneous (a table entry ``Q_k`` from a q-file need not be), and a
+smaller gain would drop terms of ``B`` that the largest term of ``P``
+lifts to the residue.
 """
 
 from __future__ import annotations
@@ -101,7 +99,8 @@ class ResidueForm:
         allowed = set(self.order)
         if len(allowed) != len(self.order):
             names = ", ".join(v.name for v in self.order)
-            raise InputError(f"repeated residue variable in the order: {names}")
+            raise InputError(
+                f"repeated residue variable in the order: {names}")
         parts = (self.prefactor, self.numerator, *self.denominators)
         seen = {v for p in parts for v in p.variables() if v.kind == RESIDUE}
         missing = seen - allowed
@@ -141,45 +140,30 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
     expansions, the peel is ``sum_t num_t * sum_e pre_e * E_(t+e+1-s)``:
     the small factors meet first, ``pre * num`` is never formed, and the
     expansions are built once, to the largest order any pair calls for.
-    A term of ``num`` is dropped first unless, for some slice of ``pre``,
-    its degree in the lower slots plus its reach plus that slice's gain is
-    at least ``need`` (the degree budget of the module docstring), and
-    ``num_t`` meets only the slices for which one of its terms passes.
-    With a lower residue variable in some ``b`` the reach is the expansion
-    order ``t + e + 1 - s``, so the test reads the degree in slots
-    ``0..zi`` of both; a slice's gain is the largest such degree among its
-    terms."""
+    A term of ``num`` is dropped first unless its degree in the lower
+    slots plus its reach plus the gain of ``pre`` is at least ``need``
+    (the degree budget of the module docstring).  With a lower residue
+    variable in some ``b`` the reach is the expansion order, so the test
+    reads the degree in slots ``0..zi``; the gain is the largest such
+    degree among the terms of ``pre``."""
     s = len(factors)
     lifts = any(any(m[:zi]) for b, _, _ in factors for m in b)
     upto, low = (zi + 1, need + s - 1) if lifts else (zi, need)
     pres: dict[int, dict] = {}
-    gain: dict[int, int] = {}
     for m, c in pre.items():
-        e, g = m[zi], sum(m[:upto])
-        pres.setdefault(e, {})[m[:zi] + (0,) + m[zi + 1:]] = c
-        gain[e] = max(gain.get(e, g), g)
-    top, emax = max(gain.values(), default=0), max(pres, default=0)
+        pres.setdefault(m[zi], {})[m[:zi] + (0,) + m[zi + 1:]] = c
+    gain = max((sum(m[:upto]) for m in pre), default=0)
+    emax = max(pres, default=0)
     slices: dict[int, dict] = {}
     for m, c in num.items():
         t = m[zi]
-        if t + 1 + emax < s or sum(m[:upto]) + top < low:
+        if t + 1 + emax < s or sum(m[:upto]) + gain < low:
             continue
         slices.setdefault(t, {})[m[:zi] + (0,) + m[zi + 1:]] = c
-    # num_t meets pre_e at expansion order j = t + e + 1 - s (with no
-    # factor the expansion is 1, of order 0 only) if one of its terms
-    # passes the budget with pre_e's gain
-    reads = {}
-    for t, sl in slices.items():
-        pairs = [(e, t + e + 1 - s) for e in pres
-                 if (t + e + 1 >= s if s else t + e == -1)
-                 and (gain[e] == top or any(
-                     sum(k[:zi]) + (t if lifts else 0) + gain[e] >= low
-                     for k in sl))]
-        if pairs:
-            reads[t] = pairs
-    if not reads:
+    if not (slices and pres):
         return {}
-    jtot = max(j for pairs in reads.values() for _, j in pairs)
+    # with no factor the expansion is 1, of order 0 only
+    jtot = max(slices) + emax + 1 - s if s else 0
     if jtot > MAX_EXPANSION_ORDER:
         raise WindowOverflow(
             f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
@@ -211,13 +195,14 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
                     _add_into(new[t_old + j],
                               mul_dense(pterms, tails[j]))
         prod = new
-    # the small factors meet first: num_t times sum_e pre_e * prod[j]
+    # the small factors meet first: num_t times sum_e pre_e * prod[j],
+    # j = t + e + 1 - s
     out: dict = {}
-    for t, pairs in reads.items():
-        near = _sum([prod[j] if pres[e] == one else mul_dense(pres[e], prod[j])
-                     for e, j in pairs if prod[j]])
+    for t, sl in slices.items():
+        near = _sum([prod[j] if pe == one else mul_dense(pe, prod[j])
+                     for e, pe in pres.items()
+                     if 0 <= (j := t + e + 1 - s) <= jtot and prod[j]])
         if near:
-            sl = slices[t]
             _add_into(out, sl if near == one else mul_dense(sl, near))
     return out
 

@@ -32,7 +32,8 @@ _BUILTIN_Q = {
 @dataclass(frozen=True)
 class QTable:
     """Numerator polynomials of the residue formula, indexed by the order k.
-    Orders 1..4 are built in; user-supplied entries may add other orders."""
+    Orders 1..4 are built in; user-supplied entries may add other orders,
+    each once."""
 
     entries: MappingProxyType = field(
         default_factory=lambda: MappingProxyType(dict(_BUILTIN_Q)))
@@ -44,8 +45,8 @@ class QTable:
     def with_entry(self, k: int, poly: Polynomial) -> "QTable":
         if k < 1:
             raise InputError(f"order k must be >= 1, got {k}")
-        if k in _BUILTIN_Q:
-            raise InputError(f"will not override the built-in entry k={k}")
+        if k in self.entries:  # built in, or a q-file naming k twice
+            raise InputError(f"will not override the entry for k={k}")
         bad = [v.name for v in poly.variables()
                if v.kind != RESIDUE or not (1 <= v.index <= k)]
         if bad:
@@ -89,11 +90,11 @@ def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
     The factor with the most terms is the form's numerator, multiplied by
     nothing; ``(-1)^k Q_k``, the Vandermonde and the other factors make up
     its prefactor, which the engine multiplies slice by slice into the
-    denominator expansions at the first peel.  The global sign ``(-1)^k`` cancels the engine's
-    orientation ``(-1)^k``, so the iterated residue of this form is the
-    plain ``(z_1...z_k)^-1`` coefficient of the expansion.  This makes the
-    k = 1 family come out as ``+c_(codim+1)`` and is asserted against
-    classical values for k = 2, 3 in the tests.
+    denominator expansions at the first peel.  The global sign ``(-1)^k``
+    cancels the engine's orientation ``(-1)^k``, so the iterated residue
+    of this form is the plain ``(z_1...z_k)^-1`` coefficient of the
+    expansion.  This makes the k = 1 family come out as ``+c_(codim+1)``
+    and is asserted against classical values for k = 2, 3 in the tests.
     """
     zs = tuple(zvar(l) for l in range(1, k + 1))
     *small, body = (sorted(factors, key=lambda f: len(f.terms))

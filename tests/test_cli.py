@@ -33,6 +33,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class Raw(str):
+    """JSON text written as it is: ``json.dumps`` cannot repeat a key."""
+
+
+def write_json(path, data):
+    path.write_text(data if isinstance(data, Raw) else json.dumps(data))
+
+
 class TestGoldenCommands:
     def test_thom_porteous(self, capsys):
         code, out, _ = run(capsys, "thom", "--k", "1", "--codim", "0")
@@ -159,10 +167,17 @@ class TestResidueJobs:
         {"numerator": "1", "denominators": ["z1"], "order": "z1"},
         ["1", ["z1"], ["z1"]],
         {"numerator": "1", "denominators": ["z1^2"], "order": ["z1"]},
+        # a repeated key, at the top or inside, has no one reading
+        pytest.param(Raw('{"numerator": "z1", "numerator": "1", '
+                         '"denominators": ["l1 - z1"], "order": ["z1"]}'),
+                     id="repeated-key"),
+        pytest.param(Raw('{"numerator": "1", "denominators": ["z1"], '
+                         '"order": ["z1"], "extra": {"a": 1, "a": 2}}'),
+                     id="repeated-inner-key"),
     ])
     def test_malformed_job_exits_2(self, capsys, tmp_path, job):
         path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
+        write_json(path, job)
         code, out, err = run(capsys, "residue", "--job", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
@@ -478,11 +493,15 @@ class TestScanAndUserTables:
             lambda v: v.index if v.name.startswith("c") else 0)
         assert degrees == {5}
 
-    @pytest.mark.parametrize("table", [{"5": 7}, ["z1"], {"5": None},
-                                       {"0": "1"}])
+    @pytest.mark.parametrize("table", [
+        {"5": 7}, ["z1"], {"5": None}, {"0": "1"},
+        # two keys that name one order
+        {"05": "z1", "5": "z2"},
+        pytest.param(Raw('{"5": "z1", "5": "z2"}'), id="repeated-key"),
+    ])
     def test_bad_q_file_exits_2(self, capsys, tmp_path, table):
         qfile = tmp_path / "q.json"
-        qfile.write_text(json.dumps(table))
+        write_json(qfile, table)
         code, out, err = run(capsys, "thom", "--k", "2", "--q-file",
                              str(qfile))
         assert (code, out) == (2, "")
@@ -562,10 +581,14 @@ class TestJetCommands:
         ({"coefficients": 7}, 2, 1),
         ({"coefficients": []}, 0, 0),
         ({"coefficients": [[]]}, 0, 1),
+        ({"coefficients": [[1, 2]], "derivatives": [[3, 4]]}, 2, 1),
+        pytest.param(Raw('{"coefficients": [[1, 2]], '
+                         '"coefficients": [[3, 4]]}'), 2, 1,
+                     id="repeated-key"),
     ])
     def test_bad_jet_file_exits_2(self, capsys, tmp_path, data, n, k):
         path = tmp_path / "jet.json"
-        path.write_text(json.dumps(data))
+        write_json(path, data)
         for command in ("rho", "minors"):
             code, out, err = run(capsys, command, "--n", str(n), "--k",
                                  str(k), "--jet", str(path))

@@ -82,6 +82,20 @@ class TestIteratedResidue:
                            "the limit 256"):
             res(num, ["z1 - z2"], (Z1, Z2))
 
+    def test_window_overflow_counts_the_prefactor(self):
+        # the prefactor z2^3 adds 3 to the order the body z2^(N-3)/z1
+        # calls for, so N = 256 is the largest order that runs
+        def form(top):
+            body = LaurentSeries({Monomial.make([(Z2, top - 3),
+                                                 (Z1, -1)]): 1})
+            return ResidueForm(body, (parse_polynomial("z1 - z2"),),
+                               (Z1, Z2), P.var(Z2) ** 3)
+
+        assert iterated_residue(form(256)) == 0
+        with pytest.raises(WindowOverflow, match="order 257 in z2 exceeds "
+                           "the limit 256"):
+            iterated_residue(form(257))
+
     def test_result_has_no_residue_variables(self):
         from equiloc.algebra import RESIDUE
         z = P.var(Z1)
@@ -285,10 +299,10 @@ class TestPrefactor:
             P.one(), tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
         assert value == 1 == res(prefactor, dens, (Z1, Z2))
 
-    def test_each_slice_keeps_its_own_budget(self):
-        # with the same factors, the z2-slices z1^2 and z1^3 z2 of the
-        # prefactor meet the body terms 1 and z2^-1; z1^2 brings the
-        # degree 2 that 1 needs, though its gain is below the other's
+    def test_every_slice_meets_the_body_terms_that_pass(self):
+        # with the same factors, the body terms 1 and z2^-1 pass with the
+        # prefactor's gain 3, from z1^3 z2, and meet both of its z2-slices;
+        # 1 reaches the residue only with z1^2, whose degree is below 3
         prefactor = parse_polynomial("z1^2 + z1^3*z2")
         body = LaurentSeries({Monomial.make([]): 1,
                               Monomial.make([(Z2, -1)]): 1})
@@ -296,6 +310,13 @@ class TestPrefactor:
         value = iterated_residue(ResidueForm(
             body, tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
         assert value == -5 == res(prefactor * body, dens, (Z1, Z2))
+
+    def test_zero_prefactor_builds_no_expansion(self):
+        # the body alone would call for order 300 in z2
+        body = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
+        form = ResidueForm(body, (parse_polynomial("z1 - z2"),), (Z1, Z2),
+                           P.zero())
+        assert iterated_residue(form) == 0
 
     def test_prefactor_variable_missing_from_order(self):
         with pytest.raises(InputError, match="not in the order: z2"):

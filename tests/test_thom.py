@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from equiloc.algebra import CHERN, Polynomial, parse_polynomial
+from equiloc import hyperbolicity, residue, thom
+from equiloc.algebra import CHERN, RESIDUE, Polynomial, parse_polynomial
 from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           check_tail_size, denominator_triples,
@@ -42,6 +43,11 @@ class TestQTable:
     def test_builtin_not_overridable(self):
         with pytest.raises(InputError):
             QTable.builtin().with_entry(4, P.one())
+
+    def test_user_entry_not_overridable(self):
+        q = QTable.builtin().with_entry(5, parse_polynomial("z1"))
+        with pytest.raises(InputError, match="override the entry for k=5"):
+            q.with_entry(5, parse_polynomial("z2"))
 
     def test_entry_variables_validated(self):
         with pytest.raises(InputError):
@@ -104,6 +110,42 @@ class TestGoldenValues:
         assert weighted_degrees(numerator) == {k * (codim + 1)}
         if k == 1:
             assert len(numerator.terms) == 1
+
+
+class TestBuiltinPrefactors:
+    """Every prefactor the package builds is homogeneous in z, so the
+    residue engine's one degree-budget gain for the whole prefactor is as
+    tight as a gain per z_k-slice would be."""
+
+    @staticmethod
+    def z_degrees(form) -> set[int]:
+        return form.prefactor.weighted_degrees(
+            lambda v: 1 if v.kind == RESIDUE else 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("codim", [0, 1, 2])
+    def test_thom_forms(self, k, codim):
+        form = residue_form(k, codim, QTable.builtin())
+        assert len(self.z_degrees(form)) == 1
+
+    def test_generating_and_tower_forms(self, monkeypatch):
+        forms = []
+
+        def capture(form):
+            forms.append(form)
+            return residue.iterated_residue(form)
+
+        monkeypatch.setattr(thom, "iterated_residue", capture)
+        monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
+        for k in range(1, 5):
+            generating_coefficient(k, (0,) * (k - 1) + (1 - k,))
+        for n in range(1, 4):
+            # the tower form and the leading_constant form
+            hyperbolicity.intersection_polynomial(n)
+            hyperbolicity.euler_characteristic(n)
+        assert len(forms) == 4 + 3 * 3
+        for form in forms:
+            assert len(self.z_degrees(form)) == 1
 
 
 class TestOracle:
