@@ -28,10 +28,9 @@ It is taken as ``sum_t B_t * sum_e P_e * E_(t+e+1-s_k)``, with ``B_t``
 the ``z_k^t`` slices of ``B`` and ``E_j`` the order-j part of the
 expansions: the small factors meet first, and ``P * B`` is never formed.
 The expansion order needed at each step is read off the numerator slices
-that can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below) and,
-at the first peel, the largest ``e``, so results are exact;
-:data:`MAX_EXPANSION_ORDER` bounds it, checked before each variable is
-expanded.
+that can still reach ``z_1^-1 ... z_d^-1`` (the degree budget below), so
+results are exact; :data:`MAX_EXPANSION_ORDER` bounds it, checked before
+each variable is expanded.
 
 Degree budget
 -------------
@@ -54,15 +53,14 @@ none does.  Terms that fail are dropped before any expansion is built.
 The residue variables take the first slots of the :class:`Slate`, in
 contour order, so ``D`` is the sum of a term's leading exponents.
 
-At the first peel a term of ``B`` meets the terms of ``P``: a term of
-``P_e`` adds ``e`` to the ``z_k``-degree and its own degree ``D'`` in the
-lower variables to ``D``.  So ``need`` is lowered by the gain of ``P``,
-the largest ``D'``, plus ``e`` when the reach counts, over its terms; a
-term of ``B`` that fails even so is dropped, and each ``B_t`` left meets
-every ``P_e``.  The largest is needed, not the first: ``P`` need not be
-homogeneous (a table entry ``Q_k`` from a q-file need not be), and a
-smaller gain would drop terms of ``B`` that the largest term of ``P``
-lifts to the residue.
+At the first peel a term of ``P_e`` adds ``e`` to the ``z_k``-degree of
+a term of ``B`` and its own degree ``D'`` in the lower variables to
+``D``.  So ``need`` is lowered by the gain of ``P``, the largest ``D'``,
+plus ``e`` when the reach counts, over its terms; a smaller one, such as
+the first term's, would drop terms that the largest lifts to the residue
+when ``P`` is not homogeneous (a q-file entry ``Q_k`` need not be).  Each
+``B_t`` left meets every ``P_e``, to the largest order of a ``B_t`` and
+a term of ``P`` that pass together.
 """
 
 from __future__ import annotations
@@ -99,8 +97,7 @@ class ResidueForm:
         allowed = set(self.order)
         if len(allowed) != len(self.order):
             names = ", ".join(v.name for v in self.order)
-            raise InputError(
-                f"repeated residue variable in the order: {names}")
+            raise InputError(f"repeated residue variable in the order: {names}")
         parts = (self.prefactor, self.numerator, *self.denominators)
         seen = {v for p in parts for v in p.variables() if v.kind == RESIDUE}
         missing = seen - allowed
@@ -138,32 +135,37 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
     With ``num_t`` and ``pre_e`` the ``z^t`` and ``z^e`` slices of ``num``
     and ``pre`` and ``E_j`` the order-j part of the product of the factor
     expansions, the peel is ``sum_t num_t * sum_e pre_e * E_(t+e+1-s)``:
-    the small factors meet first, ``pre * num`` is never formed, and the
-    expansions are built once, to the largest order any pair calls for.
-    A term of ``num`` is dropped first unless its degree in the lower
-    slots plus its reach plus the gain of ``pre`` is at least ``need``
-    (the degree budget of the module docstring).  With a lower residue
-    variable in some ``b`` the reach is the expansion order, so the test
-    reads the degree in slots ``0..zi``; the gain is the largest such
-    degree among the terms of ``pre``."""
+    the small factors meet first and ``pre * num`` is never formed.  A
+    term of ``num`` is dropped first unless its degree in the lower slots
+    plus its reach plus the gain of ``pre`` is at least ``need`` (the
+    degree budget of the module docstring).  With a lower residue variable
+    in some ``b`` the reach is the expansion order, so the test reads the
+    degree in slots ``0..zi``; the gain is the largest such degree among
+    the terms of ``pre``.  The expansions are built once, to the largest
+    order of a ``num_t`` and a term of ``pre`` that pass together."""
     s = len(factors)
     lifts = any(any(m[:zi]) for b, _, _ in factors for m in b)
     upto, low = (zi + 1, need + s - 1) if lifts else (zi, need)
     pres: dict[int, dict] = {}
     for m, c in pre.items():
         pres.setdefault(m[zi], {})[m[:zi] + (0,) + m[zi + 1:]] = c
-    gain = max((sum(m[:upto]) for m in pre), default=0)
-    emax = max(pres, default=0)
+    gains = {(m[zi], sum(m[:upto])) for m in pre}
+    top, emax = max((g for _, g in gains), default=0), max(pres, default=0)
     slices: dict[int, dict] = {}
     for m, c in num.items():
         t = m[zi]
-        if t + 1 + emax < s or sum(m[:upto]) + gain < low:
+        if t + 1 + emax < s or sum(m[:upto]) + top < low:
             continue
         slices.setdefault(t, {})[m[:zi] + (0,) + m[zi + 1:]] = c
-    if not (slices and pres):
+    # the largest order j = t + e + 1 - s of a num_t and a term of pre_e
+    # that pass the budget together (each term kept passes with the top
+    # gain); with no factor, the expansion is 1
+    jtot = max((t + e + 1 - s for t, sl in slices.items() for e, g in gains
+                if g == top or any(sum(k[:zi]) + (t if lifts else 0) + g
+                                   >= low for k in sl)),
+               default=-1) if s else 0
+    if jtot < 0:
         return {}
-    # with no factor the expansion is 1, of order 0 only
-    jtot = max(slices) + emax + 1 - s if s else 0
     if jtot > MAX_EXPANSION_ORDER:
         raise WindowOverflow(
             f"expansion order {jtot} in {ws.vars[zi].name} exceeds the "
@@ -196,7 +198,7 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
                               mul_dense(pterms, tails[j]))
         prod = new
     # the small factors meet first: num_t times sum_e pre_e * prod[j],
-    # j = t + e + 1 - s
+    # j = t + e + 1 - s; a pair above jtot cannot reach the residue
     out: dict = {}
     for t, sl in slices.items():
         near = _sum([prod[j] if pe == one else mul_dense(pe, prod[j])

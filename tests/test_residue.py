@@ -311,6 +311,19 @@ class TestPrefactor:
             body, tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
         assert value == -5 == res(prefactor * body, dens, (Z1, Z2))
 
+    @pytest.mark.parametrize("body,prefactor", [
+        ("1", "z2^300 + z1^5"), ("z2^200 + z1^2", "z2^200 + z1^2")])
+    def test_terms_that_reach_with_no_partner_set_no_order(self, body,
+                                                           prefactor):
+        # z2's peel needs lower degree 2 and z2's factor lifts nothing, so
+        # z2^300 meets no term of the body 1, and z2^200 z2^200 (order 400)
+        # is no pair although each z2^200 passes with the other's z1^2
+        body, prefactor = parse_polynomial(body), parse_polynomial(prefactor)
+        dens = ["z2", "z1 + 1", "z1 + 2", "z1 + 3"]
+        value = iterated_residue(ResidueForm(
+            body, tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
+        assert value == res(prefactor * body, dens, (Z1, Z2))
+
     def test_zero_prefactor_builds_no_expansion(self):
         # the body alone would call for order 300 in z2
         body = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
