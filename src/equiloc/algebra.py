@@ -153,8 +153,10 @@ def _sorted_terms(terms):
 
 def format_rational(x) -> str:
     """``a`` or ``a/b`` in lowest terms, as ``str`` of a ``Fraction`` prints
-    it, also for numbers longer than the int-to-str digit limit."""
-    x = Fraction(x)
+    it, also for numbers longer than the int-to-str digit limit.  An int or
+    a Fraction is read as it is; anything else goes through ``Fraction``."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     n, d = x.numerator, x.denominator
     try:
         return str(n) if d == 1 else f"{n}/{d}"
@@ -471,7 +473,11 @@ def vandermonde(vs) -> Polynomial:
 def compositions(total: int, parts: int):
     """Every tuple of ``parts >= 1`` nonnegative integers summing to
     ``total``, in lexicographic order: stars and bars, with the bars at
-    each (parts - 1)-subset of the total + parts - 1 slots in turn."""
+    each (parts - 1)-subset of the total + parts - 1 slots in turn.  One
+    part is ``(total,)`` itself, with no slots to choose from."""
+    if parts == 1:
+        yield (total,)
+        return
     end = total + parts - 1
     for bars in itertools.combinations(range(end), parts - 1):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))

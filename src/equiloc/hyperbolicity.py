@@ -204,9 +204,13 @@ def _todd_class(n: int, d_poly: Polynomial) -> list:
 
 def euler_characteristic(n: int, d=None,
                          q: QTable | None = None) -> EulerResult:
-    """Euler characteristic of the weight-m invariant-jet sheaf on a smooth
-    degree-d hypersurface, as an exact polynomial in m (degree <= n^2).
-    ``d=None`` keeps the degree symbolic."""
+    """A polynomial in m for the Euler characteristic χ of the weight-m
+    invariant-jet sheaf on a smooth degree-d hypersurface.  For n = 1 it
+    is χ exactly.  For n >= 2 it holds only the powers m^(n^2 − n) ..
+    m^(n^2), and only the leading coefficient, that of m^(n^2), is χ's:
+    the form carries no Todd class of the fibre directions.  At n = 2,
+    d = 5 it reads 0, −205/4 and −870 at m = 0, 1, 2, where χ is 5, −505
+    and −3340.  ``d=None`` keeps the degree symbolic."""
     qn = _table_entry(n, q, n * n - n)
     d_poly = (Polynomial.var(D_VAR) if d is None
               else Polynomial.rational(Fraction(d)))

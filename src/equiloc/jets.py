@@ -5,6 +5,14 @@ v_i = f^(i)/i!.  Entries may be exact rationals or symbolic scalars
 (:class:`~equiloc.algebra.Polynomial`); all operations only add and
 multiply, so both work.
 
+The embedding matrix and its minors run on integers.  With L the least
+common multiple of a rational jet's denominators, the jet u_i = L^i·v_i
+has integer entries; row j of the embedding matrix is homogeneous of
+weight j in the v_i, so it scales by L^j, and every k x k minor by
+L^(k(k+1)/2).  :func:`rho` and :func:`invariant_minors` build everything
+from u and divide each nonzero entry once at the end.  A jet with a
+Polynomial entry takes the same path with L = 1.
+
 Basis order of Sym^<=k C^n is normative for the embedding matrix and its
 minors: degree-major, and inside each degree the monomials in decreasing
 lexicographic order (e1^p first, en^p last).  Composition acts on the
@@ -39,8 +47,10 @@ MAX_RHO_WORK = 1_000_000
 
 
 def _value(x):
-    """Normalize a scalar entry: int/Fraction stay exact, Polynomial passes."""
-    if isinstance(x, Polynomial):
+    """Normalize a scalar entry: an int stays an int, a Fraction a Fraction
+    and a Polynomial passes; anything else becomes a Fraction.  So an
+    integer jet keeps :func:`rho` and :func:`invariant_minors` on ints."""
+    if isinstance(x, (int, Fraction, Polynomial)):
         return x
     return Fraction(x)
 
@@ -160,17 +170,41 @@ def _linear_form(vector):
     return out
 
 
+def _integer_jet(curve: JetCurve) -> tuple[JetCurve, int]:
+    """The jet u_i = L^i·v_i and L, the least common multiple of the
+    denominators of the entries; u has int entries.  A jet with a
+    Polynomial entry is its own u, with L = 1."""
+    entries = [x for row in curve.coefficients for x in row]
+    if any(isinstance(x, Polynomial) for x in entries):
+        return curve, 1
+    scale = math.lcm(*(x.denominator for x in entries))
+    rows = [[x.numerator * (scale ** i // x.denominator) for x in row]
+            for i, row in enumerate(curve.coefficients, start=1)]
+    return JetCurve(rows, curve.n), scale
+
+
+def _unscale(values, den) -> list:
+    """Each nonzero value divided by ``den`` once; ``den = 1`` divides
+    nothing, so ints stay ints and Polynomials pass."""
+    if den == 1:
+        return list(values)
+    return [Fraction(x, den) if x else 0 for x in values]
+
+
 def rho(curve: JetCurve):
     """The k x dim(Sym^<=k C^n) embedding matrix: row j collects, over all
     ordered compositions j = a_1 + ... + a_i, the polynomial products
-    v_(a_1) ... v_(a_i), written in the documented monomial basis."""
+    v_(a_1) ... v_(a_i), written in the documented monomial basis.  The
+    products run on the integer jet u_i = L^i·v_i, and each nonzero entry
+    of row j is divided by L^j once at the end."""
     k, n = curve.k, curve.n
     work = (k * k + n) * sym_dimension(n, k)
     if work > MAX_RHO_WORK:
         raise SizeLimitExceeded(
             f"rho of a {k}-jet in C^{n}: (k^2 + n) * columns = {work}, over "
             f"the limit of {MAX_RHO_WORK}")
-    vs = [_linear_form(row) for row in curve.coefficients]
+    scaled, scale = _integer_jet(curve)
+    vs = [_linear_form(row) for row in scaled.coefficients]
     # rows[j - 1] = g_j, the sum over all compositions of j; split off the
     # first part a: g_j = v_j + sum_(a<j) v_a g_(j-a)
     rows: list[dict] = []
@@ -180,7 +214,8 @@ def rho(curve: JetCurve):
             _add_into(acc, mul_dense(vs[a - 1], rows[j - a - 1]))
         rows.append(acc)
     basis = sym_basis(n, k)
-    return [[row.get(e, 0) for e in basis] for row in rows]
+    return [_unscale((row.get(e, 0) for e in basis), scale ** j)
+            for j, row in enumerate(rows, start=1)]
 
 
 def _check_minor_count(k: int, cols: int) -> None:
@@ -228,6 +263,10 @@ def kxk_minors(matrix) -> list:
 def invariant_minors(curve: JetCurve) -> list:
     """The k x k minors of the embedding matrix, lexicographic in the
     column subsets; invariant under unipotent reparametrization.  The
-    size limit is checked from n and k before the matrix is built."""
-    _check_minor_count(curve.k, sym_dimension(curve.n, curve.k))
-    return kxk_minors(rho(curve))
+    size limit is checked from n and k before the matrix is built.  The
+    minors are those of the integer jet u_i = L^i·v_i, each nonzero one
+    divided by L^(k(k+1)/2) once at the end."""
+    k = curve.k
+    _check_minor_count(k, sym_dimension(curve.n, k))
+    scaled, scale = _integer_jet(curve)
+    return _unscale(kxk_minors(rho(scaled)), scale ** (k * (k + 1) // 2))

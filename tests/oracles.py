@@ -15,6 +15,9 @@ the hyperbolicity module: every product multiplied out in a plain scalar
 ``H``, with no cut at H^n, and coefficients read by
 ``Polynomial.coefficient``.  :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
+:func:`fraction_rho` is the reference for the jet embedding matrix: the
+composition sum of the jet's own entries in ``Fraction`` arithmetic, with
+no integer scaling.
 :func:`flag_fixed_sum` and :func:`grass_sum_at` are the references for the
 integer fixed-point kernels: each fixed point's value by
 ``Polynomial.evaluate`` at the rational weights, summed in ``Fraction``
@@ -87,6 +90,28 @@ def permutation_det(rows):
             term = rows[i][perm[i]] * term
         acc = acc + term
     return acc
+
+
+def fraction_rho(curve):
+    """Reference for :func:`equiloc.jets.rho`: g_j = v_j + Σ_(a<j) v_a·g_(j−a)
+    over exponent-tuple dictionaries of ``Fraction`` coefficients, read in
+    the degree-major, decreasing-lex basis of Sym^<=k C^n."""
+    n, k = curve.n, curve.k
+    vs = [{tuple(int(i == c) for i in range(n)): Fraction(x)
+           for c, x in enumerate(row) if x} for row in curve.coefficients]
+    rows: list[dict] = []
+    for j in range(1, k + 1):
+        acc = dict(vs[j - 1])
+        for a in range(1, j):
+            for ea, ca in vs[a - 1].items():
+                for eb, cb in rows[j - a - 1].items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    acc[e] = acc.get(e, Fraction(0)) + ca * cb
+        rows.append(acc)
+    basis = sorted((e for e in itertools.product(range(k + 1), repeat=n)
+                    if 1 <= sum(e) <= k),
+                   key=lambda e: (sum(e), tuple(-x for x in e)))
+    return [[row.get(e, Fraction(0)) for e in basis] for row in rows]
 
 
 def _to_terms(p: Polynomial) -> dict:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              MAX_POWER_TERMS, LaurentSeries,
                              Polynomial, compositions, cvar,
-                             parse_polynomial, svar, term_list, wvar, zvar)
+                             format_rational, parse_polynomial, svar, term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
 
@@ -134,12 +137,53 @@ class TestCompositions:
                 assert list(compositions(total, parts)) == \
                     list(_recursive_compositions(total, parts))
 
+    def test_matches_brute_force(self):
+        for total in range(7):
+            for parts in range(1, 5):
+                brute = [t for t in itertools.product(range(total + 1),
+                                                      repeat=parts)
+                         if sum(t) == total]
+                assert list(compositions(total, parts)) == brute
+
+    def test_one_part_draws_no_slots(self):
+        # one part used to copy range(total) whole: 399 MB at 10^7
+        start = time.perf_counter()
+        assert list(compositions(10 ** 12, 1)) == [(10 ** 12,)]
+        assert time.perf_counter() - start < 1
+
     def test_many_parts(self):
         # past the recursion limit, which a recursive generator would hit
         tuples = list(compositions(1, 2000))
         assert len(tuples) == 2000
         assert tuples[0] == (0,) * 1999 + (1,)
         assert tuples[-1] == (1,) + (0,) * 1999
+
+
+class TestFormatRational:
+    def test_ints_and_fractions(self):
+        assert format_rational(0) == "0"
+        assert format_rational(7) == "7"
+        assert format_rational(Fraction(6, 4)) == "3/2"
+        assert format_rational(Fraction(4, 2)) == "2"
+
+    def test_negatives(self):
+        assert format_rational(-7) == "-7"
+        assert format_rational(Fraction(-3, 4)) == "-3/4"
+
+    def test_other_types_go_through_fraction(self):
+        assert format_rational(decimal.Decimal("2.5")) == "5/2"
+        assert format_rational("-6/4") == "-3/2"
+
+    def test_past_the_digit_limit(self):
+        # 3^10000 has 4,772 digits, past the int-to-str limit of 4,300
+        big = 3 ** 10000
+        text = format_rational(-big)
+        assert len(text) == 4_773
+        assert decimal.Decimal(text) == -big
+        num, den = format_rational(Fraction(big, 2)).split("/")
+        assert (decimal.Decimal(num), den) == (big, "2")
+        num, den = format_rational(Fraction(-2, big)).split("/")
+        assert (num, decimal.Decimal(den)) == ("-2", big)
 
 
 class TestGrammar:

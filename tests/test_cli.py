@@ -396,13 +396,17 @@ class TestDeterminism:
         assert a == b == "1\n"
 
 
-    def test_stdout_independent_of_hash_seed(self):
+    def test_stdout_independent_of_hash_seed(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"coefficients": [
+            ["1", "-1/2"], ["2/3", "0"], ["-5/4", "3/7"]]}))
         commands = [
             ("thom", "--k", "3", "--codim", "1"),
             ("gg", "--n", "2", "--delta", "1/24", "--d", "100"),
             ("euler", "--n", "2", "--d", "50"),
             ("flag-check", "--n", "4", "--d", "2", "--trials", "3"),
+            ("minors", "--n", "2", "--k", "3", "--jet", str(jet)),
         ]
         for argv in commands:
             outputs = set()

@@ -16,7 +16,7 @@ from equiloc.errors import SingularLinearPart, TooFewColumns
 from equiloc.jets import (JetCurve, ReparamJet, compose, gk_matrix,
                           invariant_minors, kxk_minors, rho, sym_basis,
                           sym_dimension)
-from oracles import permutation_det
+from oracles import fraction_rho, permutation_det
 
 P = Polynomial
 
@@ -37,6 +37,25 @@ def random_reparam(rng: random.Random, k: int,
     tail = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             for _ in range(k - 1)]
     return ReparamJet([head] + tail)
+
+
+@st.composite
+def drawn_jets(draw, entries) -> JetCurve:
+    """A k-jet in C^n, n <= 3 and k <= 4, of the given entries; sometimes
+    one whole row is zero."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, k - 1))] = [0] * n
+    return JetCurve(rows)
+
+
+#: Rationals with denominators 1..12, zero and negative ones included.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
 
 
 def identity(k: int) -> ReparamJet:
@@ -231,6 +250,46 @@ class TestMinors:
         base = invariant_minors(gamma)
         factor = alpha ** (k * (k + 1) // 2)
         assert scaled == [factor * b for b in base]
+
+
+class TestIntegerJets:
+    """rho and the minors run on u_i = L^i·v_i and divide once at the end;
+    the references multiply the jet's own entries in Fraction arithmetic."""
+
+    @given(drawn_jets(RATIONALS))
+    @settings(max_examples=150, deadline=None)
+    def test_rho_matches_fraction_composition_sum(self, gamma):
+        matrix = rho(gamma)
+        assert matrix == fraction_rho(gamma)
+        assert all(type(x) in (int, Fraction) for row in matrix for x in row)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_minors_match_permutation_expansion(self, data):
+        gamma = data.draw(drawn_jets(RATIONALS))
+        minors = invariant_minors(gamma)
+        assert all(type(m) in (int, Fraction) for m in minors)
+        matrix = fraction_rho(gamma)
+        assert minors == kxk_minors(matrix)
+        # every minor of the small matrices, a drawn sample of the large
+        subsets = list(itertools.combinations(range(len(matrix[0])),
+                                              gamma.k))
+        picks = range(len(subsets))
+        if len(subsets) > 200:
+            picks = data.draw(st.lists(st.integers(0, len(subsets) - 1),
+                                       min_size=1, max_size=40))
+        for i in picks:
+            assert minors[i] == permutation_det(
+                [[row[j] for j in subsets[i]] for row in matrix])
+
+    @given(drawn_jets(st.integers(-9, 9)))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_jet_gives_int_minors(self, gamma):
+        # L = 1: nothing is divided, so no Fraction is made
+        assert all(type(x) is int for row in rho(gamma) for x in row)
+        minors = invariant_minors(gamma)
+        assert all(type(m) is int for m in minors)
+        assert minors == kxk_minors(fraction_rho(gamma))
 
 
 GOLDEN_JET = JetCurve.from_derivatives(
