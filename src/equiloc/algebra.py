@@ -14,7 +14,10 @@ two polynomials goes through :func:`_mul_terms`: a one-term operand is
 merged into each term of the other, and any other pair goes to one
 kernel, :func:`mul_dense`, on terms keyed by dense exponent tuples over a
 :class:`Slate` of variables (the residue engine and the jet composition
-call the kernel directly).
+call the kernel directly).  The text grammar, :func:`parse_polynomial`,
+evaluates on dense exponent tuples over one slate per text: a one-term
+``*`` adds tuples, a one-term ``^`` scales one, any other product goes to
+:func:`mul_dense`, and the monomials are built once, at the end.
 
 Coefficients are exact rationals (stored as ``int`` when the denominator
 is 1).  The canonical term order used for serialization is graded
@@ -27,6 +30,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import re
 from fractions import Fraction
 from operator import add, attrgetter, mul
 
@@ -36,9 +40,9 @@ RESIDUE, WEIGHT, CHERN, SCALAR = 0, 1, 2, 3
 
 
 class Var:
-    """Interned variable; identity equality, fixed total order."""
+    """Interned variable; identity equality and hash, fixed total order."""
 
-    __slots__ = ("kind", "index", "name", "sort_key", "_hash")
+    __slots__ = ("kind", "index", "name", "sort_key")
     _registry: dict[tuple, "Var"] = {}
     nilpotency = None  # nothing is nilpotent; perfbench/tracing.py reads it
 
@@ -51,18 +55,17 @@ class Var:
             v.index = index
             v.name = name
             v.sort_key = (kind, index if index is not None else 0, name)
-            v._hash = hash(key)
             cls._registry[key] = v
         return v
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
     def __repr__(self):
         return f"Var({self.name})"
+
+
+_SORT_KEY = attrgetter("sort_key")
 
 
 def zvar(i: int) -> Var:
@@ -210,8 +213,7 @@ class Slate:
 
     def __init__(self, variables, first=()):
         rest = set(variables).difference(first)
-        self.vars = tuple(first) + tuple(sorted(rest,
-                                                key=lambda v: v.sort_key))
+        self.vars = (*first, *sorted(rest, key=_SORT_KEY))
         self.index = {v: i for i, v in enumerate(self.vars)}
 
     def dense(self, terms: dict) -> dict:
@@ -225,11 +227,9 @@ class Slate:
         return out
 
     def sparse(self, dense: dict) -> dict:
-        out = {}
-        for key, c in dense.items():
-            m = Monomial(tuple((v, e) for v, e in zip(self.vars, key) if e))
-            out[m] = c
-        return out
+        vs = self.vars
+        return {Monomial(tuple(itertools.compress(zip(vs, key), key))): c
+                for key, c in dense.items()}
 
 
 def mul_dense(a: dict, b: dict) -> dict:
@@ -335,7 +335,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, mul)
+        return _power(self, n, mul, Polynomial.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -411,10 +411,9 @@ class Polynomial:
         return f"{type(self).__name__}({self})"
 
 
-def _power(base: Polynomial, n: int, product) -> Polynomial:
-    """``base ** n`` by squaring and multiplying, each product formed by
-    ``product(a, b)``."""
-    out = Polynomial.one()
+def _power(base, n: int, product, out):
+    """``out * base ** n`` by squaring and multiplying, each product formed
+    by ``product(a, b)``; ``out`` is the one of ``base``'s ring."""
     while n:
         if n & 1:
             out = product(out, base)
@@ -487,6 +486,11 @@ def compositions(total: int, parts: int):
 
 _VAR_KINDS = {"z": zvar, "l": wvar, "c": cvar}
 
+#: One token per match, after any whitespace: a run of decimal digits, a
+#: run of word characters (a name; :func:`_tokenize` checks that it starts
+#: with a letter or ``_``), an operator, or any other character.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+
 
 def _literal(digits: str) -> int:
     try:
@@ -502,30 +506,20 @@ def _classify(name: str) -> Var:
     return svar(name)
 
 
-def _tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            yield ("int", _literal(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("var", text[i:j])
-            i = j
-        elif ch in "+-*^()/":
-            yield (ch, ch)
-            i += 1
-        else:
-            raise InputError(f"unexpected character {ch!r} in polynomial text")
-    yield ("end", None)
+def _tokenize(text: str) -> list:
+    tokens = []
+    for digits, name, op, other in _TOKEN.findall(text):
+        if digits:
+            tokens.append(("int", _literal(digits)))
+        elif op:
+            tokens.append((op, op))
+        elif name[:1].isalpha() or name[:1] == "_":
+            tokens.append(("var", name))
+        else:  # a stray character, or a name led by a numeric one like ²
+            raise InputError(f"unexpected character {(name or other)[0]!r} "
+                             "in polynomial text")
+    tokens.append(("end", None))
+    return tokens
 
 
 #: Deepest nesting of parentheses and unary minus signs the grammar
@@ -539,8 +533,8 @@ MAX_POWER_TERMS = 100_000
 
 #: Most work one product in polynomial text may cost, counted as its term
 #: pairs times the number of variables in the text (the exponents added
-#: per pair).  Each product a ``*``, or the expansion of a ``^``, forms is
-#: checked before it is formed.
+#: per pair; ``z1`` and ``z01`` are one variable).  Each product a ``*``,
+#: or the expansion of a ``^``, forms is checked before it is formed.
 MAX_PRODUCT_WORK = 200_000
 
 #: Most bits a coefficient in polynomial text may reach, numerator or
@@ -552,10 +546,14 @@ MAX_PRODUCT_WORK = 200_000
 MAX_COEFFICIENT_BITS = 100_000
 
 
-def _height_bits(p: Polynomial) -> int:
+def _height_bits(terms: dict) -> int:
     """ceil(log2 max(N, L)), the bits of the height that bounds products
-    (see :data:`MAX_COEFFICIENT_BITS`)."""
-    cs = p.terms.values()
+    (see :data:`MAX_COEFFICIENT_BITS`) of the polynomial with these terms;
+    for one term c, max(N, L) is max(|numerator|, denominator) of c."""
+    if len(terms) == 1:
+        c, = terms.values()
+        return (max(abs(c.numerator), c.denominator) - 1).bit_length()
+    cs = terms.values()
     den = math.lcm(*map(attrgetter("denominator"), cs))
     return (max(int(sum(map(abs, cs)) * den), den) - 1).bit_length()
 
@@ -568,12 +566,30 @@ def _check_bits(bits: int) -> None:
 
 
 class _Parser:
+    """Evaluates the text on term dicts keyed by dense exponent tuples over
+    one :class:`Slate` of the text's variables, built once after
+    tokenizing; the :class:`Polynomial` is built once, at the end."""
+
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.width = max(len({v for kind, v in self.tokens
-                              if kind == "var"}), 1)
+        found, unknown = {}, 0
+        for name in {v for kind, v in self.tokens if kind == "var"}:
+            try:
+                found[name] = _classify(name)
+            except InputError:  # raised where the parser reaches the name
+                unknown += 1
+        slate = self.slate = Slate(found.values())
+        n = len(slate.vars)
+        self.zero = (0,) * n
+        self.units = {}
+        for name, v in found.items():
+            key = [0] * n
+            key[slate.index[v]] = 1
+            self.units[name] = tuple(key)
+        # a name that no variable can take counts as one of its own
+        self.width = max(n + unknown, 1)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -590,59 +606,69 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        terms = self.expr()
         if self.peek() != "end":
             raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
-        return p
+        for m, c in terms.items():
+            if type(c) is not int:
+                terms[m] = _num(c)
+        return Polynomial(self.slate.sparse(terms))
 
-    def product(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        pairs = len(a.terms) * len(b.terms)
+    def product(self, a: dict, b: dict) -> dict:
+        pairs = len(a) * len(b)
         if pairs * self.width > MAX_PRODUCT_WORK:
             raise SizeLimitExceeded(
                 f"a product of {pairs} term pairs in a {self.width}-variable "
                 f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
                 "variables")
         _check_bits(_height_bits(a) + _height_bits(b))
-        return a * b
+        if len(a) != 1:
+            a, b = b, a
+        if len(a) != 1:
+            return mul_dense(a, b)
+        (m0, c0), = a.items()  # exponents add, so distinct keys stay so
+        if m0 == self.zero:
+            return {m: c * c0 for m, c in b.items()}
+        return {tuple(map(add, m, m0)): c * c0 for m, c in b.items()}
 
-    def expr(self) -> Polynomial:
-        negate = self.peek() == "-"
-        if self.peek() in "+-":
+    def expr(self) -> dict:
+        sign = self.peek()
+        if sign in "+-":
             self.next()
-        acc: dict = {}
-        _add_into(acc, self.term().terms, -1 if negate else 1)
+        acc = self.term()  # every value the parser forms is a new dict
+        if sign == "-":
+            acc = {m: -c for m, c in acc.items()}
         while self.peek() in "+-":
             op = self.next()[0]
-            _add_into(acc, self.term().terms, 1 if op == "+" else -1)
-        return Polynomial(acc)
+            _add_into(acc, self.term(), 1 if op == "+" else -1)
+        return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.power()
         while self.peek() == "*":
             self.next()
             acc = self.product(acc, self.power())
         return acc
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.next()
             exp = self.expect("int")[1]
-            t = max(len(base.terms), 1)
+            t = max(len(base), 1)
             bound = math.comb(exp + t - 1, t - 1)
             if bound > MAX_POWER_TERMS:
                 raise SizeLimitExceeded(
                     f"a {t}-term polynomial to the power {exp} may have "
                     f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
             _check_bits(exp * _height_bits(base))
-            if len(base.terms) == 1:
-                (m, c), = base.terms.items()
-                m = Monomial.make((v, e * exp) for v, e in m.exps)
-                return Polynomial({m: _num(c ** exp)})
-            return _power(base, exp, self.product)
+            if len(base) == 1:
+                (m, c), = base.items()
+                return {tuple([e * exp for e in m]): c ** exp}
+            return _power(base, exp, self.product, {self.zero: 1})
         return base
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, value = self.next()
         if kind == "int":
             if self.peek() == "/":
@@ -650,10 +676,12 @@ class _Parser:
                 den = self.expect("int")[1]
                 if den == 0:
                     raise InputError("zero denominator in rational literal")
-                return Polynomial.rational(Fraction(value, den))
-            return Polynomial.rational(value)
+                value = _num(Fraction(value, den))
+            return {self.zero: value} if value else {}
         if kind == "var":
-            return Polynomial.var(_classify(value))
+            if value not in self.units:
+                _classify(value)  # raises what it raised in __init__
+            return {self.units[value]: 1}
         if kind not in ("-", "("):
             raise InputError(f"unexpected token {value!r} in polynomial text")
         self.depth += 1
@@ -661,7 +689,7 @@ class _Parser:
             raise InputError(
                 f"polynomial text nests deeper than {MAX_NESTING} levels")
         if kind == "-":
-            p = -self.atom()
+            p = {m: -c for m, c in self.atom().items()}
         else:
             p = self.expr()
             self.expect(")")

@@ -231,7 +231,7 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
                  | form.prefactor.variables())
     for w in form.denominators:
         z, a, rest = _split(w, rank)
-        groups.setdefault(z, []).append((rest, a, _height_bits(w)))
+        groups.setdefault(z, []).append((rest, a, _height_bits(w.terms)))
         variables |= w.variables()
     if not order:  # nothing to peel
         return form.prefactor * form.numerator

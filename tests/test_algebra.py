@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
-                             MAX_POWER_TERMS, LaurentSeries,
+                             MAX_POWER_TERMS, MAX_PRODUCT_WORK, LaurentSeries,
                              Polynomial, compositions, cvar,
                              format_rational, parse_polynomial, svar, term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
@@ -186,6 +186,33 @@ class TestFormatRational:
         assert (num, decimal.Decimal(den)) == ("-2", big)
 
 
+def _expressions():
+    """(text, value) of random expression trees: the text is what the
+    grammar reads, the value the same tree built with Polynomial operators.
+    Rational literals, variables of every alphabet, unary minus, + - *,
+    parentheses and small powers."""
+    literal = st.one_of(
+        st.integers(0, 12).map(lambda n: (str(n), P.rational(n))),
+        st.tuples(st.integers(0, 12), st.integers(1, 4)).map(
+            lambda nd: (f"{nd[0]}/{nd[1]}", P.rational(Fraction(*nd)))))
+    variable = st.sampled_from((zvar(1), zvar(2), wvar(1), cvar(2), X,
+                                svar("h"))).map(lambda v: (v.name, P.var(v)))
+
+    def extend(inner):
+        def binary(op, value):
+            return st.tuples(inner, inner).map(lambda ab: (
+                f"({ab[0][0]}){op}({ab[1][0]})", value(ab[0][1], ab[1][1])))
+        return st.one_of(
+            inner.map(lambda a: (f"-({a[0]})", -a[1])),
+            inner.map(lambda a: (f"({a[0]})", a[1])),
+            st.tuples(inner, st.integers(0, 3)).map(lambda ae: (
+                f"({ae[0][0]})^{ae[1]}", ae[0][1] ** ae[1])),
+            binary(" + ", lambda a, b: a + b),
+            binary(" - ", lambda a, b: a - b),
+            binary("*", lambda a, b: a * b))
+    return st.recursive(st.one_of(literal, variable), extend, max_leaves=12)
+
+
 class TestGrammar:
     def test_examples(self):
         p = parse_polynomial("3/2*c1^2*c2 - z1 + (l1 - l2)^2")
@@ -223,6 +250,55 @@ class TestGrammar:
             parse_polynomial(squares[1])
         assert parse_polynomial("z1^100000") == P.var(zvar(1)) ** 100000
 
+    def test_product_work_limit(self):
+        # a product of p x q terms in a v-variable text costs p*q*v: one
+        # variable admits 400 x 500 and refuses 401 x 500; two variables
+        # admit a 316-term base squared (99,856 pairs) and refuse 317
+        # terms (100,489 pairs) inside the expansion of the ^
+        assert MAX_PRODUCT_WORK == 200_000
+
+        def powers(var, t):
+            return "(" + " + ".join(f"{var}^{i}" for i in range(t)) + ")"
+
+        assert len(parse_polynomial(
+            powers("z1", 400) + "*" + powers("z1", 500)).terms) == 899
+        with pytest.raises(SizeLimitExceeded, match="200500 term pairs in a "
+                           "1-variable text"):
+            parse_polynomial(powers("z1", 401) + "*" + powers("z1", 500))
+
+        def zigzag(t):
+            return "(" + " + ".join(f"z1^{i}*z2^{i % 2}"
+                                    for i in range(t)) + ")^2"
+
+        assert len(parse_polynomial(zigzag(316)).terms) == 945
+        with pytest.raises(SizeLimitExceeded, match="100489 term pairs in a "
+                           "2-variable text"):
+            parse_polynomial(zigzag(317))
+
+    def test_product_work_counts_variables_not_spellings(self):
+        # z1 and z01 are one variable, so this is a 1-variable text
+        text = ("(" + " + ".join(f"z1^{i}" for i in range(400)) + ")*("
+                + " + ".join(f"z01^{i}" for i in range(500)) + ")")
+        z = P.var(zvar(1))
+        assert parse_polynomial(text) == sum(
+            (z ** i for i in range(400)), P.zero()) * sum(
+            (z ** i for i in range(500)), P.zero())
+
+    def test_tokens(self):
+        # the character classes of str: isdecimal digits start a number,
+        # isalpha or _ start a name, isalnum or _ continue it, isspace is
+        # whitespace
+        assert parse_polynomial("z\u0661") == P.var(zvar(1))  # Arabic-Indic 1
+        assert parse_polynomial("x\u00b2") == P.var(svar("x\u00b2"))
+        assert parse_polynomial("\u01c51") == P.var(svar("\u01c51"))
+        assert parse_polynomial("_a*b") == P.var(svar("_a")) * P.var(svar("b"))
+        assert parse_polynomial("x\u00a0+\u00a0y") == P.var(X) + P.var(Y)
+        for text, char in (("\u00b2x", "\u00b2"), ("1.5", "."), ("$", "$")):
+            with pytest.raises(InputError) as exc:
+                parse_polynomial(text)
+            assert str(exc.value) == \
+                f"unexpected character {char!r} in polynomial text"
+
     @given(_polys(vars=(X, Y, zvar(1)), max_terms=1),
            _polys(vars=(X, Y, zvar(1))))
     @settings(max_examples=80, deadline=None)
@@ -242,6 +318,17 @@ class TestGrammar:
         assert value == expected
         assert [type(c) for c in value.terms.values()] == \
             [type(c) for c in expected.terms.values()]
+
+    @given(_expressions())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_operator_tree(self, expression):
+        text, value = expression
+        parsed = parse_polynomial(text)
+        assert parsed == value
+        # every coefficient is an int when it is integral
+        assert {m: type(c) for m, c in parsed.terms.items()} == {
+            m: int if Fraction(c).denominator == 1 else Fraction
+            for m, c in value.terms.items()}
 
     def test_coefficient_bit_limit(self):
         # 2^e and 3^e are bounded by e and 2e bits; a product by the sum of
