@@ -8,24 +8,30 @@ draws as the certificate.
 
 A fixed-point sum runs on integer-scaled weights: the weights are scaled
 once by the common multiple L of their denominators, the class is read
-once into integer terms, and each fixed point adds one exact ``Fraction``
-of two ints, its class value over its product of tangent weights.  The
-powers of L and the class's coefficient denominator are applied once, at
-the end.  A weight list whose length is not n, or a class holding a
-variable the sum does not assign, is an ``InputError`` before any fixed
-point is summed.
+once into integer terms, and each coordinate subspace adds one exact
+``Fraction`` of two ints, its class value over its product of tangent
+weights.  On Fl_d(C^n) the d! fixed flags over one d-subspace share their
+tangent weights up to sign, so their signed class values are summed as
+integers first, with the class evaluated down a prefix tree of the
+orderings.  The powers of L and the class's coefficient denominator are
+applied once, at the end.  A weight list whose length is not n, or a
+class holding a variable the sum does not assign, is an ``InputError``
+before any fixed point is summed.  The residue side passes the class as
+the numerator and the Vandermonde of z_1..z_d, built once per d, as the
+form's prefactor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 from operator import attrgetter, mul
 
-from .algebra import (Polynomial, Slate, compositions, cvar, vandermonde,
-                      zvar)
+from .algebra import (ONE_MONO, Monomial, Polynomial, Slate, _num,
+                      compositions, cvar, vandermonde, zvar)
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
 from .residue import ResidueForm, iterated_residue
@@ -35,6 +41,15 @@ _WEIGHT_POOL = range(-999_983, 1_000_003)
 #: Most fixed points :func:`grass_integrate` and :func:`run_flag_trials`
 #: sum per weight draw, checked before any is listed.
 MAX_FIXED_POINTS = 10_000
+
+#: Most work of one exact fixed-point sum in :func:`grass_integrate` and
+#: :func:`run_flag_trials`, counted as fractions × tangent weights of each ×
+#: C(n, 2), the weight differences the running denominator may hold;
+#: checked after :data:`MAX_FIXED_POINTS`, before any sum starts.
+MAX_SUM_WORK = 500_000_000
+
+#: Most trials :func:`run_flag_trials` runs, checked before the first.
+MAX_TRIALS = 1_000
 
 #: Seeded weight draws that must agree to certify a numeric fixed-point sum.
 WEIGHT_DRAWS = 3
@@ -51,6 +66,17 @@ def _check_fixed_points(space: str, counts) -> None:
         if count > MAX_FIXED_POINTS:
             raise SizeLimitExceeded(f"{space} has more than the limit of "
                                     f"{MAX_FIXED_POINTS} fixed points")
+
+
+def _check_sum_work(space: str, n: int, fractions: int, dim: int) -> None:
+    """SizeLimitExceeded when a sum over ``space`` of ``fractions``
+    fractions, each over ``dim`` tangent weights, exceeds MAX_SUM_WORK."""
+    work = fractions * dim * math.comb(n, 2)
+    if work > MAX_SUM_WORK:
+        raise SizeLimitExceeded(
+            f"the fixed-point sum on {space} adds {fractions} fractions of "
+            f"{dim} tangent weights each, {work} units of work, over the "
+            f"limit of {MAX_SUM_WORK}")
 
 
 def _distinct(n: int, weights) -> list[Fraction]:
@@ -177,8 +203,10 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     :func:`grass_sum_at` for the ordered-tuple normalization)."""
     if not (0 < k < n):
         raise InputError(f"need 0 < k < n, got k={k}, n={n}")
-    _check_fixed_points(f"Grass({k}, {n})", (
+    space = f"Grass({k}, {n})"
+    _check_fixed_points(space, (
         math.comb(n, j) for j in range(min(k, n - k) + 1)))
+    _check_sum_work(space, n, math.comb(n, k), k * (n - k))
     grass_class_degree_check(n, k, cls)
     rng = random.Random(seed)
     values = [grass_sum_at(n, k, cls, draw_weights(n, rng))
@@ -189,45 +217,127 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     return values[0]
 
 
+def _prefix_levels(coeffs, columns) -> tuple[list, list]:
+    """How :func:`flag_fixed_sum` substitutes z_1, z_2, ... in turn into
+    the integer terms of :func:`_integer_terms`, ``coeffs`` with exponent
+    ``columns``: returns the coefficients in the order the steps read them
+    and, for each step, the exponents ``exps`` and the ``spans`` it reads.
+
+    Before step m the terms left are keyed by their exponents of
+    z_(m+1)..z_d, sorted by their exponents of z_d, then z_(d−1), and so
+    on, so the keys that agree in z_(m+2)..z_d are adjacent.  Step m
+    substitutes z_(m+1) = x: it multiplies the value of each key by
+    x^exps[i] and sums each slice in ``spans``, one per distinct rest
+    z_(m+2)..z_d, in the same order.  The keys depend only on the
+    exponents, so one list serves every value substituted."""
+    order = sorted(range(len(coeffs)),
+                   key=lambda t: [column[t] for column in reversed(columns)])
+    keys = [tuple(column[t] for column in columns) for t in order]
+    levels = []
+    for _ in columns:
+        starts = [i for i, key in enumerate(keys)
+                  if not i or key[1:] != keys[i - 1][1:]]
+        spans = list(map(slice, starts, starts[1:] + [len(keys)]))
+        levels.append(([key[0] for key in keys], spans))
+        keys = [keys[i][1:] for i in starts]
+    return [coeffs[t] for t in order], levels
+
+
+def _subset_numerators(n: int, coeffs, columns, powers) -> dict[int, int]:
+    """N_H = Σ_σ (−1)^inv(σ)·Q(x_σ(1), ..., x_σ(d)) for each d-subset H of
+    range(n), keyed by the bitmask of H: σ runs over the orderings of H,
+    inv(σ) counts their inverted pairs, Q is given by the integer
+    ``coeffs`` and exponent ``columns`` of :func:`_integer_terms`, and
+    ``powers[i]`` lists the powers of x_i.
+
+    The orderings are walked as a prefix tree: each choice of the next
+    element of σ substitutes it into the terms left by the choices before
+    it (:func:`_prefix_levels`), so a prefix shared by many orderings is
+    substituted once."""
+    start, levels = _prefix_levels(coeffs, columns)
+    last = len(levels) - 1
+    sums: dict[int, int] = {}
+
+    def descend(level: int, values: list, mask: int, odd: int) -> None:
+        exps, spans = levels[level]
+        for h in range(n):
+            if mask >> h & 1:
+                continue
+            terms = list(map(mul, values, map(powers[h].__getitem__, exps)))
+            # h after the chosen elements above it: one inversion each
+            flip = odd ^ ((mask >> h).bit_count() & 1)
+            if level < last:
+                descend(level + 1, list(map(sum, map(terms.__getitem__,
+                                                     spans))),
+                        mask | 1 << h, flip)
+            else:
+                value = sum(terms)
+                key = mask | 1 << h
+                sums[key] = sums.get(key, 0) + (-value if flip else value)
+
+    descend(0, start, 0, 0)
+    return sums
+
+
 def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """Sum over the torus fixed flags of Q at the flag's weights divided by
     the product of tangent weights, exactly at the given weights.
 
     The fixed flags are the ordered d-tuples ``head`` of coordinate lines;
     z_(m+1) takes the weight of line head[m], whose tangent weights are
-    w_i − w_head[m] over the lines i not in head[:m+1].  The sum runs on
-    the integer-scaled weights u = L·w, one exact ``Fraction`` per fixed
-    flag; the powers of L and Q's coefficient denominator are applied
-    once, at the end."""
+    w_i − w_head[m] over the lines i not in head[:m+1].  The tangent
+    weights of a head with set H are, up to sign, those of H in
+    increasing order: the pairs that touch H are the same for every
+    ordering σ of H, and each inverted pair flips one factor, so the
+    product is (−1)^inv(σ)·D_H.  The sum is therefore one term
+    N_H / D_H per d-subset H, with N_H the signed sum of Q over the d!
+    orderings (:func:`_subset_numerators`): the fibration of the flags
+    over Grass(d, n).  It runs on the integer-scaled weights u = L·w, one
+    exact ``Fraction`` per subset; the powers of L and Q's coefficient
+    denominator are applied once, at the end."""
     u, scale = _scaled(n, weights)
     _require_variables(Q, zvar, d, "Q")
     coeffs, columns, den, top = _integer_terms(
         Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
-    most = max(itertools.chain(*columns), default=0)
+    if not coeffs:
+        return Fraction(0)
+    most = max(itertools.chain(*columns))
     powers = [[x ** e for e in range(most + 1)] for x in u]
     total = Fraction(0)
-    for head in itertools.permutations(range(n), d):
+    for mask, value in _subset_numerators(n, coeffs, columns,
+                                          powers).items():
+        if not value:
+            continue
+        subset = [i for i in range(n) if mask >> i & 1]
+        rest = [u[i] for i in range(n) if not mask >> i & 1]
         tangent = 1
-        rest = list(range(n))
-        for h in head:
-            rest.remove(h)
-            uh = u[h]
-            for i in rest:
-                tangent *= u[i] - uh
-        total += Fraction(_value(coeffs, columns, [powers[h] for h in head]),
-                          tangent)
+        for m, a in enumerate(subset):
+            ua = u[a]
+            for x in itertools.chain(rest, (u[b] for b in subset[m + 1:])):
+                tangent *= x - ua
+        total += Fraction(value, tangent)
     return total * Fraction(scale) ** (flag_dimension(n, d) - top) / den
+
+
+@functools.cache
+def _flag_frame(d: int):
+    """z_1..z_d, the monomials z_l and vandermonde(z_1..z_d), built once
+    per d."""
+    zs = tuple(zvar(l) for l in range(1, d + 1))
+    return zs, tuple(Monomial(((z, 1),)) for z in zs), vandermonde(zs)
 
 
 def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """The same pushforward as :func:`flag_fixed_sum`, computed as the
-    iterated residue of the Vandermonde-weighted form with z_1 least and
-    z_d most dominant."""
+    iterated residue of Q·vandermonde(z_1..z_d) over Π (w_i − z_l), with
+    z_1 least and z_d most dominant.  The Vandermonde is the form's
+    prefactor, so Q·V is never formed."""
     weights = _distinct(n, weights)
-    zs = tuple(zvar(l) for l in range(1, d + 1))
-    dens = tuple(Polynomial.rational(w) - Polynomial.var(z)
-                 for z in zs for w in weights)
-    form = ResidueForm(Q * vandermonde(zs), dens, zs)
+    zs, monomials, vander = _flag_frame(d)
+    constants = [{ONE_MONO: _num(w)} if w else {} for w in weights]
+    dens = tuple(Polynomial({**c, z: -1})
+                 for z in monomials for c in constants)
+    form = ResidueForm(Q, dens, zs, prefactor=vander)
     return iterated_residue(form).constant_value()
 
 
@@ -256,8 +366,12 @@ def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:
         raise InputError(f"need 1 <= d < n, got d={d}, n={n}")
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
-    _check_fixed_points(f"Flag_{d}(C^{n})",
-                        (math.perm(n, j) for j in range(d + 1)))
+    if trials > MAX_TRIALS:
+        raise SizeLimitExceeded(
+            f"{trials} trials exceed the limit of {MAX_TRIALS}")
+    space = f"Flag_{d}(C^{n})"
+    _check_fixed_points(space, (math.perm(n, j) for j in range(d + 1)))
+    _check_sum_work(space, n, math.comb(n, d), flag_dimension(n, d))
     rng = random.Random(seed)
     results = []
     all_ok = True

@@ -329,6 +329,21 @@ class TestArgumentGuards:
             assert (code, out) == (1, ""), argv
             assert json.loads(err)["error"] == "size-limit"
 
+    @pytest.mark.parametrize("argv", [
+        # 10^8 trials: refused before the first
+        ("flag-check", "--n", "3", "--d", "1", "--trials", "100000000"),
+        # 2,000 fixed points, but 2000·1999·C(2000, 2) units of sum work
+        ("flag-check", "--n", "2000", "--d", "1", "--trials", "1"),
+        ("flag-check", "--n", "179", "--d", "1", "--trials", "1"),
+        ("grass-integrate", "--n", "2000", "--k", "1", "--class", "c1^1999"),
+    ])
+    def test_trial_and_sum_work_limits_exit_1(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-limit"
+
     def test_tower_orders_far_past_the_limit_exit_1(self, capsys, tmp_path):
         # the term count is not formed from binomials of this size
         qfile = tmp_path / "q.json"

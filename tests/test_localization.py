@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import oracles
 from equiloc.algebra import (Polynomial, cvar, parse_polynomial, vandermonde,
                              wvar, zvar)
-from equiloc.errors import DegreeMismatch, InputError, RepeatedWeights
+from equiloc import localization
+from equiloc.errors import (DegreeMismatch, InputError, RepeatedWeights,
+                            SizeLimitExceeded)
 from equiloc.localization import (draw_weights, flag_dimension,
                                   flag_fixed_sum, flag_residue,
                                   grass_integrate, grass_sum_at,
@@ -241,6 +243,25 @@ class TestFlagResidue:
             assert residue * vandermonde(lam) == \
                 symbolic_fixed_sum_numerator(n, d, Q)
 
+    @given(_flag_cases().filter(lambda case: case[0] <= 5))
+    @settings(max_examples=40, deadline=None)
+    def test_prefactor_form_matches_product_form(self, case):
+        # the Vandermonde as the form's prefactor against Q·V as its
+        # numerator, with the denominators w - z built through operators
+        n, d, Q, weights = case
+        zs = tuple(zvar(l) for l in range(1, d + 1))
+        dens = tuple(P.rational(w) - P.var(z) for z in zs for w in weights)
+        product = iterated_residue(ResidueForm(Q * vandermonde(zs), dens, zs))
+        assert flag_residue(n, d, Q, weights) == product.constant_value()
+
+    @pytest.mark.parametrize("n,d", [(10, 4), (8, 5)])
+    def test_fixed_sum_equals_residue_at_large_d(self, n, d):
+        # 210 and 56 subsets of 24 and 120 orderings each
+        rng = random.Random(n * d)
+        Q = random_flag_class(n, d, rng)
+        w = draw_weights(n, rng)
+        assert flag_fixed_sum(n, d, Q, w) == flag_residue(n, d, Q, w)
+
     def test_cross_oracle_on_random_classes(self):
         rng = random.Random(11)
         for n, d in ((3, 2), (4, 2), (4, 3)):
@@ -262,6 +283,25 @@ class TestTrials:
         b = run_flag_trials(3, 2, trials=4, seed=7)
         assert a == b
         assert a["all_match"]
+
+    def test_trial_count_limit(self, monkeypatch):
+        monkeypatch.setattr(localization, "MAX_TRIALS", 5)
+        assert len(run_flag_trials(3, 1, trials=5)["results"]) == 5
+        with pytest.raises(SizeLimitExceeded, match="6 trials"):
+            run_flag_trials(3, 1, trials=6)
+
+    def test_sum_work_limit(self, monkeypatch):
+        # Flag_3(C^5): 10 subsets of 9 tangent weights over C(5, 2) = 10
+        # weight differences is 900 units; Grass(2, 5) is 10·6·10 = 600
+        monkeypatch.setattr(localization, "MAX_SUM_WORK", 900)
+        assert run_flag_trials(5, 3, trials=1)["all_match"]
+        assert grass_integrate(5, 2, parse_polynomial("c1^6")) == 10
+        monkeypatch.setattr(localization, "MAX_SUM_WORK", 899)
+        with pytest.raises(SizeLimitExceeded, match="900 units"):
+            run_flag_trials(5, 3, trials=1)
+        monkeypatch.setattr(localization, "MAX_SUM_WORK", 599)
+        with pytest.raises(SizeLimitExceeded, match="600 units"):
+            grass_integrate(5, 2, parse_polynomial("c1^6"))
 
     def test_dimensions(self):
         assert flag_dimension(4, 2) == 5
