@@ -1,7 +1,7 @@
 """Exact equivariant-localization and iterated-residue calculator."""
 
-from .algebra import (LaurentSeries, Monomial, Polynomial, Var, cvar,
-                      parse_polynomial, svar, term_list, wvar, zvar)
+from .algebra import (Monomial, Polynomial, Var, cvar, parse_polynomial,
+                      svar, term_list, wvar, zvar)
 from .hyperbolicity import (EulerResult, GGResult, euler_characteristic,
                             intersection_polynomial, leading_constant,
                             positivity_threshold)

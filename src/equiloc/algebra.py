@@ -3,8 +3,7 @@
 Variables come in four disjoint alphabets:
 
 * residue variables ``z1, z2, ...`` (the only ones that may carry negative
-  exponents, and only inside :class:`LaurentSeries`, the polynomial
-  subclass that allows them),
+  exponents: the residue reads coefficients of Laurent expansions in them),
 * weight variables ``l1, l2, ...`` (torus weights),
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
@@ -269,14 +268,17 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 
 class Polynomial:
-    """Immutable exact polynomial; no negative exponents, no zero terms."""
+    """Immutable exact polynomial, Laurent in the residue variables: only
+    they may carry negative exponents.  No zero terms."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
         for m in terms:
-            if any(e < 0 for _, e in m.exps):
-                raise ValueError(f"negative exponent in polynomial term {m!r}")
+            for v, e in m.exps:
+                if e < 0 and v.kind != RESIDUE:
+                    raise ValueError(
+                        f"negative exponent on non-residue variable {v.name}")
         self.terms = terms
 
     # -- constructors -------------------------------------------------
@@ -310,7 +312,7 @@ class Polynomial:
         other = _coerce(other)
         acc = dict(self.terms)
         _add_into(acc, other.terms)
-        return type(self)(acc)
+        return Polynomial(acc)
 
     __radd__ = __add__
 
@@ -318,13 +320,13 @@ class Polynomial:
         other = _coerce(other)
         acc = dict(self.terms)
         _add_into(acc, other.terms, -1)
-        return type(self)(acc)
+        return Polynomial(acc)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -383,7 +385,7 @@ class Polynomial:
             if m.exponent(v) == k:
                 rest = Monomial(tuple(p for p in m.exps if p[0] is not v))
                 acc[rest] = acc.get(rest, 0) + c
-        return type(self)({m: c for m, c in acc.items() if c})
+        return Polynomial({m: c for m, c in acc.items() if c})
 
     def evaluate(self, assignment) -> "Polynomial":
         """Partial evaluation at rational values; other variables stay."""
@@ -392,8 +394,9 @@ class Polynomial:
         for m, c in self.terms.items():
             keep = []
             for v, e in m.exps:
-                if v in values:
-                    c = c * values[v] ** e
+                if v in values:  # an int to a negative power is a float
+                    x = values[v]
+                    c = c * x ** e if e > 0 else _num(c * Fraction(x) ** e)
                 else:
                     keep.append((v, e))
             rest = Monomial(tuple(keep))
@@ -402,13 +405,13 @@ class Polynomial:
                 out[rest] = nc
             elif rest in out:
                 del out[rest]
-        return type(self)(out)
+        return Polynomial(out)
 
     def __str__(self):
         return _format_terms(self.terms)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self})"
+        return f"Polynomial({self})"
 
 
 def _power(base, n: int, product, out):
@@ -430,33 +433,10 @@ def _coerce(x) -> Polynomial:
     raise TypeError(f"cannot coerce {x!r} to Polynomial")
 
 
-class LaurentSeries(Polynomial):
-    """Laurent polynomial: residue variables may carry negative exponents,
-    every other alphabet stays polynomial.  Sums, differences, negation and
-    coefficients stay Laurent series; sums, differences and products with a
-    plain polynomial on either side come here first (a subclass's reflected
-    operator wins)."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: dict):
-        for m in terms:
-            for v, e in m.exps:
-                if e < 0 and v.kind != RESIDUE:
-                    raise ValueError(
-                        f"negative exponent on non-residue variable {v.name}")
-        self.terms = terms
-
-    def __mul__(self, other):
-        return LaurentSeries(_mul_terms(self.terms, _coerce(other).terms))
-
-    __rmul__ = __mul__
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return -self + other
+# An old name of Polynomial, kept only because the benchmark harness's
+# tracer wraps its ``__mul__``; it goes when that patch point moves to the
+# product kernel.
+LaurentSeries = Polynomial
 
 
 def vandermonde(vs) -> Polynomial:

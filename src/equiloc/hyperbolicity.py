@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentSeries, Monomial, Polynomial, svar, zvar
+from .algebra import Monomial, Polynomial, svar, zvar
 from .errors import DomainError, InputError, SizeLimitExceeded
 from .residue import iterated_residue
 from .thom import QTable, curvilinear_form
@@ -82,9 +82,9 @@ class EulerResult:
     chi: Polynomial
 
 
-def _zshift(n: int, power: int) -> LaurentSeries:
+def _zshift(n: int, power: int) -> Polynomial:
     mono = Monomial.make([(zvar(l), -power) for l in range(1, n + 1)])
-    return LaurentSeries({mono: 1})
+    return Polynomial({mono: 1})
 
 
 def _series_mul(a: list, b: list, n: int) -> list:
@@ -117,7 +117,7 @@ def _hypersurface_tail(n: int, d_poly: Polynomial) -> list:
     cls = _hypersurface_class(n, (1, 1), d_poly)
     tail = [1]
     for l in range(1, n + 1):
-        factor = [c * LaurentSeries({Monomial.make([(zvar(l), -i)]): 1})
+        factor = [c * Polynomial({Monomial.make([(zvar(l), -i)]): 1})
                   for i, c in enumerate(cls)]
         tail = _series_mul(tail, factor, n)
     return tail

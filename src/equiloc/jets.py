@@ -191,12 +191,9 @@ def _unscale(values, den) -> list:
     return [Fraction(x, den) if x else 0 for x in values]
 
 
-def rho(curve: JetCurve):
-    """The k x dim(Sym^<=k C^n) embedding matrix: row j collects, over all
-    ordered compositions j = a_1 + ... + a_i, the polynomial products
-    v_(a_1) ... v_(a_i), written in the documented monomial basis.  The
-    products run on the integer jet u_i = L^i·v_i, and each nonzero entry
-    of row j is divided by L^j once at the end."""
+def _integer_rho(curve: JetCurve) -> tuple[list, int]:
+    """The rows of :func:`rho` built from the integer jet u_i = L^i·v_i,
+    not yet divided, and L."""
     k, n = curve.k, curve.n
     work = (k * k + n) * sym_dimension(n, k)
     if work > MAX_RHO_WORK:
@@ -214,8 +211,17 @@ def rho(curve: JetCurve):
             _add_into(acc, mul_dense(vs[a - 1], rows[j - a - 1]))
         rows.append(acc)
     basis = sym_basis(n, k)
-    return [_unscale((row.get(e, 0) for e in basis), scale ** j)
-            for j, row in enumerate(rows, start=1)]
+    return [[row.get(e, 0) for e in basis] for row in rows], scale
+
+
+def rho(curve: JetCurve):
+    """The k x dim(Sym^<=k C^n) embedding matrix: row j collects, over all
+    ordered compositions j = a_1 + ... + a_i, the polynomial products
+    v_(a_1) ... v_(a_i), written in the documented monomial basis.  The
+    products run on the integer jet u_i = L^i·v_i, and each nonzero entry
+    of row j is divided by L^j once at the end."""
+    rows, scale = _integer_rho(curve)
+    return [_unscale(row, scale ** j) for j, row in enumerate(rows, start=1)]
 
 
 def _check_minor_count(k: int, cols: int) -> None:
@@ -268,5 +274,5 @@ def invariant_minors(curve: JetCurve) -> list:
     divided by L^(k(k+1)/2) once at the end."""
     k = curve.k
     _check_minor_count(k, sym_dimension(curve.n, k))
-    scaled, scale = _integer_jet(curve)
-    return _unscale(kxk_minors(rho(scaled)), scale ** (k * (k + 1) // 2))
+    rows, scale = _integer_rho(curve)
+    return _unscale(kxk_minors(rows), scale ** (k * (k + 1) // 2))

@@ -15,10 +15,10 @@ tangent weights up to sign, so their signed class values are summed as
 integers first, with the class evaluated down a prefix tree of the
 orderings.  The powers of L and the class's coefficient denominator are
 applied once, at the end.  A weight list whose length is not n, or a
-class holding a variable the sum does not assign, is an ``InputError``
-before any fixed point is summed.  The residue side passes the class as
-the numerator and the Vandermonde of z_1..z_d, built once per d, as the
-form's prefactor.
+class holding a variable the sum does not assign or a negative power of
+one, is an ``InputError`` before any fixed point is summed or residue
+taken.  The residue side passes the class as the numerator and the
+Vandermonde of z_1..z_d, built once per d, as the form's prefactor.
 """
 
 from __future__ import annotations
@@ -96,13 +96,16 @@ def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
 
 def _require_variables(poly: Polynomial, var, count: int,
                        what: str) -> None:
-    """InputError naming the first variable of ``poly`` other than
-    var(1)..var(count)."""
+    """InputError naming the first variable of ``poly`` that is not one of
+    var(1)..var(count) or that carries a negative exponent."""
     allowed = {var(i) for i in range(1, count + 1)}
-    for v in sorted(poly.variables(), key=attrgetter("sort_key")):
-        if v not in allowed:
-            raise InputError(f"{what} must be a polynomial in {var(1).name}"
-                             f"..{var(count).name}, found {v.name}")
+    bad = {v for m in poly.terms for v, e in m.exps
+           if e < 0 or v not in allowed}
+    if bad:
+        v = min(bad, key=attrgetter("sort_key"))
+        found = f"a negative power of {v.name}" if v in allowed else v.name
+        raise InputError(f"{what} must be a polynomial in {var(1).name}"
+                         f"..{var(count).name}, found {found}")
 
 
 def grass_class_degree_check(n: int, k: int, cls: Polynomial):
@@ -333,6 +336,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     z_1 least and z_d most dominant.  The Vandermonde is the form's
     prefactor, so Q·V is never formed."""
     weights = _distinct(n, weights)
+    _require_variables(Q, zvar, d, "Q")
     zs, monomials, vander = _flag_frame(d)
     constants = [{ONE_MONO: _num(w)} if w else {} for w in weights]
     dens = tuple(Polynomial({**c, z: -1})

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import (RESIDUE, LaurentSeries, Monomial, Polynomial,
-                      compositions, cvar, vandermonde, zvar)
+from .algebra import (RESIDUE, Monomial, Polynomial, compositions, cvar,
+                      vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
@@ -99,7 +99,7 @@ def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
     zs = tuple(zvar(l) for l in range(1, k + 1))
     *small, body = (sorted(factors, key=lambda f: len(f.terms))
                     or [Polynomial.one()])
-    prefactor = LaurentSeries((-qk if k % 2 else qk).terms) * vandermonde(zs)
+    prefactor = (-qk if k % 2 else qk) * vandermonde(zs)
     for f in small:
         prefactor = prefactor * f
     dens = tuple(Polynomial.var(zs[i - 1]) + Polynomial.var(zs[j - 1])
@@ -141,7 +141,7 @@ def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     for parts in compositions(cmax, k):
         pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
         terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
-    return curvilinear_form(k, qk, LaurentSeries(terms))
+    return curvilinear_form(k, qk, Polynomial(terms))
 
 
 def thom_polynomial(k: int, codim: int,
@@ -185,7 +185,7 @@ def generating_coefficient(k: int, exponents,
     q = q or QTable.builtin()
     shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
                            for i in range(k)])
-    form = curvilinear_form(k, q.get(k), LaurentSeries({shift: 1}))
+    form = curvilinear_form(k, q.get(k), Polynomial({shift: 1}))
     return iterated_residue(form).constant_value()
 
 

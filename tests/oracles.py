@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from equiloc.algebra import LaurentSeries, Monomial, Polynomial, svar, zvar
+from equiloc.algebra import Monomial, Polynomial, svar, zvar
 
 H = svar("h")
 
@@ -61,7 +61,7 @@ def hypersurface_class(n: int, g, d_poly: Polynomial) -> Polynomial:
     return (1 + sd) * inverse ** (n + 2)
 
 
-def hypersurface_tail(n: int, d_poly: Polynomial) -> LaurentSeries:
+def hypersurface_tail(n: int, d_poly: Polynomial) -> Polynomial:
     """prod_l (1 + d y_l) / (1 + y_l)^(n+2) at y_l = H/z_l, with each factor
     the H^0..H^n part of :func:`hypersurface_class` (the higher powers
     cannot reach the H^n coefficient of the product) and the product of
@@ -69,7 +69,7 @@ def hypersurface_tail(n: int, d_poly: Polynomial) -> LaurentSeries:
     cls = hypersurface_class(n, (1, 1), d_poly)
     acc = Polynomial.one()
     for l in range(1, n + 1):
-        y = LaurentSeries({Monomial.make([(H, 1), (zvar(l), -1)]): 1})
+        y = Polynomial({Monomial.make([(H, 1), (zvar(l), -1)]): 1})
         acc = acc * sum((cls.coefficient(H, i) * y ** i
                          for i in range(n + 1)), Polynomial.zero())
     return acc

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
-                             MAX_POWER_TERMS, MAX_PRODUCT_WORK, LaurentSeries,
-                             Polynomial, compositions, cvar,
-                             format_rational, parse_polynomial, svar, term_list, wvar, zvar)
+                             MAX_POWER_TERMS, MAX_PRODUCT_WORK, Monomial,
+                             Polynomial, compositions, cvar, format_rational,
+                             parse_polynomial, svar, term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
 
@@ -74,14 +74,14 @@ class TestArithmetic:
 
 
 def _laurent(max_terms=4):
-    """Laurent series mixing negative residue exponents, a scalar, a weight
+    """Polynomials mixing negative residue exponents, a scalar, a weight
     and a Chern class, with Fraction coefficients."""
     pair = st.one_of(
         st.tuples(st.sampled_from((zvar(1), zvar(2))), st.integers(-3, 3)),
         st.tuples(st.sampled_from((X, wvar(1), cvar(2))),
                   st.integers(0, 3)))
     term = st.tuples(_coeffs(), st.lists(pair, max_size=4))
-    return st.lists(term, max_size=max_terms).map(LaurentSeries.from_terms)
+    return st.lists(term, max_size=max_terms).map(Polynomial.from_terms)
 
 
 class TestProductKernel:
@@ -110,15 +110,17 @@ class TestEvaluate:
         p = P.var(X) * P.var(Y)
         assert p.evaluate({X: Fraction(1, 2)}) == Fraction(1, 2) * P.var(Y)
 
-    def test_cancellation_and_type(self):
-        p = LaurentSeries.from_terms([(1, [(X, 1), (zvar(1), -1)]),
-                                      (-2, [(Y, 1), (zvar(1), -1)])])
-        q = p.evaluate({X: Fraction(4, 2), Y: 1})
-        assert q.is_zero and isinstance(q, LaurentSeries)
-        r = p.evaluate({X: 3})
-        assert isinstance(r, LaurentSeries)
-        assert r == LaurentSeries.from_terms([(3, [(zvar(1), -1)]),
-                                              (-2, [(Y, 1), (zvar(1), -1)])])
+    def test_cancellation_with_negative_exponents(self):
+        p = P.from_terms([(1, [(X, 1), (zvar(1), -1)]),
+                          (-2, [(Y, 1), (zvar(1), -1)])])
+        assert p.evaluate({X: Fraction(4, 2), Y: 1}).is_zero
+        assert p.evaluate({X: 3}) == P.from_terms(
+            [(3, [(zvar(1), -1)]), (-2, [(Y, 1), (zvar(1), -1)])])
+        # a value for z1 divides by it, exactly
+        q = p.evaluate({zvar(1): 3, X: 1})
+        assert q == Fraction(1, 3) - Fraction(2, 3) * P.var(Y)
+        assert {type(c) for c in q.terms.values()} == {Fraction}
+        assert p.evaluate({zvar(1): Fraction(1, 2), X: 2, Y: 0}) == 4
 
 
 def _recursive_compositions(total, parts):
@@ -230,6 +232,13 @@ class TestGrammar:
         for bad in ("c1 +", "(z1", "z1^x", "1/0", "$"):
             with pytest.raises(InputError):
                 parse_polynomial(bad)
+
+    @pytest.mark.parametrize("text", ["z1^-1", "c1^-2", "z1^(-1)"])
+    def test_no_negative_exponents(self, text):
+        # the grammar is what keeps text polynomial: Polynomial itself
+        # takes negative exponents on residue variables
+        with pytest.raises(InputError, match="expected 'int'"):
+            parse_polynomial(text)
 
     def test_nesting_limit(self):
         deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
@@ -355,27 +364,39 @@ class TestGrammar:
 
 
 class TestLaurentSeries:
-    def test_polynomial_forbids_negative_exponents(self):
-        from equiloc.algebra import Monomial
-        m = Monomial.make([(zvar(1), -1)])
-        with pytest.raises(ValueError):
-            Polynomial({m: 1})
-        LaurentSeries({m: 1})  # fine here
+    """One class: residue variables may carry negative exponents, no
+    other alphabet may."""
+
+    def test_polynomial_allows_negative_residue_exponents(self):
+        m = Monomial.make([(zvar(1), -1), (zvar(3), -2), (cvar(1), 1)])
+        p = Polynomial({m: 1})
+        assert p.terms == {m: 1} and str(p) == "z1^-1*z3^-2*c1"
 
     def test_negative_exponents_only_on_residue_vars(self):
-        from equiloc.algebra import Monomial
-        with pytest.raises(ValueError):
-            LaurentSeries({Monomial.make([(cvar(1), -1)]): 1})
+        for var in (cvar(1), wvar(2), svar("h"), X):
+            m = Monomial.make([(zvar(1), -1), (var, -1)])
+            with pytest.raises(ValueError, match="negative exponent on "
+                               f"non-residue variable {var.name}$"):
+                Polynomial({m: 1})
+            with pytest.raises(ValueError, match=f"variable {var.name}$"):
+                Polynomial.from_terms([(2, [(var, -3)])])
 
     def test_arithmetic_stays_laurent(self):
-        from equiloc.algebra import Monomial
         z = zvar(1)
-        a = LaurentSeries({Monomial.make([(z, e)]): 1 for e in (-2, -1, 0)})
+        a = Polynomial({Monomial.make([(z, e)]): 1 for e in (-2, -1, 0)})
         p = Polynomial.var(z) + 1
-        for value in (a + p, a - p, p + a, p - a, 1 - a, -a, a * p, p * a,
-                      a.coefficient(z, -1)):
-            assert type(value) is LaurentSeries
+        inv = Polynomial.var(z, -1)
+        assert a == inv * inv + inv + 1
+        # either operand order, and with an int
+        assert p + a == a + p == inv * inv + inv + 2 + Polynomial.var(z)
+        assert p - a == -(a - p) == Polynomial.var(z) - inv - inv * inv
+        assert 1 - a == -(a - 1) == -inv - inv * inv
+        # z^-1 * z cancels, in products of either order
+        assert inv * Polynomial.var(z) == Polynomial.var(z) * inv == 1
         assert (p * a).terms == (a * p).terms
         coeffs = {m.exponent(z): c for m, c in (a * p).terms.items()}
         assert coeffs == {-2: 1, -1: 2, 0: 2, 1: 1}
+        # slices at negative powers
         assert a.coefficient(z, -2) == 1
+        assert (a * p * Polynomial.var(svar("h"))).coefficient(z, -1) == (
+            2 * Polynomial.var(svar("h")))

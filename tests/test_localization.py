@@ -203,10 +203,30 @@ class TestForeignVariables:
         with pytest.raises(InputError, match=f"found {name}$"):
             grass_sum_at(4, 2, parse_polynomial(text), [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("text,name", [
+        ("l1*z1^3*z2^2", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3")])
+    def test_flag_residue(self, text, name):
+        with pytest.raises(InputError, match=f"found {name}$"):
+            flag_residue(4, 2, parse_polynomial(text), [1, 2, 3, 5])
+
+    @pytest.mark.parametrize("function", [flag_fixed_sum, flag_residue])
+    @pytest.mark.parametrize("exps,direct", [
+        ((6, -1), Fraction(-917, 10)), ((7, -2), Fraction(-271817, 300))])
+    def test_negative_exponents(self, function, exps, direct):
+        # a Laurent class has a direct sum over the fixed flags, but the
+        # integer sum's power tables hold no negative powers: refused
+        Q = P.from_terms([(1, [(zvar(1), exps[0]), (zvar(2), exps[1])])])
+        assert oracles.flag_fixed_sum(4, 2, Q, [1, 2, 3, 5]) == direct
+        with pytest.raises(InputError,
+                           match="found a negative power of z2$"):
+            function(4, 2, Q, [1, 2, 3, 5])
+
     def test_checked_before_summing(self):
         # 9.4e7 and 1.9e11 fixed points: only a check made first answers
         with pytest.raises(InputError, match="found l1$"):
             flag_fixed_sum(100, 4, parse_polynomial("z1*l1"), range(100))
+        with pytest.raises(InputError, match="found l1$"):
+            flag_residue(100, 4, parse_polynomial("z1*l1"), range(100))
         with pytest.raises(InputError, match="found c9$"):
             grass_sum_at(100, 8, parse_polynomial("c9"), range(100))
 

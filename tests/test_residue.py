@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (LaurentSeries, Monomial, Polynomial,
-                             compositions, parse_polynomial, vandermonde,
-                             wvar, zvar)
+from equiloc.algebra import (Monomial, Polynomial, compositions,
+                             parse_polynomial, vandermonde, wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
 from equiloc.localization import flag_dimension, flag_fixed_sum
 from equiloc.residue import ResidueForm, iterated_residue, residue_job
@@ -64,8 +63,7 @@ class TestIteratedResidue:
         # residue of z1^(-j-1) z2^j against it reads that coefficient back
         for a in (1, 2):
             for j in range(4):
-                num = LaurentSeries(
-                    {Monomial.make([(Z1, -j - 1), (Z2, j)]): 1})
+                num = Polynomial({Monomial.make([(Z1, -j - 1), (Z2, j)]): 1})
                 assert res(num, [f"{a}*z1 - z2"], (Z1, Z2)) == -(a ** j)
         # 1/(l1 - z1) = -sum_j l1^j / z1^(j+1); the d = 1 sign flips it
         for j in range(4):
@@ -77,7 +75,7 @@ class TestIteratedResidue:
             ResidueForm(P.one(), (P.var(Z1),), (Z1, Z1))
 
     def test_window_overflow(self):
-        num = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
+        num = Polynomial({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
         with pytest.raises(WindowOverflow, match="order 300 in z2 exceeds "
                            "the limit 256"):
             res(num, ["z1 - z2"], (Z1, Z2))
@@ -86,8 +84,8 @@ class TestIteratedResidue:
         # the prefactor z2^3 adds 3 to the order the body z2^(N-3)/z1
         # calls for, so N = 256 is the largest order that runs
         def form(top):
-            body = LaurentSeries({Monomial.make([(Z2, top - 3),
-                                                 (Z1, -1)]): 1})
+            body = Polynomial({Monomial.make([(Z2, top - 3),
+                                              (Z1, -1)]): 1})
             return ResidueForm(body, (parse_polynomial("z1 - z2"),),
                                (Z1, Z2), P.var(Z2) ** 3)
 
@@ -214,7 +212,7 @@ def _budget_form(rng):
             mono.append((wvar(rng.randint(1, 2)), 1))
         m = Monomial.make(mono)
         terms[m] = terms.get(m, 0) + rng.choice((-3, -1, 1, 2))
-    num = LaurentSeries({m: c for m, c in terms.items() if c})
+    num = Polynomial({m: c for m, c in terms.items() if c})
     return num, dens, tuple(order)
 
 
@@ -248,7 +246,7 @@ class TestDegreeBudget:
                               "z2 + z3", "z3"], ["z3", "z2", "z1"]),
     ], ids=["lift", "laurent-unordered", "three-levels"])
     def test_lift_from_lower_variables(self, num, dens, order):
-        numerator = LaurentSeries({Monomial.make(num): 1})
+        numerator = Polynomial({Monomial.make(num): 1})
         parsed = [parse_polynomial(t) for t in dens]
         value = iterated_residue(ResidueForm(
             numerator, tuple(parsed), tuple(zvar(int(n[1:])) for n in order)))
@@ -270,7 +268,7 @@ def _random_prefactor(rng, order):
         m = Monomial.make(list(zip(order, exps))
                           + [(wvar(1), rng.randint(0, 1))])
         terms[m] = terms.get(m, 0) + rng.choice((-3, -1, 1, 2))
-    return LaurentSeries({m: c for m, c in terms.items() if c})
+    return Polynomial({m: c for m, c in terms.items() if c})
 
 
 class TestPrefactor:
@@ -304,8 +302,8 @@ class TestPrefactor:
         # prefactor's gain 3, from z1^3 z2, and meet both of its z2-slices;
         # 1 reaches the residue only with z1^2, whose degree is below 3
         prefactor = parse_polynomial("z1^2 + z1^3*z2")
-        body = LaurentSeries({Monomial.make([]): 1,
-                              Monomial.make([(Z2, -1)]): 1})
+        body = Polynomial({Monomial.make([]): 1,
+                           Monomial.make([(Z2, -1)]): 1})
         dens = ["z2", "z1 + 1", "z1 + 2", "z1 + 3"]
         value = iterated_residue(ResidueForm(
             body, tuple(map(parse_polynomial, dens)), (Z1, Z2), prefactor))
@@ -326,7 +324,7 @@ class TestPrefactor:
 
     def test_zero_prefactor_builds_no_expansion(self):
         # the body alone would call for order 300 in z2
-        body = LaurentSeries({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
+        body = Polynomial({Monomial.make([(Z2, 300), (Z1, -1)]): 1})
         form = ResidueForm(body, (parse_polynomial("z1 - z2"),), (Z1, Z2),
                            P.zero())
         assert iterated_residue(form) == 0
