@@ -9,13 +9,11 @@ Variables come in four disjoint alphabets:
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
 
 Terms are stored sparsely, keyed by :class:`Monomial`.  Every product of
-two polynomials goes through :func:`_mul_terms`: a one-term operand is
-merged into each term of the other, and any other pair goes to one
-kernel, :func:`mul_dense`, on terms keyed by dense exponent tuples over a
-:class:`Slate` of variables (the residue engine and the jet composition
-call the kernel directly).  The text grammar, :func:`parse_polynomial`,
-evaluates on dense exponent tuples over one slate per text: a one-term
-``*`` adds tuples, a one-term ``^`` scales one, any other product goes to
+two polynomials goes to one kernel, :func:`mul_dense`, on terms keyed by
+dense exponent tuples over a :class:`Slate` of variables (the residue
+engine and the jet composition call the kernel directly).  The text
+grammar, :func:`parse_polynomial`, evaluates on dense exponent tuples over
+one slate per text: a one-term ``^`` scales one, every product goes to
 :func:`mul_dense`, and the monomials are built once, at the end.
 
 Coefficients are exact rationals (stored as ``int`` when the denominator
@@ -234,9 +232,15 @@ class Slate:
 def mul_dense(a: dict, b: dict) -> dict:
     """The product of two term dicts keyed by exponent tuples of one length;
     coefficients need only ``+`` and ``*``.  Every product of polynomials
-    with more than one term each comes here."""
+    comes here.  A one-term operand's key is added to each key of the
+    other, which keeps the keys distinct; an all-zero key only scales."""
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        (m0, c0), = a.items()
+        if not any(m0):
+            return {m: c * c0 for m, c in b.items()}
+        return {tuple(map(add, m, m0)): c * c0 for m, c in b.items()}
     out: dict = {}
     get = out.get
     for ma, ca in a.items():
@@ -252,17 +256,7 @@ def mul_dense(a: dict, b: dict) -> dict:
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
-    of the variables of both.  A one-term operand is merged into each term
-    of the other by :meth:`Monomial.make` instead: exponents add, so
-    distinct terms stay distinct."""
-    if len(a) != 1:
-        a, b = b, a
-    if len(a) == 1:
-        (m0, c0), = a.items()
-        if not m0.exps:
-            return {m: _num(c * c0) for m, c in b.items()}
-        return {Monomial.make(m0.exps + m.exps): _num(c * c0)
-                for m, c in b.items()}
+    of the variables of both."""
     slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
     return slate.sparse(mul_dense(slate.dense(a), slate.dense(b)))
 
@@ -367,10 +361,6 @@ class Polynomial:
 
     def variables(self) -> set[Var]:
         return {v for m in self.terms for v in m.variables()}
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=-1)
 
     def degree_in(self, v: Var) -> int:
         return max((m.exponent(v) for m in self.terms), default=0)
@@ -602,14 +592,7 @@ class _Parser:
                 f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
                 "variables")
         _check_bits(_height_bits(a) + _height_bits(b))
-        if len(a) != 1:
-            a, b = b, a
-        if len(a) != 1:
-            return mul_dense(a, b)
-        (m0, c0), = a.items()  # exponents add, so distinct keys stay so
-        if m0 == self.zero:
-            return {m: c * c0 for m, c in b.items()}
-        return {tuple(map(add, m, m0)): c * c0 for m, c in b.items()}
+        return mul_dense(a, b)
 
     def expr(self) -> dict:
         sign = self.peek()

@@ -176,14 +176,16 @@ def _cmd_gg(args):
     payload = {"n": args.n, "polynomial": str(result.polynomial),
                "theta": format_rational(result.theta),
                "leading": str(result.leading)}
-    poly = result.polynomial
+    values = {}
     if delta is not None:
-        poly = poly.evaluate({hyperbolicity.DELTA_VAR: delta})
+        values[hyperbolicity.DELTA_VAR] = delta
         payload["delta"] = args.delta
     if d is not None:
-        poly = poly.evaluate({hyperbolicity.D_VAR: d})
+        values[hyperbolicity.D_VAR] = d
         payload["d"] = args.d
-    if args.delta is not None or args.d is not None:
+    poly = result.polynomial
+    if values:
+        poly = poly.evaluate(values)
         payload["value"] = str(poly)
     _emit(args, str(poly), payload)
 

@@ -158,7 +158,13 @@ def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
     R = B^N - N B^(N-1) t h times the hypersurface tail, with B = Z + b h,
     N = n^2, b = 2n^2 and t = b + delta C(n+1,2)(d-n-2); the h^j
     coefficient of R is x_j Z^(N-j), x_j = C(N,j) b^j - N C(N-1,j-1)
-    b^(j-1) t."""
+    b^(j-1) t.
+
+    Theta(n) is p's d^n coefficient at delta = 0, for any Q: d enters T_i
+    with degree at most i and x_j only through delta (d - n - 2), so at
+    delta = 0 the d^n part of the numerator is x_0 Z^N d^n / (z_1...z_n),
+    x_0 = 1, which with the shift (z_1...z_n)^-n is the numerator of
+    :func:`leading_constant`."""
     qn = _table_entry(n, q, n * n - n)
     big, b = n * n, 2 * n * n
     t = b + (Polynomial.var(DELTA_VAR) * math.comb(n + 1, 2)
@@ -167,8 +173,8 @@ def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
           - (big * math.comb(big - 1, j - 1) * b ** (j - 1) * t if j else 0)
           for j in range(n + 1)]
     p = iterated_residue(_tower_form(n, qn, xs, Polynomial.var(D_VAR)))
-    theta = leading_constant(n, q)
     leading = p.coefficient(D_VAR, n)
+    theta = leading.evaluate({DELTA_VAR: 0}).constant_value()
     return GGResult(n, p, theta, leading)
 
 

@@ -118,6 +118,9 @@ class TestErrors:
         ("gg", "--n", "0"),
         ("theta", "--n", "-2"),
         ("euler", "--n", "0"),
+        ("gg", "--n", "1", "--delta", "1/0"),
+        ("grass-integrate", "--n", "3", "--k", "3", "--class", "1"),
+        ("grass-integrate", "--n", "3", "--k", "0", "--class", "1"),
     ])
     def test_argument_errors_exit_2(self, capsys, argv):
         start = time.perf_counter()
@@ -167,6 +170,9 @@ class TestResidueJobs:
         {"numerator": "1", "denominators": ["z1"], "order": "z1"},
         ["1", ["z1"], ["z1"]],
         {"numerator": "1", "denominators": ["z1^2"], "order": ["z1"]},
+        # trailing input
+        {"numerator": "z1 z2", "denominators": ["z1"], "order": ["z1"]},
+        {"numerator": "z1)", "denominators": ["z1"], "order": ["z1"]},
         # a repeated key, at the top or inside, has no one reading
         pytest.param(Raw('{"numerator": "z1", "numerator": "1", '
                          '"denominators": ["l1 - z1"], "order": ["z1"]}'),
@@ -181,6 +187,19 @@ class TestResidueJobs:
         code, out, err = run(capsys, "residue", "--job", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize("denominators,expected", [
+        ([], (0, "3\n", "")),
+        (["l1"], (1, "", "no-dominant-variable")),
+    ])
+    def test_empty_order(self, capsys, tmp_path, denominators, expected):
+        # no variable to peel: the numerator is its own residue, and a
+        # denominator is a pure parameter factor
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": "3", "denominators": denominators, "order": []}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out, err and json.loads(err)["error"]) == expected
 
     def test_deep_nesting_exits_2(self, capsys, tmp_path):
         path = tmp_path / "job.json"
@@ -516,6 +535,7 @@ class TestScanAndUserTables:
         {"5": 7}, ["z1"], {"5": None}, {"0": "1"},
         # two keys that name one order
         {"05": "z1", "5": "z2"},
+        {"x": "z1"}, {"1e3": "z1"},
         pytest.param(Raw('{"5": "z1", "5": "z2"}'), id="repeated-key"),
     ])
     def test_bad_q_file_exits_2(self, capsys, tmp_path, table):
@@ -601,6 +621,9 @@ class TestJetCommands:
         ({"coefficients": []}, 0, 0),
         ({"coefficients": [[]]}, 0, 1),
         ({"coefficients": [[1, 2]], "derivatives": [[3, 4]]}, 2, 1),
+        ({"coefficients": [["1/0", 1]]}, 2, 1),
+        ({"coefficients": [[True, 1]]}, 2, 1),
+        ({"coefficients": [[None, 1]]}, 2, 1),
         pytest.param(Raw('{"coefficients": [[1, 2]], '
                          '"coefficients": [[3, 4]]}'), 2, 1,
                      id="repeated-key"),

@@ -104,6 +104,12 @@ class TestLeadingConstant:
         with pytest.raises(MissingQ):
             leading_constant(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_intersection_polynomial_reads_it(self, gg, n):
+        # theta is read off p's d^n coefficient at delta = 0, while
+        # leading_constant takes a residue of its own
+        assert gg[n].theta == leading_constant(n)
+
 
 class TestIntersectionPolynomial:
     def test_curve_oracle(self, gg):

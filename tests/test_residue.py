@@ -372,7 +372,7 @@ class TestFlagPushforwardOracles:
         rng = random.Random(f"above-{n}-{d}")
         cls = _random_class(flag_dimension(n, d) + 2, d, rng)
         value = iterated_residue(_flag_form(n, d, cls, zs))
-        assert value.degree() == 2
+        assert value.weighted_degrees(lambda v: 1) == {2}
         for _ in range(2):
             weights = rng.sample(range(-40, 41), n)
             at = value.evaluate({wvar(i + 1): w

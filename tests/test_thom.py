@@ -148,9 +148,10 @@ class TestBuiltinPrefactors:
         for k in range(1, 5):
             generating_coefficient(k, (0,) * (k - 1) + (1 - k,))
         for n in range(1, 4):
-            # the tower form and the leading_constant form
+            # one tower form each, and the leading_constant form
             hyperbolicity.intersection_polynomial(n)
             hyperbolicity.euler_characteristic(n)
+            hyperbolicity.leading_constant(n)
         assert len(forms) == 4 + 3 * 3
         for form in forms:
             self.check(form)
