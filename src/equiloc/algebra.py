@@ -13,13 +13,18 @@ two polynomials goes to one kernel, :func:`mul_dense`, on terms keyed by
 dense exponent tuples over a :class:`Slate` of variables (the residue
 engine and the jet composition call the kernel directly).  The text
 grammar, :func:`parse_polynomial`, evaluates on dense exponent tuples over
-one slate per text: a one-term ``^`` scales one, every product goes to
+one slate per text: a one-term ``^`` scales one key, a product of two
+one-term operands adds their keys, every other product goes to
 :func:`mul_dense`, and the monomials are built once, at the end.
+:func:`parse_factored` reads a text that is one product as its prefactor
+and its last factor, and does not form the last product.
 
-Coefficients are exact rationals (stored as ``int`` when the denominator
-is 1).  The canonical term order used for serialization is graded
-lexicographic over the fixed variable order, largest first, which makes
-all printed output byte-stable.
+Coefficients are exact rationals.  Parsed text and products store an
+integral coefficient as ``int``; a sum, an evaluation or a residue may
+hold it as a ``Fraction`` with denominator 1, which compares, hashes and
+prints as the ``int``.  The canonical term order used for serialization is
+graded lexicographic over the fixed variable order, largest first, which
+makes all printed output byte-stable.
 """
 
 from __future__ import annotations
@@ -254,11 +259,20 @@ def mul_dense(a: dict, b: dict) -> dict:
     return out
 
 
+def _integral_ints(terms: dict) -> dict:
+    """``terms``, each integral coefficient made an int in place."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = _num(c)
+    return terms
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
-    of the variables of both."""
+    of the variables of both; an integral coefficient is an int."""
     slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
-    return slate.sparse(mul_dense(slate.dense(a), slate.dense(b)))
+    return slate.sparse(_integral_ints(
+        mul_dense(slate.dense(a), slate.dense(b))))
 
 
 class Polynomial:
@@ -504,7 +518,8 @@ MAX_POWER_TERMS = 100_000
 #: Most work one product in polynomial text may cost, counted as its term
 #: pairs times the number of variables in the text (the exponents added
 #: per pair; ``z1`` and ``z01`` are one variable).  Each product a ``*``,
-#: or the expansion of a ``^``, forms is checked before it is formed.
+#: or the expansion of a ``^``, forms is checked before it is formed; the
+#: last one of :func:`parse_factored` is checked and not formed.
 MAX_PRODUCT_WORK = 200_000
 
 #: Most bits a coefficient in polynomial text may reach, numerator or
@@ -522,10 +537,16 @@ def _height_bits(terms: dict) -> int:
     for one term c, max(N, L) is max(|numerator|, denominator) of c."""
     if len(terms) == 1:
         c, = terms.values()
-        return (max(abs(c.numerator), c.denominator) - 1).bit_length()
+        return _coefficient_bits(c)
     cs = terms.values()
     den = math.lcm(*map(attrgetter("denominator"), cs))
     return (max(int(sum(map(abs, cs)) * den), den) - 1).bit_length()
+
+
+def _coefficient_bits(c) -> int:
+    """:func:`_height_bits` of the one term ``c``."""
+    n, d = abs(c.numerator), c.denominator
+    return ((n if n > d else d) - 1).bit_length()
 
 
 def _check_bits(bits: int) -> None:
@@ -541,6 +562,9 @@ class _Parser:
     tokenizing; the :class:`Polynomial` is built once, at the end."""
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise InputError(f"polynomial text must be a string, not "
+                             f"{type(text).__name__}")
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -577,14 +601,35 @@ class _Parser:
 
     def parse(self) -> Polynomial:
         terms = self.expr()
+        self.finish()
+        return self.polynomial(terms)
+
+    def parse_factored(self) -> tuple[Polynomial, Polynomial]:
+        """``(prefactor, body)``: for a product, the factors before the last
+        one, multiplied in text order with any leading sign, and the last
+        factor; the last product is checked but not formed.  Otherwise, a
+        sum or one factor, ``(1, the text's polynomial)``."""
+        sign = self.sign()
+        pre, body = self.term(split=True)
+        if not (pre and body) or self.peek() in "+-":
+            # one factor, a zero product, or a sum: formed as parse forms it
+            acc = body if pre is None else mul_dense(pre, body)
+            pre, body = {self.zero: 1}, self.sum(sign, acc)
+        elif sign == "-":
+            pre = {m: -c for m, c in pre.items()}
+        self.finish()
+        return self.polynomial(pre), self.polynomial(body)
+
+    def finish(self) -> None:
         if self.peek() != "end":
             raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
-        for m, c in terms.items():
-            if type(c) is not int:
-                terms[m] = _num(c)
-        return Polynomial(self.slate.sparse(terms))
 
-    def product(self, a: dict, b: dict) -> dict:
+    def polynomial(self, terms: dict) -> Polynomial:
+        return Polynomial(self.slate.sparse(_integral_ints(terms)))
+
+    def check(self, a: dict, b: dict) -> None:
+        """The limits on the product of ``a`` and ``b``, before it is
+        formed."""
         pairs = len(a) * len(b)
         if pairs * self.width > MAX_PRODUCT_WORK:
             raise SizeLimitExceeded(
@@ -592,32 +637,64 @@ class _Parser:
                 f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
                 "variables")
         _check_bits(_height_bits(a) + _height_bits(b))
+
+    def product(self, a: dict, b: dict) -> dict:
+        """The checked product.  Two one-term operands fold here: their
+        pair is under the work limit unless the text has more variables
+        than :data:`MAX_PRODUCT_WORK`, and their height is their
+        coefficients'."""
+        if len(a) == 1 == len(b) and self.width <= MAX_PRODUCT_WORK:
+            (ma, ca), = a.items()
+            (mb, cb), = b.items()
+            _check_bits(_coefficient_bits(ca) + _coefficient_bits(cb))
+            return {tuple(map(add, ma, mb)): ca * cb}
+        self.check(a, b)
         return mul_dense(a, b)
 
-    def expr(self) -> dict:
+    def sign(self) -> str:
+        """Consume a leading ``+`` or ``-`` and return the token kind."""
         sign = self.peek()
         if sign in "+-":
             self.next()
-        acc = self.term()  # every value the parser forms is a new dict
+        return sign
+
+    def expr(self) -> dict:
+        sign = self.sign()
+        return self.sum(sign, self.term())
+
+    def sum(self, sign: str, acc: dict) -> dict:
+        """The sum of ``acc``, the first term (negated after a ``-``
+        sign), and the terms that follow it."""
         if sign == "-":
             acc = {m: -c for m, c in acc.items()}
-        while self.peek() in "+-":
+        while self.peek() in "+-":  # every value formed is a new dict
             op = self.next()[0]
             _add_into(acc, self.term(), 1 if op == "+" else -1)
         return acc
 
-    def term(self) -> dict:
+    def term(self, split: bool = False):
+        """The product of the factors; with ``split``, the pair of the
+        product of all but the last factor (None for one factor) and the
+        last factor, their product checked but not formed."""
         acc = self.power()
         while self.peek() == "*":
             self.next()
-            acc = self.product(acc, self.power())
-        return acc
+            b = self.power()
+            if split and self.peek() != "*":
+                self.check(acc, b)
+                return acc, b
+            acc = self.product(acc, b)
+        return (None, acc) if split else acc
 
     def power(self) -> dict:
         base = self.atom()
         if self.peek() == "^":
             self.next()
             exp = self.expect("int")[1]
+            if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
+                (m, c), = base.items()
+                _check_bits(exp * _coefficient_bits(c))
+                return {tuple([e * exp for e in m]): c ** exp}
             t = max(len(base), 1)
             bound = math.comb(exp + t - 1, t - 1)
             if bound > MAX_POWER_TERMS:
@@ -625,9 +702,6 @@ class _Parser:
                     f"a {t}-term polynomial to the power {exp} may have "
                     f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
             _check_bits(exp * _height_bits(base))
-            if len(base) == 1:
-                (m, c), = base.items()
-                return {tuple([e * exp for e in m]): c ** exp}
             return _power(base, exp, self.product, {self.zero: 1})
         return base
 
@@ -664,10 +738,16 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse the CLI/JSON polynomial grammar: rationals ``a`` or ``a/b``,
     variables ``z1.. l1.. c1.. h d delta m``, operators ``+ - * ^`` and
     parentheses; whitespace is insignificant."""
-    if not isinstance(text, str):
-        raise InputError(f"polynomial text must be a string, not "
-                         f"{type(text).__name__}")
     return _Parser(text).parse()
+
+
+def parse_factored(text: str) -> tuple[Polynomial, Polynomial]:
+    """:func:`parse_polynomial` of the text, kept factored when it is one
+    product: ``(prefactor, body)``, with the last top-level factor the
+    body and the factors before it, with any leading sign, the prefactor.
+    The last product is checked against the limits but not formed.  A
+    sum, a single factor or a zero product gives ``(1, polynomial)``."""
+    return _Parser(text).parse_factored()
 
 
 def term_list(p: Polynomial) -> list[tuple[str, Fraction]]:

@@ -70,7 +70,7 @@ from fractions import Fraction
 
 from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate, Var,
                       _add_into, _height_bits, _num, _literal, mul_dense,
-                      parse_polynomial, zvar)
+                      parse_factored, parse_polynomial, zvar)
 from .errors import (InputError, NoDominantVariable, SizeLimitExceeded,
                      WindowOverflow)
 
@@ -252,7 +252,10 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
 def residue_job(job: dict) -> dict:
     """Run a JSON residue job
     ``{"numerator": str, "denominators": [str, ...], "order": [names]}``
-    (order least to most dominant) and return ``{"residue": str}``."""
+    (order least to most dominant) and return ``{"residue": str}``.  A
+    numerator that is one product is kept factored (:func:`parse_factored`):
+    its last top-level factor is the form's numerator and the factors
+    before it the prefactor, so their product is never formed."""
     try:
         num_text = job["numerator"]
         den_texts = job["denominators"]
@@ -269,7 +272,8 @@ def residue_job(job: dict) -> dict:
             raise InputError(
                 f"order entries must be residue variables, got {name!r}")
         order.append(zvar(_literal(name[1:])))
-    numerator = parse_polynomial(num_text)
+    prefactor, body = parse_factored(num_text)
     dens = tuple(parse_polynomial(t) for t in den_texts)
-    result = iterated_residue(ResidueForm(numerator, dens, tuple(order)))
+    result = iterated_residue(ResidueForm(body, dens, tuple(order),
+                                          prefactor=prefactor))
     return {"residue": str(result)}

@@ -22,6 +22,9 @@ no integer scaling.
 integer fixed-point kernels: each fixed point's value by
 ``Polynomial.evaluate`` at the rational weights, summed in ``Fraction``
 arithmetic.
+:func:`multiplied_out_job` is the reference for ``residue_job``, which
+keeps a product numerator factored: the whole numerator text multiplied
+out by ``parse_polynomial`` and given to the engine with prefactor 1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from equiloc.algebra import Monomial, Polynomial, svar, zvar
+from equiloc.algebra import Monomial, Polynomial, parse_polynomial, svar, zvar
+from equiloc.residue import ResidueForm, iterated_residue
 
 H = svar("h")
 
@@ -178,13 +182,20 @@ def brute_residue(numerator, den_polys, order_names: list[str],
             acc[rest] = acc.get(rest, Fraction(0)) + c
     sign = -1 if len(order_names) % 2 else 1
     out = Polynomial.zero()
-    from equiloc.algebra import parse_polynomial
     for key, c in acc.items():
         if not c:
             continue
         text = "*".join(f"{n}^{e}" if e != 1 else n for n, e in key) or "1"
         out = out + Polynomial.rational(sign * c) * parse_polynomial(text)
     return out
+
+
+def multiplied_out_job(job: dict) -> dict:
+    """``residue_job``'s answer with the numerator multiplied out."""
+    form = ResidueForm(parse_polynomial(job["numerator"]),
+                       tuple(map(parse_polynomial, job["denominators"])),
+                       tuple(zvar(int(name[1:])) for name in job["order"]))
+    return {"residue": str(iterated_residue(form))}
 
 
 def brute_thom(k: int, codim: int, J: int) -> Polynomial:
@@ -227,7 +238,6 @@ def brute_thom(k: int, codim: int, J: int) -> Polynomial:
             rest = tuple(sorted(exps.items()))
             acc[rest] = acc.get(rest, Fraction(0)) + c
     # engine sign times the global calibration sign is +1
-    from equiloc.algebra import parse_polynomial
     out = Polynomial.zero()
     for key, c in acc.items():
         if not c:

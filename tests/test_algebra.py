@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              MAX_POWER_TERMS, MAX_PRODUCT_WORK, Monomial,
                              Polynomial, compositions, cvar, format_rational,
-                             parse_polynomial, svar, term_list, wvar, zvar)
+                             parse_factored, parse_polynomial, svar,
+                             term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from oracles import sparse_product
 
@@ -355,12 +356,75 @@ class TestGrammar:
     def test_round_trip(self, p):
         assert parse_polynomial(str(p)) == p
 
+    def test_integral_product_coefficients_are_ints(self):
+        # mul_dense leaves 1/2 * 2 a Fraction; Polynomial products do not
+        a, b = parse_polynomial("1/2*z1 + z2"), parse_polynomial("2*z1 + z2")
+        for p in (a * b, parse_polynomial("(1/2*z1 + z2) * (2*z1 + z2)"),
+                  P.rational(Fraction(1, 2)) * parse_polynomial("2*z1")):
+            assert _is_int_when_integral(p)
+        assert {repr(m): c for m, c in (a * b).terms.items()} == {
+            "z1^2": 1, "z1*z2": Fraction(5, 2), "z2^2": 1}
+
     def test_canonical_order_is_stable(self):
         text = "c1^3 + 3*c1*c2 + 2*c3"
         assert str(parse_polynomial(text)) == text
         terms = term_list(parse_polynomial(text))
         assert terms == [("c1^3", Fraction(1)), ("c1*c2", Fraction(3)),
                          ("c3", Fraction(2))]
+
+
+def _is_int_when_integral(p: Polynomial) -> bool:
+    return all(type(c) is int for c in p.terms.values()
+               if Fraction(c).denominator == 1)
+
+
+class TestFactoredParse:
+    """A text that is one product keeps its last factor apart; the
+    factors still multiply to the text's polynomial, and the limits refuse
+    what they refuse in parse_polynomial, with the same error."""
+
+    def test_a_product_splits_at_its_last_factor(self):
+        pre, body = parse_factored("-2*z1^2*(z1 - z2)*(z1 + 3/2*z2)")
+        assert pre == parse_polynomial("-2*z1^2*(z1 - z2)")
+        assert body == parse_polynomial("z1 + 3/2*z2")
+        # the class written first: the body is the small last factor
+        assert parse_factored("(z1^2 + z1*z2 + z2^2)*(z1 - z2)") == (
+            parse_polynomial("z1^2 + z1*z2 + z2^2"),
+            parse_polynomial("z1 - z2"))
+
+    @pytest.mark.parametrize("text", [
+        "z1*z2 + 1", "(z1 - z2)*(z1 + z2) - z1", "-2*z1 - z2*3", "z1^3",
+        "-(z1 - z2)", "((z1 - z2)*(z1 + z2))", "0*z9", "z9*(z1 - z1)"])
+    def test_sums_single_factors_and_zero_products_are_formed(self, text):
+        assert parse_factored(text) == (P.one(), parse_polynomial(text))
+
+    @given(_expressions())
+    @settings(max_examples=150, deadline=None)
+    def test_factors_multiply_to_the_polynomial(self, expression):
+        text, value = expression
+        pre, body = parse_factored(text)
+        assert pre * body == value
+        assert _is_int_when_integral(pre) and _is_int_when_integral(body)
+
+    @pytest.mark.parametrize("text", [
+        # bits: 99,999 + 1 and 99,999 + 2 at the last product, or at a
+        # fold of two one-term operands before it
+        "2^99999*z1*(z2 + 2)", "2^99999*4*z1", "3^40000*3^40000*z1",
+        # work: 401 x 500 pairs in a one-variable text at the last product
+        "2*(" + " + ".join(f"z1^{i}" for i in range(401)) + ")*("
+        + " + ".join(f"z1^{i}" for i in range(500)) + ")"],
+        ids=["bits-last", "bits-fold", "bits-first", "work-last"])
+    def test_limits_refuse_as_in_parse_polynomial(self, text):
+        with pytest.raises(SizeLimitExceeded) as whole:
+            parse_polynomial(text)
+        with pytest.raises(SizeLimitExceeded) as factored:
+            parse_factored(text)
+        assert str(factored.value) == str(whole.value)
+
+    def test_limits_admit_the_edge(self):
+        for text in ("2^99999*z1*(z2 + 1)", "2^99999*2*z1"):
+            pre, body = parse_factored(text)
+            assert pre * body == parse_polynomial(text)
 
 
 class TestLaurentSeries:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import parse_polynomial
+from equiloc.algebra import parse_polynomial, zvar
 from equiloc.cli import main
 from equiloc.residue import ResidueForm, iterated_residue
 from equiloc.thom import QTable, residue_form
@@ -260,6 +260,40 @@ class TestResidueJobs:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-limit"
+
+    @pytest.mark.parametrize("numerator,limit", [
+        # the last product is checked and not formed: 99,999 bits times
+        # the height of z2 + 1 (1 bit) is admitted, of z2 + 2 (2 bits) not
+        ("2^99999*z1*(z2 + 1)", None), ("2^99999*z1*(z2 + 2)", "bits"),
+        # a fold of one-term operands: 99,999 + 1 bits, 99,999 + 2 bits
+        ("2^99999*2*z1", None), ("2^99999*4*z1", "bits"),
+        # 400 x 250 and 401 x 250 pairs in a two-variable text, at the
+        # last product only
+        (f"2*z1*({' + '.join(f'l1^{i}' for i in range(400))})"
+         f"*({' + '.join(f'l1^{i}' for i in range(250))})", None),
+        (f"2*z1*({' + '.join(f'l1^{i}' for i in range(401))})"
+         f"*({' + '.join(f'l1^{i}' for i in range(250))})", "100250 term"),
+    ], ids=["bits-last-in", "bits-last-out", "bits-fold-in",
+            "bits-fold-out", "work-last-in", "work-last-out"])
+    def test_unformed_last_product_keeps_the_limits(self, capsys, tmp_path,
+                                                    numerator, limit):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": numerator, "denominators": ["z1", "z1", "z2"],
+            "order": ["z1", "z2"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        if limit is None:
+            assert (code, err) == (0, "")
+            whole = parse_polynomial(numerator)
+            assert out == str(whole.coefficient(zvar(1), 1).coefficient(
+                zvar(2), 0)) + "\n"
+            return
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "size-limit"
+        assert limit in payload["message"]
 
     def test_expansion_coefficient_bits_exit_1_before_work(self, capsys,
                                                            tmp_path):

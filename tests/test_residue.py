@@ -14,7 +14,7 @@ from equiloc.algebra import (Monomial, Polynomial, compositions,
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
 from equiloc.localization import flag_dimension, flag_fixed_sum
 from equiloc.residue import ResidueForm, iterated_residue, residue_job
-from oracles import brute_residue
+from oracles import brute_residue, multiplied_out_job
 
 P = Polynomial
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
@@ -380,7 +380,66 @@ class TestFlagPushforwardOracles:
             assert at == flag_fixed_sum(n, d, cls, weights)
 
 
+def _factor_text(rng, names, terms):
+    """``(sum)`` of ``terms`` terms in the residue variables and l1, with
+    rational coefficients and exponents 0..2."""
+    parts = []
+    for _ in range(terms):
+        mono = [f"{v}^{e}" if e > 1 else v
+                for v in names + ["l1"] if (e := rng.randint(0, 2))]
+        c = f"{rng.choice((-3, -1, 1, 2))}/{rng.choice((1, 1, 2, 3))}"
+        parts.append("*".join([c] + mono))
+    return "(" + " + ".join(parts) + ")"
+
+
+def _job_numerator(rng, kind, names):
+    """A numerator text of one of four shapes for the job-level tests."""
+    small = [_factor_text(rng, names, rng.randint(1, 2))
+             for _ in range(rng.randint(1, 3))]
+    big = _factor_text(rng, names, rng.randint(3, 6))
+    if kind == "product":  # leading -, a ^ factor and a rational one
+        return ("-" + rng.choice(("3/2", "-2/5")) + "*" + names[-1] + "^2*"
+                + small[0] + "^2*" + "*".join(small[1:] + [big]))
+    if kind == "class-first":  # the body has fewer terms than the prefactor
+        return big + "*" + _factor_text(rng, names, 1)
+    if kind == "single":
+        return rng.choice(("", "-")) + big + rng.choice(("", "^2"))
+    return "*".join(small) + " - " + big  # a sum
+
+
+JOB_KINDS = ("product", "class-first", "single", "sum")
+
+
 class TestJsonJobs:
+    """residue_job keeps a product numerator factored; its answer must be
+    that of the numerator multiplied out, with prefactor 1."""
+
+    @given(seed=st.integers(0, 10 ** 9), kind=st.sampled_from(JOB_KINDS))
+    @settings(max_examples=120, deadline=None)
+    def test_job_equals_the_multiplied_out_numerator(self, seed, kind):
+        rng = random.Random(seed)
+        _, dens, order = _budget_form(rng)
+        names = [v.name for v in order]
+        job = {"numerator": _job_numerator(rng, kind, names),
+               "denominators": dens, "order": names}
+        assert residue_job(job) == multiplied_out_job(job)
+
+    def test_job_shapes_reach_the_residue(self):
+        # the shapes above give nonzero residues, so the equality is not
+        # one of zeros
+        for kind in JOB_KINDS:
+            rng = random.Random(kind)
+            nonzero = 0
+            for _ in range(20):
+                _, dens, order = _budget_form(rng)
+                names = [v.name for v in order]
+                job = {"numerator": _job_numerator(rng, kind, names),
+                       "denominators": dens, "order": names}
+                out = residue_job(job)
+                assert out == multiplied_out_job(job)
+                nonzero += out["residue"] != "0"
+            assert nonzero >= 5, kind
+
     def test_round_trip(self):
         job = {"numerator": "1",
                "denominators": ["z1", "z2", "z3"],
