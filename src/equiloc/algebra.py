@@ -12,10 +12,13 @@ Terms are stored sparsely, keyed by :class:`Monomial`.  Every product of
 two polynomials goes to one kernel, :func:`mul_dense`, on terms keyed by
 dense exponent tuples over a :class:`Slate` of variables (the residue
 engine and the jet composition call the kernel directly).  The text
-grammar, :func:`parse_polynomial`, evaluates on dense exponent tuples over
-one slate per text: a one-term ``^`` scales one key, a product of two
-one-term operands adds their keys, every other product goes to
-:func:`mul_dense`, and the monomials are built once, at the end.
+grammar, :func:`parse_polynomial`, is a recursive descent over the text's
+tokens, each distinct word read once: a number becomes its int and a
+name its slot in one slate of the text's variables (at most
+:data:`MAX_TEXT_VARIABLES`).  It evaluates on dense exponent tuples over
+that slate: a run of one-term factors folds into one coefficient and one
+exponent list, a one-term ``^`` scales one key, every other product goes
+to :func:`mul_dense`, and the monomials are built once, at the end.
 :func:`parse_factored` reads a text that is one product as its prefactor
 and its last factor, and does not form the last product.
 
@@ -470,10 +473,43 @@ def compositions(total: int, parts: int):
 
 _VAR_KINDS = {"z": zvar, "l": wvar, "c": cvar}
 
-#: One token per match, after any whitespace: a run of decimal digits, a
-#: run of word characters (a name; :func:`_tokenize` checks that it starts
-#: with a letter or ``_``), an operator, or any other character.
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+#: One token per match: a run of decimal digits, a run of word characters
+#: (a name; :func:`_tokenize` checks that it starts with a letter or
+#: ``_``), or any other character but whitespace, which only separates.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+_OPERATORS = frozenset("-+*^()/")
+
+
+def _is_token(word: str) -> bool:
+    """Whether ``word``, an operator or a run of text between operators
+    and whitespace, is one match of :data:`_TOKEN`: an operator, digits
+    only, or word characters led by a letter or ``_`` (``\\d`` and ``\\w``
+    are what ``str.isdecimal`` and ``str.isalnum`` or ``_`` accept)."""
+    head = word[0]
+    return (word in _OPERATORS or word.isdecimal()
+            or ((head.isalpha() or head == "_")
+                and word.replace("_", "a").isalnum()))
+
+
+def _words(text: str) -> tuple[list, set]:
+    """The matches of :data:`_TOKEN` in ``text`` and the set of them.
+    Spaced operators and a split at whitespace give them unless a word is
+    not one match (a number run into a name, or a stray character)."""
+    spaced = text
+    for op in _OPERATORS:
+        spaced = spaced.replace(op, f" {op} ")
+    words = spaced.split()
+    distinct = set(words)
+    if not all(map(_is_token, distinct)):
+        words = _TOKEN.findall(text)
+        distinct = set(words)
+    return words, distinct
+
+
+#: The token of a name that no variable can take; the parser raises the
+#: name's error where it reaches it.
+_UNKNOWN = object()
 
 
 def _literal(digits: str) -> int:
@@ -490,20 +526,58 @@ def _classify(name: str) -> Var:
     return svar(name)
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    for digits, name, op, other in _TOKEN.findall(text):
-        if digits:
-            tokens.append(("int", _literal(digits)))
-        elif op:
-            tokens.append((op, op))
-        elif name[:1].isalpha() or name[:1] == "_":
-            tokens.append(("var", name))
+#: Most distinct variables one polynomial text may hold (``z1`` and
+#: ``z01`` are one variable, and a name that no variable can take counts
+#: as one of its own), checked after tokenizing: every term of the text
+#: is a key of one slot per variable.
+MAX_TEXT_VARIABLES = 1_000
+
+
+def _tokenize(text: str):
+    """``(tokens, words, slate, width)`` of the text.  ``words`` are its
+    tokens as written, ``tokens`` their values: an ``int`` for a number,
+    the character for an operator, the 1-tuple of its slot in ``slate``
+    for a variable's name and :data:`_UNKNOWN` for a name no variable can
+    take; both lists end in ``None``.  ``width`` counts the variables and
+    the unknown names, at least 1.  Each distinct word is read once; the
+    first bad one in the text is the error."""
+    words, distinct = _words(text)
+    values, found, bad = {}, {}, set()
+    for word in distinct:
+        head = word[0]
+        if word in _OPERATORS:
+            values[word] = word
+        elif head.isdecimal():
+            try:
+                values[word] = _literal(word)
+            except InputError:
+                bad.add(word)
+        elif head.isalpha() or head == "_":
+            try:
+                found[word] = _classify(word)
+            except InputError:  # raised where the parser reaches the name
+                values[word] = _UNKNOWN
         else:  # a stray character, or a name led by a numeric one like ²
-            raise InputError(f"unexpected character {(name or other)[0]!r} "
-                             "in polynomial text")
-    tokens.append(("end", None))
-    return tokens
+            bad.add(word)
+    if bad:
+        word = next(w for w in words if w in bad)
+        if word[0].isdecimal():
+            _literal(word)  # raises
+        raise InputError(f"unexpected character {word[0]!r} "
+                         "in polynomial text")
+    slate = Slate(found.values())
+    width = len(slate.vars) + sum(v is _UNKNOWN for v in values.values())
+    if width > MAX_TEXT_VARIABLES:
+        raise SizeLimitExceeded(
+            f"a text of {width} variables exceeds the limit of "
+            f"{MAX_TEXT_VARIABLES} variables")
+    index = slate.index
+    for word, v in found.items():
+        values[word] = (index[v],)
+    tokens = list(map(values.__getitem__, words))
+    tokens.append(None)
+    words.append(None)
+    return tokens, words, slate, max(width, 1)
 
 
 #: Deepest nesting of parentheses and unary minus signs the grammar
@@ -557,46 +631,32 @@ def _check_bits(bits: int) -> None:
 
 
 class _Parser:
-    """Evaluates the text on term dicts keyed by dense exponent tuples over
-    one :class:`Slate` of the text's variables, built once after
-    tokenizing; the :class:`Polynomial` is built once, at the end."""
+    """Recursive descent over the tokens of :func:`_tokenize`, evaluating
+    on term dicts keyed by dense exponent tuples over the text's
+    :class:`Slate`; the :class:`Polynomial` is built once, at the end.
+    Since a text has at most :data:`MAX_TEXT_VARIABLES` variables, a pair
+    of one-term operands is under :data:`MAX_PRODUCT_WORK`, and only
+    their coefficients' bits are checked."""
 
     def __init__(self, text: str):
         if not isinstance(text, str):
             raise InputError(f"polynomial text must be a string, not "
                              f"{type(text).__name__}")
-        self.tokens = _tokenize(text)
+        self.tokens, self.words, self.slate, self.width = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        found, unknown = {}, 0
-        for name in {v for kind, v in self.tokens if kind == "var"}:
-            try:
-                found[name] = _classify(name)
-            except InputError:  # raised where the parser reaches the name
-                unknown += 1
-        slate = self.slate = Slate(found.values())
-        n = len(slate.vars)
-        self.zero = (0,) * n
-        self.units = {}
-        for name, v in found.items():
-            key = [0] * n
-            key[slate.index[v]] = 1
-            self.units[name] = tuple(key)
-        # a name that no variable can take counts as one of its own
-        self.width = max(n + unknown, 1)
+        self.zero = (0,) * len(self.slate.vars)
 
-    def peek(self):
-        return self.tokens[self.pos][0]
+    def value(self, pos: int):
+        """The token at ``pos`` as errors name it: a number's int, else
+        the text (``None`` at the end)."""
+        tok = self.tokens[pos]
+        return tok if type(tok) is int else self.words[pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise InputError(f"expected {kind!r}, found {tok[1]!r}")
+    def expect_int(self, pos: int) -> int:
+        tok = self.tokens[pos]
+        if type(tok) is not int:
+            raise InputError(f"expected 'int', found {self.value(pos)!r}")
         return tok
 
     def parse(self) -> Polynomial:
@@ -609,20 +669,20 @@ class _Parser:
         one, multiplied in text order with any leading sign, and the last
         factor; the last product is checked but not formed.  Otherwise, a
         sum or one factor, ``(1, the text's polynomial)``."""
-        sign = self.sign()
+        negative = self.sign()
         pre, body = self.term(split=True)
-        if not (pre and body) or self.peek() in "+-":
+        if not (pre and body) or self.tokens[self.pos] in ("+", "-"):
             # one factor, a zero product, or a sum: formed as parse forms it
             acc = body if pre is None else mul_dense(pre, body)
-            pre, body = {self.zero: 1}, self.sum(sign, acc)
-        elif sign == "-":
+            pre, body = {self.zero: 1}, self.sum(negative, acc)
+        elif negative:
             pre = {m: -c for m, c in pre.items()}
         self.finish()
         return self.polynomial(pre), self.polynomial(body)
 
     def finish(self) -> None:
-        if self.peek() != "end":
-            raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
+        if self.tokens[self.pos] is not None:
+            raise InputError(f"trailing input at {self.value(self.pos)!r}")
 
     def polynomial(self, terms: dict) -> Polynomial:
         return Polynomial(self.slate.sparse(_integral_ints(terms)))
@@ -639,11 +699,9 @@ class _Parser:
         _check_bits(_height_bits(a) + _height_bits(b))
 
     def product(self, a: dict, b: dict) -> dict:
-        """The checked product.  Two one-term operands fold here: their
-        pair is under the work limit unless the text has more variables
-        than :data:`MAX_PRODUCT_WORK`, and their height is their
-        coefficients'."""
-        if len(a) == 1 == len(b) and self.width <= MAX_PRODUCT_WORK:
+        """The checked product; two one-term operands fold here, checked
+        for their coefficients' bits."""
+        if len(a) == 1 == len(b):
             (ma, ca), = a.items()
             (mb, cb), = b.items()
             _check_bits(_coefficient_bits(ca) + _coefficient_bits(cb))
@@ -651,85 +709,181 @@ class _Parser:
         self.check(a, b)
         return mul_dense(a, b)
 
-    def sign(self) -> str:
-        """Consume a leading ``+`` or ``-`` and return the token kind."""
-        sign = self.peek()
-        if sign in "+-":
-            self.next()
-        return sign
+    def monomial(self, c, key) -> dict:
+        """The terms of ``c`` times the monomial of the exponent list
+        ``key`` (``None`` for 1): none when ``c`` is 0."""
+        if not c:
+            return {}
+        return {self.zero if key is None else tuple(key): c}
+
+    def sign(self) -> bool:
+        """Consume a leading ``+`` or ``-``; whether it was ``-``."""
+        tok = self.tokens[self.pos]
+        if tok == "+" or tok == "-":
+            self.pos += 1
+        return tok == "-"
 
     def expr(self) -> dict:
-        sign = self.sign()
-        return self.sum(sign, self.term())
+        negative = self.sign()
+        return self.sum(negative, self.term())
 
-    def sum(self, sign: str, acc: dict) -> dict:
-        """The sum of ``acc``, the first term (negated after a ``-``
-        sign), and the terms that follow it."""
-        if sign == "-":
+    def sum(self, negative: bool, acc: dict) -> dict:
+        """The sum of ``acc``, the first term (negated when ``negative``),
+        and the terms that follow it."""
+        if negative:
             acc = {m: -c for m, c in acc.items()}
-        while self.peek() in "+-":  # every value formed is a new dict
-            op = self.next()[0]
-            _add_into(acc, self.term(), 1 if op == "+" else -1)
-        return acc
+        tokens = self.tokens
+        get = acc.get
+        while True:  # every value formed is a new dict
+            op = tokens[self.pos]
+            if op != "+" and op != "-":
+                return acc
+            self.pos += 1
+            minus = op == "-"
+            for m, c in self.term().items():
+                nc = get(m, 0) + (-c if minus else c)
+                if nc:
+                    acc[m] = nc
+                elif m in acc:
+                    del acc[m]
 
     def term(self, split: bool = False):
         """The product of the factors; with ``split``, the pair of the
         product of all but the last factor (None for one factor) and the
-        last factor, their product checked but not formed."""
-        acc = self.power()
-        while self.peek() == "*":
-            self.next()
-            b = self.power()
-            if split and self.peek() != "*":
+        last factor, their product checked but not formed.
+
+        While the factors are numbers and variables, each maybe to a
+        power, their product is held as ``coef`` times the exponent list
+        ``key`` and each factor ``c`` is folded in, checked as the product
+        of two one-term operands is: ``bits`` of ``coef`` plus ``cbits``
+        of ``c``.  From the first factor of another kind on, each factor
+        is formed by :meth:`power` and multiplied by :meth:`product`."""
+        tokens = self.tokens
+        pos = self.pos
+        n = len(self.zero)
+        first = True
+        coef, bits, key = 1, 0, None
+        while True:
+            tok = tokens[pos]
+            if type(tok) is tuple:  # a variable, maybe to a power
+                c, cbits, slot, e = 1, 0, tok[0], 1
+                pos += 1
+                if tokens[pos] == "^":
+                    e = tokens[pos + 1]
+                    if type(e) is not int:
+                        self.expect_int(pos + 1)
+                    pos += 2
+            elif type(tok) is int:  # a number, maybe a/b, maybe to a power
+                c, slot = tok, None
+                pos += 1
+                if tokens[pos] == "/":
+                    den = self.expect_int(pos + 1)
+                    pos += 2
+                    if den == 0:
+                        raise InputError("zero denominator in rational literal")
+                    c = _num(Fraction(c, den))
+                if tokens[pos] == "^":
+                    e = self.expect_int(pos + 1)
+                    pos += 2
+                    _check_bits(e * _coefficient_bits(c))
+                    c = c ** e
+                cbits = _coefficient_bits(c)
+            else:
+                break
+            if first:
+                first = False
+                coef, bits = c, cbits
+            elif split and tokens[pos] != "*":  # the last factor, apart
+                acc = self.monomial(coef, key)
+                b = self.monomial(c, None if slot is None else
+                                  [e if i == slot else 0 for i in range(n)])
                 self.check(acc, b)
+                self.pos = pos
                 return acc, b
-            acc = self.product(acc, b)
-        return (None, acc) if split else acc
+            else:
+                bits += cbits
+                if bits > MAX_COEFFICIENT_BITS:
+                    _check_bits(bits)
+                if c != 1:
+                    coef *= c
+                    bits = _coefficient_bits(coef)
+            if slot is not None:
+                if key is None:
+                    key = [0] * n
+                key[slot] += e
+            if tokens[pos] != "*":
+                self.pos = pos
+                acc = self.monomial(coef, key)
+                return (None, acc) if split else acc
+            pos += 1
+        # a factor of another kind: from here on, factor by factor
+        self.pos = pos
+        acc = None if first else self.monomial(coef, key)
+        while True:
+            b = self.power()
+            if acc is not None:
+                if split and tokens[self.pos] != "*":
+                    self.check(acc, b)
+                    return acc, b
+                b = self.product(acc, b)
+            acc = b
+            if tokens[self.pos] != "*":
+                return (None, acc) if split else acc
+            self.pos += 1
 
     def power(self) -> dict:
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            exp = self.expect("int")[1]
-            if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
-                (m, c), = base.items()
-                _check_bits(exp * _coefficient_bits(c))
-                return {tuple([e * exp for e in m]): c ** exp}
-            t = max(len(base), 1)
-            bound = math.comb(exp + t - 1, t - 1)
-            if bound > MAX_POWER_TERMS:
-                raise SizeLimitExceeded(
-                    f"a {t}-term polynomial to the power {exp} may have "
-                    f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
-            _check_bits(exp * _height_bits(base))
-            return _power(base, exp, self.product, {self.zero: 1})
-        return base
+        if self.tokens[self.pos] != "^":
+            return base
+        exp = self.expect_int(self.pos + 1)
+        self.pos += 2
+        if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
+            (m, c), = base.items()
+            _check_bits(exp * _coefficient_bits(c))
+            return {tuple([e * exp for e in m]): c ** exp}
+        t = max(len(base), 1)
+        bound = math.comb(exp + t - 1, t - 1)
+        if bound > MAX_POWER_TERMS:
+            raise SizeLimitExceeded(
+                f"a {t}-term polynomial to the power {exp} may have "
+                f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
+        _check_bits(exp * _height_bits(base))
+        return _power(base, exp, self.product, {self.zero: 1})
 
     def atom(self) -> dict:
-        kind, value = self.next()
-        if kind == "int":
-            if self.peek() == "/":
-                self.next()
-                den = self.expect("int")[1]
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        self.pos = pos + 1
+        if type(tok) is int:
+            if tokens[pos + 1] == "/":
+                den = self.expect_int(pos + 2)
+                self.pos = pos + 3
                 if den == 0:
                     raise InputError("zero denominator in rational literal")
-                value = _num(Fraction(value, den))
-            return {self.zero: value} if value else {}
-        if kind == "var":
-            if value not in self.units:
-                _classify(value)  # raises what it raised in __init__
-            return {self.units[value]: 1}
-        if kind not in ("-", "("):
-            raise InputError(f"unexpected token {value!r} in polynomial text")
+                tok = _num(Fraction(tok, den))
+            return self.monomial(tok, None)
+        if type(tok) is tuple:
+            key = [0] * len(self.zero)
+            key[tok[0]] = 1
+            return {tuple(key): 1}
+        if tok is _UNKNOWN:
+            _classify(self.words[pos])  # raises what it raised in _tokenize
+        if tok != "-" and tok != "(":
+            raise InputError(f"unexpected token {self.value(pos)!r} in "
+                             "polynomial text")
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise InputError(
                 f"polynomial text nests deeper than {MAX_NESTING} levels")
-        if kind == "-":
+        if tok == "-":
             p = {m: -c for m, c in self.atom().items()}
         else:
             p = self.expr()
-            self.expect(")")
+            if tokens[self.pos] != ")":
+                raise InputError(
+                    f"expected ')', found {self.value(self.pos)!r}")
+            self.pos += 1
         self.depth -= 1
         return p
 

@@ -159,11 +159,14 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
         slices.setdefault(t, {})[m[:zi] + (0,) + m[zi + 1:]] = c
     # the largest order j = t + e + 1 - s of a num_t and a term of pre_e
     # that pass the budget together (each term kept passes with the top
-    # gain); with no factor, the expansion is 1
+    # gain); with no factor, the expansion is 1, and with no rest in any
+    # factor (w = a z) it is 1/a^s, empty past order 0
     jtot = max((t + e + 1 - s for t, sl in slices.items() for e, g in gains
                 if g == top or any(sum(k[:zi]) + (t if lifts else 0) + g
                                    >= low for k in sl)),
                default=-1) if s else 0
+    if not any(b for b, _, _ in factors):
+        jtot = min(jtot, 0)
     if jtot < 0:
         return {}
     if jtot > MAX_EXPANSION_ORDER:

@@ -25,15 +25,26 @@ arithmetic.
 :func:`multiplied_out_job` is the reference for ``residue_job``, which
 keeps a product numerator factored: the whole numerator text multiplied
 out by ``parse_polynomial`` and given to the engine with prefactor 1.
+:func:`reference_parse_polynomial` and :func:`reference_parse_factored`
+are the references for the text grammar: the token-tuple recursive
+descent the package parsed with before its one-term factors folded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
+from operator import add
 
-from equiloc.algebra import Monomial, Polynomial, parse_polynomial, svar, zvar
+from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
+                             MAX_PRODUCT_WORK, Monomial,
+                             Polynomial, Slate, _add_into, _check_bits,
+                             _classify, _coefficient_bits, _height_bits,
+                             _integral_ints, _literal, _num, _power,
+                             mul_dense, parse_polynomial, svar, zvar)
+from equiloc.errors import InputError, SizeLimitExceeded
 from equiloc.residue import ResidueForm, iterated_residue
 
 H = svar("h")
@@ -288,3 +299,221 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
                         for s in range(n) if s not in subset)
         total += orderings * num / den
     return total
+
+
+# -- the reference parser ----------------------------------------------------
+#
+# The recursive descent the package parsed polynomial text with before its
+# tokens carried resolved values and its products folded one-term factors
+# into one coefficient and exponent list; copied verbatim.  A name that no
+# variable can take (a 4,301-digit index) counts as one variable of its own,
+# and no limit bounds the variables of one text.
+
+#: One token per match, after any whitespace: a run of decimal digits, a
+#: run of word characters (a name; :func:`_tokenize` checks that it starts
+#: with a letter or ``_``), an operator, or any other character.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+
+
+def _tokenize(text: str) -> list:
+    tokens = []
+    for digits, name, op, other in _TOKEN.findall(text):
+        if digits:
+            tokens.append(("int", _literal(digits)))
+        elif op:
+            tokens.append((op, op))
+        elif name[:1].isalpha() or name[:1] == "_":
+            tokens.append(("var", name))
+        else:  # a stray character, or a name led by a numeric one like ²
+            raise InputError(f"unexpected character {(name or other)[0]!r} "
+                             "in polynomial text")
+    tokens.append(("end", None))
+    return tokens
+
+
+class _Parser:
+    """Evaluates the text on term dicts keyed by dense exponent tuples over
+    one :class:`Slate` of the text's variables, built once after
+    tokenizing; the :class:`Polynomial` is built once, at the end."""
+
+    def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise InputError(f"polynomial text must be a string, not "
+                             f"{type(text).__name__}")
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        found, unknown = {}, 0
+        for name in {v for kind, v in self.tokens if kind == "var"}:
+            try:
+                found[name] = _classify(name)
+            except InputError:  # raised where the parser reaches the name
+                unknown += 1
+        slate = self.slate = Slate(found.values())
+        n = len(slate.vars)
+        self.zero = (0,) * n
+        self.units = {}
+        for name, v in found.items():
+            key = [0] * n
+            key[slate.index[v]] = 1
+            self.units[name] = tuple(key)
+        # a name that no variable can take counts as one of its own
+        self.width = max(n + unknown, 1)
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise InputError(f"expected {kind!r}, found {tok[1]!r}")
+        return tok
+
+    def parse(self) -> Polynomial:
+        terms = self.expr()
+        self.finish()
+        return self.polynomial(terms)
+
+    def parse_factored(self) -> tuple[Polynomial, Polynomial]:
+        """``(prefactor, body)``: for a product, the factors before the last
+        one, multiplied in text order with any leading sign, and the last
+        factor; the last product is checked but not formed.  Otherwise, a
+        sum or one factor, ``(1, the text's polynomial)``."""
+        sign = self.sign()
+        pre, body = self.term(split=True)
+        if not (pre and body) or self.peek() in "+-":
+            # one factor, a zero product, or a sum: formed as parse forms it
+            acc = body if pre is None else mul_dense(pre, body)
+            pre, body = {self.zero: 1}, self.sum(sign, acc)
+        elif sign == "-":
+            pre = {m: -c for m, c in pre.items()}
+        self.finish()
+        return self.polynomial(pre), self.polynomial(body)
+
+    def finish(self) -> None:
+        if self.peek() != "end":
+            raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        return Polynomial(self.slate.sparse(_integral_ints(terms)))
+
+    def check(self, a: dict, b: dict) -> None:
+        """The limits on the product of ``a`` and ``b``, before it is
+        formed."""
+        pairs = len(a) * len(b)
+        if pairs * self.width > MAX_PRODUCT_WORK:
+            raise SizeLimitExceeded(
+                f"a product of {pairs} term pairs in a {self.width}-variable "
+                f"text exceeds the limit of {MAX_PRODUCT_WORK} pairs times "
+                "variables")
+        _check_bits(_height_bits(a) + _height_bits(b))
+
+    def product(self, a: dict, b: dict) -> dict:
+        """The checked product.  Two one-term operands fold here: their
+        pair is under the work limit unless the text has more variables
+        than :data:`MAX_PRODUCT_WORK`, and their height is their
+        coefficients'."""
+        if len(a) == 1 == len(b) and self.width <= MAX_PRODUCT_WORK:
+            (ma, ca), = a.items()
+            (mb, cb), = b.items()
+            _check_bits(_coefficient_bits(ca) + _coefficient_bits(cb))
+            return {tuple(map(add, ma, mb)): ca * cb}
+        self.check(a, b)
+        return mul_dense(a, b)
+
+    def sign(self) -> str:
+        """Consume a leading ``+`` or ``-`` and return the token kind."""
+        sign = self.peek()
+        if sign in "+-":
+            self.next()
+        return sign
+
+    def expr(self) -> dict:
+        sign = self.sign()
+        return self.sum(sign, self.term())
+
+    def sum(self, sign: str, acc: dict) -> dict:
+        """The sum of ``acc``, the first term (negated after a ``-``
+        sign), and the terms that follow it."""
+        if sign == "-":
+            acc = {m: -c for m, c in acc.items()}
+        while self.peek() in "+-":  # every value formed is a new dict
+            op = self.next()[0]
+            _add_into(acc, self.term(), 1 if op == "+" else -1)
+        return acc
+
+    def term(self, split: bool = False):
+        """The product of the factors; with ``split``, the pair of the
+        product of all but the last factor (None for one factor) and the
+        last factor, their product checked but not formed."""
+        acc = self.power()
+        while self.peek() == "*":
+            self.next()
+            b = self.power()
+            if split and self.peek() != "*":
+                self.check(acc, b)
+                return acc, b
+            acc = self.product(acc, b)
+        return (None, acc) if split else acc
+
+    def power(self) -> dict:
+        base = self.atom()
+        if self.peek() == "^":
+            self.next()
+            exp = self.expect("int")[1]
+            if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
+                (m, c), = base.items()
+                _check_bits(exp * _coefficient_bits(c))
+                return {tuple([e * exp for e in m]): c ** exp}
+            t = max(len(base), 1)
+            bound = math.comb(exp + t - 1, t - 1)
+            if bound > MAX_POWER_TERMS:
+                raise SizeLimitExceeded(
+                    f"a {t}-term polynomial to the power {exp} may have "
+                    f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
+            _check_bits(exp * _height_bits(base))
+            return _power(base, exp, self.product, {self.zero: 1})
+        return base
+
+    def atom(self) -> dict:
+        kind, value = self.next()
+        if kind == "int":
+            if self.peek() == "/":
+                self.next()
+                den = self.expect("int")[1]
+                if den == 0:
+                    raise InputError("zero denominator in rational literal")
+                value = _num(Fraction(value, den))
+            return {self.zero: value} if value else {}
+        if kind == "var":
+            if value not in self.units:
+                _classify(value)  # raises what it raised in __init__
+            return {self.units[value]: 1}
+        if kind not in ("-", "("):
+            raise InputError(f"unexpected token {value!r} in polynomial text")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise InputError(
+                f"polynomial text nests deeper than {MAX_NESTING} levels")
+        if kind == "-":
+            p = {m: -c for m, c in self.atom().items()}
+        else:
+            p = self.expr()
+            self.expect(")")
+        self.depth -= 1
+        return p
+
+
+def reference_parse_polynomial(text):
+    """``parse_polynomial`` by the reference parser."""
+    return _Parser(text).parse()
+
+
+def reference_parse_factored(text):
+    """``parse_factored`` by the reference parser."""
+    return _Parser(text).parse_factored()

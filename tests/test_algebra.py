@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
-                             MAX_POWER_TERMS, MAX_PRODUCT_WORK, Monomial,
-                             Polynomial, compositions, cvar, format_rational,
+                             MAX_POWER_TERMS, MAX_PRODUCT_WORK,
+                             MAX_TEXT_VARIABLES, Monomial, Polynomial,
+                             compositions, cvar, format_rational,
                              parse_factored, parse_polynomial, svar,
                              term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
-from oracles import sparse_product
+from oracles import (reference_parse_factored, reference_parse_polynomial,
+                     sparse_product)
 
 P = Polynomial
 X = svar("x")
@@ -425,6 +427,127 @@ class TestFactoredParse:
         for text in ("2^99999*z1*(z2 + 1)", "2^99999*2*z1"):
             pre, body = parse_factored(text)
             assert pre * body == parse_polynomial(text)
+
+
+def _grammar_texts():
+    """Texts of the grammar, joined from pieces with any whitespace: every
+    alphabet's names (``z1`` and ``z01`` are one variable), numbers and
+    ``a/b`` literals (``/0`` included), parentheses, unary minus, ``+ -
+    *`` and powers of any piece, sums included.  Precedence is left to the
+    parsers: the pieces need not be what they look like."""
+    space = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+    leaf = st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(0, 4)).map(
+            lambda nd: f"{nd[0]}/{nd[1]}"),
+        st.sampled_from(["z1", "z01", "z2", "l1", "c2", "h", "x", "delta",
+                         "_a", "x\u00b2"]))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(space, inner, space).map(lambda t: f"({''.join(t)})"),
+            st.tuples(space, inner).map(lambda t: f"-{''.join(t)}"),
+            st.tuples(inner, space, st.integers(0, 3)).map(
+                lambda t: f"{t[0]}{t[1]}^{t[2]}"),
+            st.tuples(inner, space, st.sampled_from("+-*"), space, inner).map(
+                "".join))
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def _malformed(texts):
+    """A text with one character deleted and one piece inserted, often
+    breaking the grammar: a stray operator, a negative or missing power, a
+    number run into a name, a character no token takes."""
+    junk = st.sampled_from(["", "(", ")", "^", "*", "+", "-", "/", "$", ".",
+                            "\u00b2", "0", "7", "z", "^-1", "^x", "1z", " "])
+    return st.tuples(texts, st.integers(0, 200), st.booleans(), junk).map(
+        lambda t: _splice(*t))
+
+
+def _splice(text, at, delete, piece):
+    at %= len(text) + 1
+    return text[:at] + piece + text[at + delete:]
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of the text: the terms of each polynomial with
+    their coefficient types, or the type and message of its error."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared as type and message
+        return type(exc), str(exc)
+    polys = value if isinstance(value, tuple) else (value,)
+    return [{m.exps: (c, type(c)) for m, c in p.terms.items()} for p in polys]
+
+
+class TestReferenceParser:
+    """The parser agrees with the reference recursive descent of
+    :mod:`oracles` on every text: the same terms with the same coefficient
+    types, or the same error type and message."""
+
+    def agree(self, text):
+        assert _outcome(parse_polynomial, text) == \
+            _outcome(reference_parse_polynomial, text), text
+        assert _outcome(parse_factored, text) == \
+            _outcome(reference_parse_factored, text), text
+
+    @given(_grammar_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_grammar_texts(self, text):
+        self.agree(text)
+
+    @given(_malformed(_grammar_texts()))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_texts(self, text):
+        self.agree(text)
+
+    @pytest.mark.parametrize("text", [
+        # limits: at a fold of one-term factors, a zero or one-term factor
+        # times a sum of large constants, the last product, a power
+        "2^99999*z1*(z2 + 2)", "2^99999*z1*(z2 + 1)", "2^50000*2^50001",
+        "2^50000*2^50000*z1", "z1*2^50000*2^50001", "0*(2^99999 + 2^99999 + "
+        "2^99999)", "z1*(2^99999 + 2^99999 + 2^99999)", "(2^99999 + 2^99999"
+        " + 2^99999)*z1", "(1/3)^50001", "(2*z1 + 1)^50001", "3^30000000",
+        "(z1 + z2 + z3)^60", "*".join(f"(a{i} + b{i})" for i in range(16)),
+        # zeros, ones and types
+        "0^0", "0^3*z1", "z1*0", "z1^0", "0/5*z1", "1/2*2*z1", "2/4*2",
+        "3*2/6", "(z1*z2)^3", "(2*z1)^0", "(1/2*z1)^2*4",
+        # unary minus binds tighter than ^ inside a product
+        "-z1^2", "2*-z1^2", "z1 + -z1^2", "--z1", "-(z1 - z2)*z3",
+        # splits of parse_factored
+        "-2*z1^2*(z1 - z2)*(z1 + 3/2*z2)", "2*z1", "z1*2", "0*z9", "z9*0",
+        "(z1 - z2)*z3", "z1*z2 + 1", "(z1 - z2)*(z1 + z2) - z1",
+        # errors and the order they are found in
+        "", "   ", "()", "(z1", "z1)", "z1 z2", "2z1", "1.5", "$", "z1 + $",
+        "z1^x", "z1^-1", "z1^(-1)", "c1 +", "1/0", "0/0", "1/x", "x^",
+        "1" * 4301, "z" + "1" * 4301, "x + z" + "1" * 4301,
+        "(z" + "1" * 4301 + ")*$", "z1 + " + "1" * 4301 + " + $",
+        "(" * 101 + "x" + ")" * 101, "-" * 101 + "x",
+        # the character classes of str
+        "z\u0661", "x\u00b2", "\u00b2x", "\u01c51", "x\u00a0+\u00a0y",
+        "_a*b"])
+    def test_edge_texts(self, text):
+        self.agree(text)
+
+
+class TestTextVariableLimit:
+    def test_the_limit_admits_its_edge(self):
+        # z01 is z1 again
+        names = [f"z{i}" for i in range(1, MAX_TEXT_VARIABLES + 1)]
+        p = parse_polynomial(" + ".join(names) + " + z01")
+        assert len(p.terms) == MAX_TEXT_VARIABLES
+        assert p.terms[Monomial.make([(zvar(1), 1)])] == 2
+
+    def test_one_variable_more_is_refused(self):
+        text = " + ".join(f"z{i}" for i in range(MAX_TEXT_VARIABLES + 1))
+        for parse in (parse_polynomial, parse_factored):
+            with pytest.raises(SizeLimitExceeded, match=f"a text of "
+                               f"{MAX_TEXT_VARIABLES + 1} variables"):
+                parse(text)
+
+    def test_spellings_of_one_variable_count_once(self):
+        text = " + ".join("z" + "0" * i + "1" for i in range(2000))
+        assert parse_polynomial(text) == 2000 * P.var(zvar(1))
 
 
 class TestLaurentSeries:

@@ -222,13 +222,46 @@ class TestResidueJobs:
     def test_expansion_overflow_names_the_variable(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({
-            "numerator": "z2^300", "denominators": ["z2"], "order": ["z2"]}))
+            "numerator": "z2^300", "denominators": ["z2 - l1"],
+            "order": ["z2"]}))
         code, out, err = run(capsys, "residue", "--job", str(path))
         assert (code, out) == (1, "")
         payload = json.loads(err)
         assert payload["error"] == "window-overflow"
         assert payload["message"] == \
             "expansion order 300 in z2 exceeds the limit 256"
+
+    @pytest.mark.parametrize("numerator,denominators,expected", [
+        ("z1^300", ["z1"], "0"),
+        ("z1^300 + 5*z1^2", ["z1", "z1", "z1"], "-5"),
+        ("z1^400*l1 + 3*z1", ["2*z1", "z1"], "-3/2"),
+    ])
+    def test_factors_without_a_rest_expand_to_order_0(
+            self, capsys, tmp_path, numerator, denominators, expected):
+        # 1/(a z)^s has no terms past order 0, so a high numerator power
+        # asks for no expansion and is not refused
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": numerator, "denominators": denominators,
+            "order": ["z1"]}))
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_many_variables_exit_1_before_work(self, capsys, tmp_path):
+        # every term of a text is a key of one slot per variable: a sum of
+        # 20,000 names would need 4 x 10^8 slots
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "numerator": " + ".join(f"v{i}" for i in range(20_000)),
+            "denominators": ["z1"], "order": ["z1"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "residue", "--job", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "size-limit"
+        assert payload["message"] == ("a text of 20000 variables exceeds "
+                                      "the limit of 1000 variables")
 
     def test_slice_that_cannot_reach_the_residue_is_not_expanded(
             self, capsys, tmp_path):

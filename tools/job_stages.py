@@ -4,10 +4,11 @@ runs of each stage, in seconds, and the term counts beside them.
     python tools/job_stages.py JOB.json [--repeat N]
 
 JOB.json holds a job as ``equiloc residue --job`` reads it.  The stages are
-``parse`` (the numerator, kept factored, and the denominators), ``form``
-(the ResidueForm and its variable checks), ``residue`` (the iterated
-residue) and ``print`` (the answer's text); ``residue_job`` times them
-together, through the function the command line calls.
+``numerator`` (its text parsed, kept factored), ``denominators`` (their
+texts parsed), ``form`` (the ResidueForm and its variable checks),
+``residue`` (the iterated residue) and ``print`` (the answer's text);
+``residue_job`` times them together, through the function the command
+line calls, and its answer must be the stages' answer.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ def main(argv=None) -> int:
         job = json.load(fh)
     expected = residue_job(job)["residue"]  # also validates the job
 
-    def parse():
-        return (parse_factored(job["numerator"]),
-                tuple(parse_polynomial(t) for t in job["denominators"]))
+    def numerator():
+        return parse_factored(job["numerator"])
 
-    (prefactor, body), dens = parse()
+    def denominators():
+        return tuple(parse_polynomial(t) for t in job["denominators"])
+
+    prefactor, body = numerator()
+    dens = denominators()
     order = tuple(zvar(int(name[1:])) for name in job["order"])
 
     def form():
@@ -62,9 +66,10 @@ def main(argv=None) -> int:
     if str(result) != expected:
         print("the stages' answer differs from residue_job's", file=sys.stderr)
         return 1
-    rows = [("parse", parse, f"prefactor {len(prefactor.terms)} terms, "
-                             f"body {len(body.terms)} terms, "
-                             f"{len(dens)} denominators"),
+    rows = [("numerator", numerator, f"prefactor {len(prefactor.terms)} "
+             f"terms, body {len(body.terms)} terms, "
+             f"{len(job['numerator'])} characters"),
+            ("denominators", denominators, f"{len(dens)} texts"),
             ("form", form, ""),
             ("residue", lambda: iterated_residue(form()),
              f"{len(result.terms)} terms out"),
@@ -72,7 +77,7 @@ def main(argv=None) -> int:
             ("residue_job", lambda: residue_job(job), "all of the above")]
     times = best([fn for _, fn, _ in rows], args.repeat)
     for (name, _, note), seconds in zip(rows, times):
-        print(f"{name:<12} {seconds:.6f} s  {note}".rstrip())
+        print(f"{name:<13} {seconds:.6f} s  {note}".rstrip())
     return 0
 
 
