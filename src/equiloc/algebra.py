@@ -16,9 +16,10 @@ grammar, :func:`parse_polynomial`, is a recursive descent over the text's
 tokens, each distinct word read once: a number becomes its int and a
 name its slot in one slate of the text's variables (at most
 :data:`MAX_TEXT_VARIABLES`).  It evaluates on dense exponent tuples over
-that slate: a run of one-term factors folds into one coefficient and one
-exponent list, a one-term ``^`` scales one key, every other product goes
-to :func:`mul_dense`, and the monomials are built once, at the end.
+that slate: a run of number and variable factors, each maybe to a power,
+folds into one coefficient and one exponent list, a one-term ``^`` scales
+one key, every other product goes to :func:`mul_dense`, and the monomials
+are built once, at the end.
 :func:`parse_factored` reads a text that is one product as its prefactor
 and its last factor, and does not form the last product.
 
@@ -481,32 +482,6 @@ _TOKEN = re.compile(r"\d+|\w+|\S")
 _OPERATORS = frozenset("-+*^()/")
 
 
-def _is_token(word: str) -> bool:
-    """Whether ``word``, an operator or a run of text between operators
-    and whitespace, is one match of :data:`_TOKEN`: an operator, digits
-    only, or word characters led by a letter or ``_`` (``\\d`` and ``\\w``
-    are what ``str.isdecimal`` and ``str.isalnum`` or ``_`` accept)."""
-    head = word[0]
-    return (word in _OPERATORS or word.isdecimal()
-            or ((head.isalpha() or head == "_")
-                and word.replace("_", "a").isalnum()))
-
-
-def _words(text: str) -> tuple[list, set]:
-    """The matches of :data:`_TOKEN` in ``text`` and the set of them.
-    Spaced operators and a split at whitespace give them unless a word is
-    not one match (a number run into a name, or a stray character)."""
-    spaced = text
-    for op in _OPERATORS:
-        spaced = spaced.replace(op, f" {op} ")
-    words = spaced.split()
-    distinct = set(words)
-    if not all(map(_is_token, distinct)):
-        words = _TOKEN.findall(text)
-        distinct = set(words)
-    return words, distinct
-
-
 #: The token of a name that no variable can take; the parser raises the
 #: name's error where it reaches it.
 _UNKNOWN = object()
@@ -536,44 +511,38 @@ MAX_TEXT_VARIABLES = 1_000
 def _tokenize(text: str):
     """``(tokens, words, slate, width)`` of the text.  ``words`` are its
     tokens as written, ``tokens`` their values: an ``int`` for a number,
-    the character for an operator, the 1-tuple of its slot in ``slate``
-    for a variable's name and :data:`_UNKNOWN` for a name no variable can
-    take; both lists end in ``None``.  ``width`` counts the variables and
-    the unknown names, at least 1.  Each distinct word is read once; the
-    first bad one in the text is the error."""
-    words, distinct = _words(text)
-    values, found, bad = {}, {}, set()
-    for word in distinct:
+    the character for an operator, ``(1, slot)`` for a variable's name
+    (the coefficient and the ``slate`` slot of the variable as a factor)
+    and :data:`_UNKNOWN` for a name no variable can take; both lists end
+    in ``None``.  ``width`` counts the variables and the unknown names, at
+    least 1.  Each distinct word is read once, in the order of the text,
+    so the first bad one in the text is the error."""
+    words = _TOKEN.findall(text)
+    values = dict.fromkeys(words)
+    found = {}
+    for word in values:
         head = word[0]
         if word in _OPERATORS:
             values[word] = word
         elif head.isdecimal():
-            try:
-                values[word] = _literal(word)
-            except InputError:
-                bad.add(word)
+            values[word] = _literal(word)
         elif head.isalpha() or head == "_":
             try:
                 found[word] = _classify(word)
             except InputError:  # raised where the parser reaches the name
                 values[word] = _UNKNOWN
         else:  # a stray character, or a name led by a numeric one like ²
-            bad.add(word)
-    if bad:
-        word = next(w for w in words if w in bad)
-        if word[0].isdecimal():
-            _literal(word)  # raises
-        raise InputError(f"unexpected character {word[0]!r} "
-                         "in polynomial text")
-    slate = Slate(found.values())
-    width = len(slate.vars) + sum(v is _UNKNOWN for v in values.values())
+            raise InputError(f"unexpected character {head!r} "
+                             "in polynomial text")
+    width = (len(set(found.values()))
+             + sum(v is _UNKNOWN for v in values.values()))
     if width > MAX_TEXT_VARIABLES:
         raise SizeLimitExceeded(
             f"a text of {width} variables exceeds the limit of "
             f"{MAX_TEXT_VARIABLES} variables")
-    index = slate.index
+    slate = Slate(found.values())
     for word, v in found.items():
-        values[word] = (index[v],)
+        values[word] = (1, slate.index[v])
     tokens = list(map(values.__getitem__, words))
     tokens.append(None)
     words.append(None)
@@ -630,13 +599,16 @@ def _check_bits(bits: int) -> None:
             f"{MAX_COEFFICIENT_BITS} bits")
 
 
+def _raised(c, e: int):
+    """``c ** e`` for a coefficient, checked as a one-term power is."""
+    _check_bits(e * _coefficient_bits(c))
+    return c ** e
+
+
 class _Parser:
     """Recursive descent over the tokens of :func:`_tokenize`, evaluating
     on term dicts keyed by dense exponent tuples over the text's
-    :class:`Slate`; the :class:`Polynomial` is built once, at the end.
-    Since a text has at most :data:`MAX_TEXT_VARIABLES` variables, a pair
-    of one-term operands is under :data:`MAX_PRODUCT_WORK`, and only
-    their coefficients' bits are checked."""
+    :class:`Slate`; the :class:`Polynomial` is built once, at the end."""
 
     def __init__(self, text: str):
         if not isinstance(text, str):
@@ -699,13 +671,7 @@ class _Parser:
         _check_bits(_height_bits(a) + _height_bits(b))
 
     def product(self, a: dict, b: dict) -> dict:
-        """The checked product; two one-term operands fold here, checked
-        for their coefficients' bits."""
-        if len(a) == 1 == len(b):
-            (ma, ca), = a.items()
-            (mb, cb), = b.items()
-            _check_bits(_coefficient_bits(ca) + _coefficient_bits(cb))
-            return {tuple(map(add, ma, mb)): ca * cb}
+        """The checked product."""
         self.check(a, b)
         return mul_dense(a, b)
 
@@ -733,140 +699,118 @@ class _Parser:
         if negative:
             acc = {m: -c for m, c in acc.items()}
         tokens = self.tokens
-        get = acc.get
         while True:  # every value formed is a new dict
             op = tokens[self.pos]
             if op != "+" and op != "-":
                 return acc
             self.pos += 1
-            minus = op == "-"
-            for m, c in self.term().items():
-                nc = get(m, 0) + (-c if minus else c)
-                if nc:
-                    acc[m] = nc
-                elif m in acc:
-                    del acc[m]
+            _add_into(acc, self.term(), -1 if op == "-" else 1)
 
     def term(self, split: bool = False):
         """The product of the factors; with ``split``, the pair of the
         product of all but the last factor (None for one factor) and the
-        last factor, their product checked but not formed.
+        last factor, their product checked but not formed."""
+        tokens = self.tokens
+        acc = self.power() if split else self.run()
+        while tokens[self.pos] == "*":
+            self.pos += 1
+            b = self.power()
+            if split and tokens[self.pos] != "*":
+                self.check(acc, b)
+                return acc, b
+            acc = self.product(acc, b)
+        return (None, acc) if split else acc
 
-        While the factors are numbers and variables, each maybe to a
-        power, their product is held as ``coef`` times the exponent list
-        ``key`` and each factor ``c`` is folded in, checked as the product
-        of two one-term operands is: ``bits`` of ``coef`` plus ``cbits``
-        of ``c``.  From the first factor of another kind on, each factor
-        is formed by :meth:`power` and multiplied by :meth:`product`."""
+    def run(self) -> dict:
+        """The product of the factors from here while they are numbers and
+        variables, each maybe to a power, or :meth:`power` at a factor of
+        another kind; it stops before a ``*`` that leads to a factor of
+        another kind.  The product is held as one coefficient and one
+        exponent list, and each factor is folded in with the bits check of
+        :meth:`check` on one-term operands: a text has at most
+        :data:`MAX_TEXT_VARIABLES` variables, so their pair is under the
+        work limit."""
         tokens = self.tokens
         pos = self.pos
-        n = len(self.zero)
-        first = True
-        coef, bits, key = 1, 0, None
+        coef = key = None
         while True:
             tok = tokens[pos]
-            if type(tok) is tuple:  # a variable, maybe to a power
-                c, cbits, slot, e = 1, 0, tok[0], 1
+            if type(tok) is tuple:
+                c, slot = tok
                 pos += 1
-                if tokens[pos] == "^":
-                    e = tokens[pos + 1]
-                    if type(e) is not int:
-                        self.expect_int(pos + 1)
-                    pos += 2
-            elif type(tok) is int:  # a number, maybe a/b, maybe to a power
-                c, slot = tok, None
-                pos += 1
-                if tokens[pos] == "/":
-                    den = self.expect_int(pos + 1)
-                    pos += 2
-                    if den == 0:
-                        raise InputError("zero denominator in rational literal")
-                    c = _num(Fraction(c, den))
-                if tokens[pos] == "^":
-                    e = self.expect_int(pos + 1)
-                    pos += 2
-                    _check_bits(e * _coefficient_bits(c))
-                    c = c ** e
-                cbits = _coefficient_bits(c)
+            elif type(tok) is int:
+                c, pos = self.number(pos)
+                slot = None
             else:
                 break
-            if first:
-                first = False
-                coef, bits = c, cbits
-            elif split and tokens[pos] != "*":  # the last factor, apart
-                acc = self.monomial(coef, key)
-                b = self.monomial(c, None if slot is None else
-                                  [e if i == slot else 0 for i in range(n)])
-                self.check(acc, b)
-                self.pos = pos
-                return acc, b
-            else:
-                bits += cbits
-                if bits > MAX_COEFFICIENT_BITS:
-                    _check_bits(bits)
-                if c != 1:
-                    coef *= c
-                    bits = _coefficient_bits(coef)
+            e = 1
+            if tokens[pos] == "^":
+                e = self.expect_int(pos + 1)
+                pos += 2
+                if slot is None:  # a variable's 1 is 1 to any power
+                    c = _raised(c, e)
+            if coef is None:
+                coef, bits = c, _coefficient_bits(c)
+            elif slot is None:
+                _check_bits(bits + _coefficient_bits(c))
+                coef *= c
+                bits = _coefficient_bits(coef)
+            elif bits > MAX_COEFFICIENT_BITS:  # times 1, of 0 bits
+                _check_bits(bits)
             if slot is not None:
                 if key is None:
-                    key = [0] * n
+                    key = [0] * len(self.zero)
                 key[slot] += e
+            self.pos = pos
             if tokens[pos] != "*":
-                self.pos = pos
-                acc = self.monomial(coef, key)
-                return (None, acc) if split else acc
+                break
             pos += 1
-        # a factor of another kind: from here on, factor by factor
-        self.pos = pos
-        acc = None if first else self.monomial(coef, key)
-        while True:
-            b = self.power()
-            if acc is not None:
-                if split and tokens[self.pos] != "*":
-                    self.check(acc, b)
-                    return acc, b
-                b = self.product(acc, b)
-            acc = b
-            if tokens[self.pos] != "*":
-                return (None, acc) if split else acc
-            self.pos += 1
+        if coef is None:
+            return self.power()
+        return self.monomial(coef, key)
+
+    def number(self, pos: int):
+        """The number ``a`` or ``a/b`` at ``pos``, whose token is an int,
+        and the position after it."""
+        tokens = self.tokens
+        if tokens[pos + 1] != "/":
+            return tokens[pos], pos + 1
+        den = self.expect_int(pos + 2)
+        if den == 0:
+            raise InputError("zero denominator in rational literal")
+        return _num(Fraction(tokens[pos], den)), pos + 3
 
     def power(self) -> dict:
         base = self.atom()
-        if self.tokens[self.pos] != "^":
-            return base
-        exp = self.expect_int(self.pos + 1)
-        self.pos += 2
-        if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
-            (m, c), = base.items()
-            _check_bits(exp * _coefficient_bits(c))
-            return {tuple([e * exp for e in m]): c ** exp}
-        t = max(len(base), 1)
-        bound = math.comb(exp + t - 1, t - 1)
-        if bound > MAX_POWER_TERMS:
-            raise SizeLimitExceeded(
-                f"a {t}-term polynomial to the power {exp} may have "
-                f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
-        _check_bits(exp * _height_bits(base))
-        return _power(base, exp, self.product, {self.zero: 1})
+        if self.tokens[self.pos] == "^":
+            exp = self.expect_int(self.pos + 1)
+            self.pos += 2
+            if len(base) == 1:  # one term, C(exp, 0) = 1: scale its key
+                (m, c), = base.items()
+                c = _raised(c, exp)
+                return {tuple([e * exp for e in m]): c}
+            t = max(len(base), 1)
+            bound = math.comb(exp + t - 1, t - 1)
+            if bound > MAX_POWER_TERMS:
+                raise SizeLimitExceeded(
+                    f"a {t}-term polynomial to the power {exp} may have "
+                    f"{bound} terms, over the limit of {MAX_POWER_TERMS}")
+            _check_bits(exp * _height_bits(base))
+            return _power(base, exp, self.product, {self.zero: 1})
+        return base
 
     def atom(self) -> dict:
         tokens = self.tokens
         pos = self.pos
         tok = tokens[pos]
         self.pos = pos + 1
-        if type(tok) is int:
-            if tokens[pos + 1] == "/":
-                den = self.expect_int(pos + 2)
-                self.pos = pos + 3
-                if den == 0:
-                    raise InputError("zero denominator in rational literal")
-                tok = _num(Fraction(tok, den))
-            return self.monomial(tok, None)
-        if type(tok) is tuple:
+        if type(tok) is tuple:  # a variable
             key = [0] * len(self.zero)
-            key[tok[0]] = 1
+            key[tok[1]] = 1
             return {tuple(key): 1}
+        if type(tok) is int:
+            c, self.pos = self.number(pos)
+            return self.monomial(c, None)
         if tok is _UNKNOWN:
             _classify(self.words[pos])  # raises what it raised in _tokenize
         if tok != "-" and tok != "(":
