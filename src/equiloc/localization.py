@@ -12,13 +12,15 @@ once into integer terms, and each coordinate subspace adds one exact
 ``Fraction`` of two ints, its class value over its product of tangent
 weights.  On Fl_d(C^n) the d! fixed flags over one d-subspace share their
 tangent weights up to sign, so their signed class values are summed as
-integers first, with the class evaluated down a prefix tree of the
-orderings.  The powers of L and the class's coefficient denominator are
-applied once, at the end.  A weight list whose length is not n, or a
-class holding a variable the sum does not assign or a negative power of
-one, is an ``InputError`` before any fixed point is summed or residue
-taken.  The residue side passes the class as the numerator and the
-Vandermonde of z_1..z_d, built once per d, as the form's prefactor.
+integers first: the class is antisymmetrized into alternants, which are
+evaluated down a prefix tree walked by subsets of lines, one state per
+set of lines chosen so far, not per ordering.  The powers of L and the
+class's coefficient denominator are applied once, at the end.  A
+negative d or k, a weight list whose length is not n, or a class holding
+a variable the sum does not assign or a negative power of one, is an
+``InputError`` before any fixed point is summed or residue taken.  The
+residue side passes the class as the numerator and the Vandermonde of
+z_1..z_d, built once per d, as the form's prefactor.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, sub
 
 from .algebra import (ONE_MONO, Monomial, Polynomial, Slate, _num,
                       compositions, cvar, vandermonde, zvar)
@@ -77,6 +79,12 @@ def _check_sum_work(space: str, n: int, fractions: int, dim: int) -> None:
             f"the fixed-point sum on {space} adds {fractions} fractions of "
             f"{dim} tangent weights each, {work} units of work, over the "
             f"limit of {MAX_SUM_WORK}")
+
+
+def _check_rank(name: str, value: int) -> None:
+    """InputError when the rank ``value`` named ``name`` is negative."""
+    if value < 0:
+        raise InputError(f"need {name} >= 0, got {name}={value}")
 
 
 def _distinct(n: int, weights) -> list[Fraction]:
@@ -183,6 +191,7 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     e_i(u)/L^i, each tangent weight is a difference of two u over L, and
     each subspace adds one exact ``Fraction``.
     """
+    _check_rank("k", k)
     u, scale = _scaled(n, mu)
     _require_variables(cls, cvar, k, "class")
     coeffs, columns, den, top = _integer_terms(
@@ -220,11 +229,12 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     return values[0]
 
 
-def _prefix_levels(coeffs, columns) -> tuple[list, list]:
-    """How :func:`flag_fixed_sum` substitutes z_1, z_2, ... in turn into
-    the integer terms of :func:`_integer_terms`, ``coeffs`` with exponent
-    ``columns``: returns the coefficients in the order the steps read them
-    and, for each step, the exponents ``exps`` and the ``spans`` it reads.
+def _prefix_levels(terms: dict) -> tuple[list, list]:
+    """How :func:`_subset_numerators` substitutes z_1, z_2, ... in turn
+    into ``terms``, a nonempty dict from exponent tuples of z_1..z_d to
+    int coefficients: returns the coefficients in the order the steps read
+    them and, for each step, the exponents ``exps`` and the ``spans`` it
+    reads.
 
     Before step m the terms left are keyed by their exponents of
     z_(m+1)..z_d, sorted by their exponents of z_d, then z_(d−1), and so
@@ -233,53 +243,65 @@ def _prefix_levels(coeffs, columns) -> tuple[list, list]:
     x^exps[i] and sums each slice in ``spans``, one per distinct rest
     z_(m+2)..z_d, in the same order.  The keys depend only on the
     exponents, so one list serves every value substituted."""
-    order = sorted(range(len(coeffs)),
-                   key=lambda t: [column[t] for column in reversed(columns)])
-    keys = [tuple(column[t] for column in columns) for t in order]
+    keys = sorted(terms, key=lambda key: key[::-1])
+    start = [terms[key] for key in keys]
     levels = []
-    for _ in columns:
+    for _ in range(len(keys[0])):
         starts = [i for i, key in enumerate(keys)
                   if not i or key[1:] != keys[i - 1][1:]]
         spans = list(map(slice, starts, starts[1:] + [len(keys)]))
         levels.append(([key[0] for key in keys], spans))
         keys = [keys[i][1:] for i in starts]
-    return [coeffs[t] for t in order], levels
+    return start, levels
 
 
-def _subset_numerators(n: int, coeffs, columns, powers) -> dict[int, int]:
+def _subset_numerators(u, coeffs, columns) -> dict[int, int]:
     """N_H = Σ_σ (−1)^inv(σ)·Q(x_σ(1), ..., x_σ(d)) for each d-subset H of
-    range(n), keyed by the bitmask of H: σ runs over the orderings of H,
-    inv(σ) counts their inverted pairs, Q is given by the integer
-    ``coeffs`` and exponent ``columns`` of :func:`_integer_terms`, and
-    ``powers[i]`` lists the powers of x_i.
+    the lines range(n) where it is nonzero, keyed by the bitmask of H: σ
+    runs over the orderings of H, inv(σ) counts their inverted pairs, Q is
+    given by the integer ``coeffs`` and exponent ``columns`` of
+    :func:`_integer_terms`, and x_i = u[i].
 
-    The orderings are walked as a prefix tree: each choice of the next
-    element of σ substitutes it into the terms left by the choices before
-    it (:func:`_prefix_levels`), so a prefix shared by many orderings is
-    substituted once."""
-    start, levels = _prefix_levels(coeffs, columns)
-    last = len(levels) - 1
-    sums: dict[int, int] = {}
-
-    def descend(level: int, values: list, mask: int, odd: int) -> None:
-        exps, spans = levels[level]
-        for h in range(n):
-            if mask >> h & 1:
-                continue
-            terms = list(map(mul, values, map(powers[h].__getitem__, exps)))
-            # h after the chosen elements above it: one inversion each
-            flip = odd ^ ((mask >> h).bit_count() & 1)
-            if level < last:
-                descend(level + 1, list(map(sum, map(terms.__getitem__,
-                                                     spans))),
-                        mask | 1 << h, flip)
-            else:
-                value = sum(terms)
+    The signed sum of z^a over the orderings is the alternant
+    det(x_h^(a_i)), so a term with a repeated exponent adds nothing, and
+    every other term is added, with sign (−1)^inv(a), to the strictly
+    decreasing rearrangement λ of a: N_H = Σ_λ C_λ·det(x_h^(λ_i)).  The
+    alternants are then evaluated down a prefix tree walked by subset
+    (:func:`_prefix_levels`): after r steps there is one state per r-set
+    of lines chosen, the signed sum over the orderings of that set, as
+    placing line h next flips the sign once per chosen line above h,
+    whatever order they were chosen in.  Step r thus builds C(n, r)
+    states, not n!/(n−r)!, and each level's states go once the next is
+    built."""
+    alternants: dict[tuple, int] = {}
+    for c, *a in zip(coeffs, *columns):
+        if len(set(a)) == len(a):
+            lam = tuple(sorted(a, reverse=True))
+            odd = sum(x < y for x, y in itertools.combinations(a, 2)) & 1
+            alternants[lam] = alternants.get(lam, 0) + (-c if odd else c)
+    alternants = {lam: c for lam, c in alternants.items() if c}
+    if not alternants:
+        return {}
+    most = max(itertools.chain(*alternants), default=0)
+    powers = [[x ** e for e in range(most + 1)] for x in u]
+    start, levels = _prefix_levels(alternants)
+    states = {0: start}
+    for exps, spans in levels:
+        reached: dict[int, list] = {}
+        zeros = [0] * len(spans)
+        for mask, values in states.items():
+            for h, row in enumerate(powers):
+                if mask >> h & 1:
+                    continue
+                terms = list(map(mul, values, map(row.__getitem__, exps)))
+                # h after the chosen lines above it: one inversion each
+                merge = sub if (mask >> h).bit_count() & 1 else add
                 key = mask | 1 << h
-                sums[key] = sums.get(key, 0) + (-value if flip else value)
-
-    descend(0, start, 0, 0)
-    return sums
+                reached[key] = list(map(merge, reached.get(key, zeros),
+                                        map(sum, map(terms.__getitem__,
+                                                     spans))))
+        states = reached
+    return {mask: value for mask, (value,) in states.items() if value}
 
 
 def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
@@ -294,30 +316,21 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     ordering σ of H, and each inverted pair flips one factor, so the
     product is (−1)^inv(σ)·D_H.  The sum is therefore one term
     N_H / D_H per d-subset H, with N_H the signed sum of Q over the d!
-    orderings (:func:`_subset_numerators`): the fibration of the flags
-    over Grass(d, n).  It runs on the integer-scaled weights u = L·w, one
-    exact ``Fraction`` per subset; the powers of L and Q's coefficient
-    denominator are applied once, at the end."""
+    orderings, a sum of alternants (:func:`_subset_numerators`): the
+    fibration of the flags over Grass(d, n).  Fl_0 is a point, where the
+    sum is Q's constant; a negative d is an ``InputError``.  The sum runs
+    on the integer-scaled weights u = L·w, one exact ``Fraction`` per
+    subset; the powers of L and Q's coefficient denominator are applied
+    once, at the end."""
+    _check_rank("d", d)
     u, scale = _scaled(n, weights)
     _require_variables(Q, zvar, d, "Q")
     coeffs, columns, den, top = _integer_terms(
         Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
-    if not coeffs:
-        return Fraction(0)
-    most = max(itertools.chain(*columns))
-    powers = [[x ** e for e in range(most + 1)] for x in u]
     total = Fraction(0)
-    for mask, value in _subset_numerators(n, coeffs, columns,
-                                          powers).items():
-        if not value:
-            continue
-        subset = [i for i in range(n) if mask >> i & 1]
-        rest = [u[i] for i in range(n) if not mask >> i & 1]
-        tangent = 1
-        for m, a in enumerate(subset):
-            ua = u[a]
-            for x in itertools.chain(rest, (u[b] for b in subset[m + 1:])):
-                tangent *= x - ua
+    for mask, value in _subset_numerators(u, coeffs, columns).items():
+        tangent = math.prod(u[b] - u[a] for a in range(n) if mask >> a & 1
+                            for b in range(n) if b > a or not mask >> b & 1)
         total += Fraction(value, tangent)
     return total * Fraction(scale) ** (flag_dimension(n, d) - top) / den
 
@@ -335,6 +348,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     iterated residue of Q·vandermonde(z_1..z_d) over Π (w_i − z_l), with
     z_1 least and z_d most dominant.  The Vandermonde is the form's
     prefactor, so Q·V is never formed."""
+    _check_rank("d", d)
     weights = _distinct(n, weights)
     _require_variables(Q, zvar, d, "Q")
     zs, monomials, vander = _flag_frame(d)
@@ -349,17 +363,11 @@ def random_flag_class(n: int, d: int, rng: random.Random) -> Polynomial:
     """Random homogeneous polynomial in z1..zd of degree dim Flag_d(n)."""
     degree = flag_dimension(n, d)
     monomials = list(compositions(degree, d))
-    pairs = []
-    for exps in monomials:
-        if rng.random() < 0.35:
-            c = rng.randint(1, 9) * rng.choice((-1, 1))
-            pairs.append((c, [(zvar(i + 1), e)
-                              for i, e in enumerate(exps) if e]))
-    if not pairs:
-        exps = rng.choice(monomials)
-        pairs.append((1, [(zvar(i + 1), e)
-                          for i, e in enumerate(exps) if e]))
-    return Polynomial.from_terms(pairs)
+    picked = [(rng.randint(1, 9) * rng.choice((-1, 1)), exps)
+              for exps in monomials if rng.random() < 0.35]
+    return Polynomial.from_terms(
+        (c, [(zvar(i + 1), e) for i, e in enumerate(exps) if e])
+        for c, exps in picked or [(1, rng.choice(monomials))])
 
 
 def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:

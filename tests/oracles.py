@@ -21,7 +21,10 @@ no integer scaling.
 :func:`flag_fixed_sum` and :func:`grass_sum_at` are the references for the
 integer fixed-point kernels: each fixed point's value by
 ``Polynomial.evaluate`` at the rational weights, summed in ``Fraction``
-arithmetic.
+arithmetic.  :func:`subset_numerators` is the reference for the flag sum's
+per-subset numerators: Q by ``Polynomial.evaluate`` at every ordering of
+each subset, with the ordering's sign, with no alternant and no state
+shared between orderings.
 :func:`multiplied_out_job` is the reference for ``residue_job``, which
 keeps a product numerator factored: the whole numerator text multiplied
 out by ``parse_polynomial`` and given to the engine with prefactor 1.
@@ -277,6 +280,26 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
                 den *= seq[i] - seq[m]
         total += num / den
     return total
+
+
+def subset_numerators(n: int, d: int, Q: Polynomial, weights) -> dict:
+    """Reference for ``equiloc.localization._subset_numerators`` at the
+    rational weights: for each d-subset H of range(n), keyed by its
+    bitmask, Σ_σ (−1)^inv(σ)·Q(w_σ(1), ..., w_σ(d)) over the orderings σ
+    of H, zero values included."""
+    from equiloc.algebra import zvar
+
+    weights = [Fraction(w) for w in weights]
+    sums = {}
+    for subset in itertools.combinations(range(n), d):
+        total = Fraction(0)
+        for head in itertools.permutations(subset):
+            inversions = sum(a > b for a, b in itertools.combinations(head, 2))
+            value = Q.evaluate({zvar(l + 1): weights[h]
+                                for l, h in enumerate(head)}).constant_value()
+            total += -value if inversions % 2 else value
+        sums[sum(1 << h for h in subset)] = total
+    return sums
 
 
 def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:

@@ -114,6 +114,15 @@ class TestFlagFixedSum:
         with pytest.raises(RepeatedWeights):
             flag_fixed_sum(3, 1, P.var(zvar(1)), [1, 2, 1])
 
+    @pytest.mark.parametrize("n,weights", [(0, []), (3, [1, 2, 3])])
+    def test_point(self, n, weights):
+        # Fl_0 and Grass(0, n) are a point: the class's constant
+        Q = P.rational(Fraction(5, 2))
+        assert flag_fixed_sum(n, 0, Q, weights) == Fraction(5, 2)
+        assert flag_residue(n, 0, Q, weights) == Fraction(5, 2)
+        assert grass_sum_at(n, 0, Q, weights) == Fraction(5, 2)
+        assert flag_fixed_sum(n, 0, P.zero(), weights) == 0
+
 
 def _coeffs():
     return st.one_of(
@@ -187,6 +196,84 @@ class TestIntegerKernels:
         assert value == -1
 
 
+@st.composite
+def _subset_cases(draw):
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(0, n))
+    if d:
+        Q = draw(_classes([zvar(l) for l in range(1, d + 1)], max_exp=6))
+    else:  # Fl_0 is a point: a constant class
+        Q = P.rational(draw(_coeffs()))
+    return n, d, Q, draw(_weights(n))
+
+
+@st.composite
+def _exponent_rows(draw, repeated: bool):
+    """(n, d, weights, rows): 1 to 3 (coefficient, exponents of z_1..z_d)
+    rows, d >= 2, with two equal exponents in each row if ``repeated``."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, n))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+        if repeated:
+            i, j = draw(st.sampled_from(
+                list(itertools.combinations(range(d), 2))))
+            exps[j] = exps[i]
+        rows.append((draw(_coeffs()), exps))
+    return n, d, draw(_weights(n)), rows
+
+
+def _class(rows, orders):
+    """Σ of c·Π_l z_(order[l]+1)^exps[l] over the rows and the orders."""
+    return P.from_terms((c, [(zvar(order[l] + 1), e)
+                             for l, e in enumerate(exps) if e])
+                        for c, exps in rows for order in orders)
+
+
+def _kernel(n, d, Q, weights):
+    """``localization._subset_numerators`` on Q read at the weights, and
+    den·L^top, the factor the integer reading puts on every value."""
+    u, scale = localization._scaled(n, weights)
+    coeffs, columns, den, top = localization._integer_terms(
+        Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
+    return (localization._subset_numerators(u, coeffs, columns),
+            den * scale ** top)
+
+
+class TestSubsetNumerators:
+    """The subset walk against the signed sum over every ordering in
+    ``oracles``."""
+
+    @given(_subset_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_orderings(self, case):
+        sums, factor = _kernel(*case)
+        reference = oracles.subset_numerators(*case)
+        assert all(sums.values()) and set(sums) <= set(reference)
+        for mask, value in reference.items():
+            assert sums.get(mask, 0) == factor * value
+
+    @given(_exponent_rows(repeated=True))
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_exponents_give_zero(self, case):
+        # every term's alternant has two equal rows
+        n, d, weights, rows = case
+        Q = _class(rows, [range(d)])
+        assert _kernel(n, d, Q, weights)[0] == {}
+        assert flag_fixed_sum(n, d, Q, weights) == 0
+        assert not any(oracles.subset_numerators(n, d, Q, weights).values())
+
+    @given(_exponent_rows(repeated=False))
+    @settings(max_examples=30, deadline=None)
+    def test_symmetric_classes_give_zero(self, case):
+        # the orderings of a subset all give a symmetric class one value
+        n, d, weights, rows = case
+        Q = _class(rows, itertools.permutations(range(d)))
+        assert _kernel(n, d, Q, weights)[0] == {}
+        assert flag_fixed_sum(n, d, Q, weights) == 0
+
+
 class TestForeignVariables:
     """A variable the fixed-point sum does not assign is a typed error that
     names it, raised before any fixed point is summed."""
@@ -241,6 +328,16 @@ def test_weight_count_must_be_n(function, text, weights):
         function(3, 1, parse_polynomial(text), weights)
 
 
+@pytest.mark.parametrize("function,name", [
+    (flag_fixed_sum, "d"), (flag_residue, "d"), (grass_sum_at, "k")])
+@pytest.mark.parametrize("rank", [-1, -4])
+def test_negative_rank(function, name, rank):
+    # a weight list one short: the rank is checked first
+    with pytest.raises(InputError,
+                       match=f"need {name} >= 0, got {name}={rank}$"):
+        function(3, rank, P.one(), [1, 2])
+
+
 class TestFlagResidue:
     def test_matches_fixed_sum_numeric(self):
         value = flag_residue(3, 1, P.var(zvar(1)) ** 2, [0, 1, 2])
@@ -276,7 +373,8 @@ class TestFlagResidue:
 
     @pytest.mark.parametrize("n,d", [(10, 4), (8, 5)])
     def test_fixed_sum_equals_residue_at_large_d(self, n, d):
-        # 210 and 56 subsets of 24 and 120 orderings each
+        # 210 and 56 subsets of 24 and 120 orderings each, which the
+        # subset walk merges as it goes: 386 and 219 states in all
         rng = random.Random(n * d)
         Q = random_flag_class(n, d, rng)
         w = draw_weights(n, rng)
