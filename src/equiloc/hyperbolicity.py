@@ -12,9 +12,12 @@ pairing with the fundamental class replaces h^n by d, so a series in h is
 held as the list of its coefficients of h^0 .. h^n; :func:`_series_mul`
 multiplies two such lists and cuts the product at h^n.  The denominators
 are homogeneous in the z's alone, so the residue reads a numerator only at
-h^n and z-degree n^2 - n; :func:`_tower_form` builds just that part, and
-the intersection polynomial and the Euler characteristic differ only in
-its z-free coefficients x_j.
+h^n and z-degree n^2 - n, where the intersection polynomial and the Euler
+characteristic are both sum_j x_j Z^(n^2-j) T_(n-j) and differ only in the
+z-free coefficients x_j.  :func:`_tower_residue` takes one residue per part
+j, of a form that depends on n alone (its numerator an integer polynomial
+in z and a symbolic d), and applies the x_j after the residues; a numeric
+degree is substituted into the result.
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
@@ -97,10 +100,10 @@ def _series_mul(a: list, b: list, n: int) -> list:
     return out
 
 
-def _hypersurface_class(n: int, g, d_poly: Polynomial) -> list:
-    """Coefficients 0..n in y of g(d y) * g(y)^-(n+2), for a unit series g
-    with rational coefficients g[0] == 1, g[1], ... (those past g[n] are
-    not read)."""
+def _hypersurface_class(n: int, g) -> list:
+    """Coefficients 0..n in y of g(d y) * g(y)^-(n+2), at a symbolic d, for
+    a unit series g with rational coefficients g[0] == 1, g[1], ... (those
+    past g[n] are not read)."""
     g = list(g[:n + 1]) + [0] * (n + 1 - len(g))
     inv = [1]  # 1 / g(y)
     for k in range(1, n + 1):
@@ -108,13 +111,15 @@ def _hypersurface_class(n: int, g, d_poly: Polynomial) -> list:
     power = [1]
     for _ in range(n + 2):
         power = _series_mul(power, inv, n)
-    return _series_mul([c * d_poly ** i for i, c in enumerate(g)], power, n)
+    d = Polynomial.var(D_VAR)
+    return _series_mul([c * d ** i for i, c in enumerate(g)], power, n)
 
 
-def _hypersurface_tail(n: int, d_poly: Polynomial) -> list:
+def _hypersurface_tail(n: int) -> list:
     """[T_0, ..., T_n], the coefficients of h^0 .. h^n of
-    prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2); T_i has z-degree -i."""
-    cls = _hypersurface_class(n, (1, 1), d_poly)
+    prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2); T_i has z-degree -i and
+    integer coefficients."""
+    cls = _hypersurface_class(n, (1, 1))
     tail = [1]
     for l in range(1, n + 1):
         factor = [c * Polynomial({Monomial.make([(zvar(l), -i)]): 1})
@@ -130,17 +135,20 @@ def _zsum(n: int) -> Polynomial:
     return acc
 
 
-def _tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
-    """The order-n form of sum_j xs[j] Z^(n^2-j) T_(n-j) (z_1...z_n)^-n:
-    the part of (sum_j xs[j] h^j Z^(n^2-j)) times the tail that the residue
-    reads, since T_i, its h^i coefficient, has z-degree -i."""
-    zsum = _zsum(n)
-    tail = _hypersurface_tail(n, d_poly)
-    top, power = Polynomial.zero(), zsum ** (n * n - n)
+def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
+    """sum_j xs[j] R_j, where R_j, an integer polynomial in d, is the
+    residue of the order-n form of Z^(n^2-j) T_(n-j) (z_1...z_n)^-n.  The
+    sum is the residue of the part of (sum_j xs[j] h^j Z^(n^2-j)) times
+    the tail that the residue reads, since T_i, its h^i coefficient, has
+    z-degree -i; the xs hold no z, so they are applied after the residue."""
+    zsum, shift = _zsum(n), _zshift(n, n)
+    tail = _hypersurface_tail(n)
+    total, power = Polynomial.zero(), zsum ** (n * n - n)
     for j in range(n, -1, -1):
-        top = top + xs[j] * power * tail[n - j]
+        form = curvilinear_form(n, qn, shift, power * tail[n - j])
+        total = total + xs[j] * iterated_residue(form)
         power = power * zsum
-    return curvilinear_form(n, qn, _zshift(n, n), top)
+    return total
 
 
 def leading_constant(n: int, q: QTable | None = None) -> Fraction:
@@ -164,7 +172,8 @@ def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
     with degree at most i and x_j only through delta (d - n - 2), so at
     delta = 0 the d^n part of the numerator is x_0 Z^N d^n / (z_1...z_n),
     x_0 = 1, which with the shift (z_1...z_n)^-n is the numerator of
-    :func:`leading_constant`."""
+    :func:`leading_constant`.  The x_j, which hold delta and d, are applied
+    after the residues of :func:`_tower_residue`."""
     qn = _table_entry(n, q, n * n - n)
     big, b = n * n, 2 * n * n
     t = b + (Polynomial.var(DELTA_VAR) * math.comb(n + 1, 2)
@@ -172,7 +181,7 @@ def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:
     xs = [math.comb(big, j) * b ** j
           - (big * math.comb(big - 1, j - 1) * b ** (j - 1) * t if j else 0)
           for j in range(n + 1)]
-    p = iterated_residue(_tower_form(n, qn, xs, Polynomial.var(D_VAR)))
+    p = _tower_residue(n, qn, xs)
     leading = p.coefficient(D_VAR, n)
     theta = leading.evaluate({DELTA_VAR: 0}).constant_value()
     return GGResult(n, p, theta, leading)
@@ -200,12 +209,12 @@ def positivity_threshold(result: GGResult, delta) -> int:
     return d0
 
 
-def _todd_class(n: int, d_poly: Polynomial) -> list:
-    """Coefficients 0..n in h of td(T_X): the class with series
-    y / (1 - e^-y), whose inverse is g(y) = (1 - e^-y)/y =
+def _todd_class(n: int) -> list:
+    """Coefficients 0..n in h of td(T_X) at a symbolic d: the class with
+    series y / (1 - e^-y), whose inverse is g(y) = (1 - e^-y)/y =
     sum_i (-y)^i / (i+1)!."""
     g = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(n + 1)]
-    return _hypersurface_class(n, g, d_poly)
+    return _hypersurface_class(n, g)
 
 
 def euler_characteristic(n: int, d=None,
@@ -216,15 +225,16 @@ def euler_characteristic(n: int, d=None,
     m^(n^2), and only the leading coefficient, that of m^(n^2), is χ's:
     the form carries no Todd class of the fibre directions.  At n = 2,
     d = 5 it reads 0, −205/4 and −870 at m = 0, 1, 2, where χ is 5, −505
-    and −3340.  ``d=None`` keeps the degree symbolic."""
+    and −3340.  ``d=None`` keeps the degree symbolic.  The x_j, the Todd
+    class times the one m-term of the Chern character each, are applied
+    after the residues of :func:`_tower_residue`, and a numeric d once, to
+    the symbolic χ."""
     qn = _table_entry(n, q, n * n - n)
-    d_poly = (Polynomial.var(D_VAR) if d is None
-              else Polynomial.rational(Fraction(d)))
     # h^j of the Todd class meets the one term of the Chern character
     # e^(m Z) of the weight-m tautological bundle the residue reads
-    td, big = _todd_class(n, d_poly), n * n
+    td, big = _todd_class(n), n * n
     xs = [td[j] * Fraction(1, math.factorial(big - j))
           * Polynomial.var(M_VAR, big - j) for j in range(n + 1)]
-    chi = iterated_residue(_tower_form(n, qn, xs, d_poly)) * d_poly
-    return EulerResult(n, None if d is None else Fraction(d), chi)
-
+    chi = _tower_residue(n, qn, xs) * Polynomial.var(D_VAR)
+    d = None if d is None else Fraction(d)
+    return EulerResult(n, d, chi if d is None else chi.evaluate({D_VAR: d}))

@@ -40,8 +40,11 @@ from .residue import ResidueForm, iterated_residue
 
 _WEIGHT_POOL = range(-999_983, 1_000_003)
 
-#: Most fixed points :func:`grass_integrate` and :func:`run_flag_trials`
-#: sum per weight draw, checked before any is listed.
+#: Most torus fixed points of the space :func:`grass_integrate` or
+#: :func:`run_flag_trials` works on: the C(n, k) coordinate subspaces of
+#: Grass(k, n), one fraction of its sum each, or the n!/(n-d)! ordered flags
+#: of Flag_d(C^n), whose sum adds one fraction per d-subset, C(n, d) in
+#: all, and lists no flag.  Checked from n and k or d before any sum starts.
 MAX_FIXED_POINTS = 10_000
 
 #: Most work of one exact fixed-point sum in :func:`grass_integrate` and
@@ -63,7 +66,9 @@ def flag_dimension(n: int, d: int) -> int:
 
 def _check_fixed_points(space: str, counts) -> None:
     """SizeLimitExceeded at the first of the growing fixed-point ``counts``
-    of ``space`` over MAX_FIXED_POINTS, before a larger one is computed."""
+    of ``space`` over MAX_FIXED_POINTS, before a larger one is computed.
+    The counts are of fixed points, not of the fractions a sum adds: for a
+    flag space, the ordered flags, which no code lists."""
     for count in counts:
         if count > MAX_FIXED_POINTS:
             raise SizeLimitExceeded(f"{space} has more than the limit of "

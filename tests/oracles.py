@@ -13,7 +13,11 @@ had one dense kernel.  :func:`hypersurface_class` and
 :func:`hypersurface_tail` are the references for the coefficient lists of
 the hyperbolicity module: every product multiplied out in a plain scalar
 ``H``, with no cut at H^n, and coefficients read by
-``Polynomial.coefficient``.  :func:`permutation_det` is the reference for the
+``Polynomial.coefficient``.  :func:`tower_form` is the reference for the
+tower residues: the one form the package once built for
+sum_j x_j Z^(n^2-j) T_(n-j) (z_1...z_n)^-n, with the x_j and the degree
+inside the numerator, where the package now takes one residue per j and
+applies the x_j after it.  :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`fraction_rho` is the reference for the jet embedding matrix: the
 composition sum of the jet's own entries in ``Fraction`` arithmetic, with
@@ -48,7 +52,9 @@ from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
                              _integral_ints, _literal, _num, _power,
                              mul_dense, parse_polynomial, svar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
+from equiloc.hyperbolicity import _zshift, _zsum
 from equiloc.residue import ResidueForm, iterated_residue
+from equiloc.thom import curvilinear_form
 
 H = svar("h")
 
@@ -91,6 +97,20 @@ def hypersurface_tail(n: int, d_poly: Polynomial) -> Polynomial:
         acc = acc * sum((cls.coefficient(H, i) * y ** i
                          for i in range(n + 1)), Polynomial.zero())
     return acc
+
+
+def tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
+    """The order-n form of sum_j xs[j] Z^(n^2-j) T_(n-j) (z_1...z_n)^-n:
+    the part of (sum_j xs[j] h^j Z^(n^2-j)) times the tail that the residue
+    reads, since T_i, its h^i coefficient, has z-degree -i."""
+    zsum = _zsum(n)
+    full = hypersurface_tail(n, d_poly)
+    tail = [full.coefficient(H, i) for i in range(n + 1)]
+    top, power = Polynomial.zero(), zsum ** (n * n - n)
+    for j in range(n, -1, -1):
+        top = top + xs[j] * power * tail[n - j]
+        power = power * zsum
+    return curvilinear_form(n, qn, _zshift(n, n), top)
 
 
 def permutation_det(rows):

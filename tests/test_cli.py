@@ -81,6 +81,45 @@ class TestGoldenCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # stdout of the tower commands that no other pin covers, as the
+    # single-residue tower route printed it
+    TOWER_DIGESTS = {
+        "euler --n 1":
+            "dfe5198c7bf713d2c0fcc182c89e069b006e0cfc83b21af40d371195c87004f4",
+        "euler --n 2 --d 0":
+            "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "euler --n 2 --d 7/2 --format json":
+            "f43ebd7ab16e80d986f232e94fe05cd7a01955322ac0efc40a66009031d31b0b",
+        "gg --n 1":
+            "1eed47ac4a480b43c8ac0eff25a10c56088cf978c301a24630c5d6a749ae44ba",
+        "gg --n 2":
+            "51afc6e3cd347a7f968b0b8f5318f81f8b997af0ae42e3ca244ceddd9841c1ed",
+        "gg --n 3":
+            "fe5dc872480fe1db21f9600a642acf41f6b6552758dc9efbb78071887a4c8395",
+        "gg --n 1 --delta 1/24 --d 100 --format json":
+            "aaac103275fe4faa2b5fc1972d5ccf506ed5d7bf9451f16c350b13b31d7d7e3b",
+        "gg --n 2 --delta 1/24 --d 100 --format json":
+            "804b2aa1f87eeec44fdeddb9309eb748125d3c6b859c525354eb4c4cf898eeec",
+        "gg --n 3 --delta 1/24 --d 100 --format json":
+            "1206caf7610e0cc6b261d5e62f9edcf6c882bb35be87d86e8327e4fe4141ee7a",
+        "theta --n 1":
+            "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "theta --n 2":
+            "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164",
+        "theta --n 3":
+            "bf5d96566cdb3815387d579e6ce39a72fafbfda3f7f9e1d2e9e33f94259dbd54",
+        "theta --n 4":
+            "8e7713c64daf13b3172e16f6d9f76e809751bb0fd9bb00638410dc49fecd14b1",
+    }
+
+    @pytest.mark.parametrize("argv", list(TOWER_DIGESTS), ids=lambda argv:
+                             argv.replace(" --", "-").replace(" ", ""))
+    def test_tower_output_sha256(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.TOWER_DIGESTS[argv]
+
 
 class TestErrors:
     def test_missing_job_file_exits_2(self, capsys):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from equiloc import hyperbolicity
 from equiloc.algebra import Polynomial, parse_polynomial
 from equiloc.errors import MissingQ
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
                                    _hypersurface_class, _todd_class,
-                                   _tower_form, _zshift, _zsum,
+                                   _tower_residue, _zshift, _zsum,
                                    euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
@@ -38,7 +39,6 @@ def top_intersection(n: int) -> Polynomial:
 
 
 _RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=9)
-_DEGREE = st.one_of(st.just(P.var(D_VAR)), _RATIONAL.map(P.rational))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -48,28 +48,49 @@ def test_hypersurface_class_is_the_cut_product(n, data):
     # coefficients 0..n of the full product in a plain h, for unit series
     # g given by 1 to n + 2 coefficients (a short g is padded with zeros)
     g = [1] + data.draw(st.lists(_RATIONAL, max_size=n + 1))
-    d_poly = data.draw(_DEGREE)
-    full = oracles.hypersurface_class(n, g, d_poly)
-    assert _hypersurface_class(n, g, d_poly) == [full.coefficient(H, i)
-                                                 for i in range(n + 1)]
+    full = oracles.hypersurface_class(n, g, P.var(D_VAR))
+    assert _hypersurface_class(n, g) == [full.coefficient(H, i)
+                                         for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
+    # one form per part j, whose numerator is the h^n coefficient of
+    # h^j Z^(n^2-j) times the tail, exactly
+    forms = []
+
+    def capture(form):
+        forms.append(form)
+        return iterated_residue(form)
+
+    monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
+    qn = QTable.builtin().get(n)
+    _tower_residue(n, qn, [1] * (n + 1))
+    tail = oracles.hypersurface_tail(n, P.var(D_VAR))
+    expected = set()
+    for j in range(n + 1):
+        part = (P.var(H, j) * _zsum(n) ** (n * n - j) * tail).coefficient(H, n)
+        read = curvilinear_form(n, qn, _zshift(n, n), part)
+        expected.add((read.prefactor, read.numerator))
+    assert len(forms) == n + 1
+    assert {(f.prefactor, f.numerator) for f in forms} == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_tower_form_is_the_read_part_of_the_product(n, data):
-    # the numerator is the h^n coefficient of sum_j x_j h^j Z^(n^2-j) times
-    # the tail, exactly, at a symbolic or a rational degree
+def test_tower_residue_is_the_residue_of_the_tower_form(n, data):
+    # the x_j and a rational degree applied after the residues give the
+    # residue of the one form that holds them
     xs = data.draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))
-    d_poly = data.draw(_DEGREE)
+    d = data.draw(st.one_of(st.none(), _RATIONAL))
     qn = QTable.builtin().get(n)
-    lift = sum((x * P.var(H, j) * _zsum(n) ** (n * n - j)
-                for j, x in enumerate(xs)), P.zero())
-    expected = (lift * oracles.hypersurface_tail(n, d_poly)).coefficient(H, n)
-    form = _tower_form(n, qn, xs, d_poly)
-    read = curvilinear_form(n, qn, _zshift(n, n), expected)
-    assert (form.prefactor, form.numerator) == (read.prefactor,
-                                                read.numerator)
+    got = _tower_residue(n, qn, xs)
+    if d is None:
+        d_poly = P.var(D_VAR)
+    else:
+        d_poly, got = P.rational(d), got.evaluate({D_VAR: d})
+    assert got == iterated_residue(oracles.tower_form(n, qn, xs, d_poly))
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +109,8 @@ def test_todd_class_golden(n):
     c1, c2 = (total.coefficient(H, i) * P.var(H, i) for i in (1, 2))
     expected = (1 + Fraction(1, 2) * c1 + Fraction(1, 12) * (c1 * c1 + c2)
                 + Fraction(1, 24) * c1 * c2)
-    assert _todd_class(n, d) == [expected.coefficient(H, i)
-                                 for i in range(n + 1)]
+    assert _todd_class(n) == [expected.coefficient(H, i)
+                          for i in range(n + 1)]
 
 
 class TestLeadingConstant:

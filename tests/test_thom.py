@@ -147,14 +147,29 @@ class TestBuiltinPrefactors:
         monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
         for k in range(1, 5):
             generating_coefficient(k, (0,) * (k - 1) + (1 - k,))
+        towers = []
         for n in range(1, 4):
-            # one tower form each, and the leading_constant form
-            hyperbolicity.intersection_polynomial(n)
-            hyperbolicity.euler_characteristic(n)
+            # n + 1 tower forms each, and the leading_constant form
+            for command in (hyperbolicity.intersection_polynomial,
+                            hyperbolicity.euler_characteristic):
+                start = len(forms)
+                command(n)
+                towers.append(forms[start:])
             hyperbolicity.leading_constant(n)
-        assert len(forms) == 4 + 3 * 3
+        assert len(forms) == 4 + 2 * (2 + 3 + 4) + 3
         for form in forms:
             self.check(form)
+        # the tower forms depend on n alone: integer polynomials in z and d,
+        # with no delta, m or numeric degree, the same for gg and for euler
+        # with or without one
+        for n in range(1, 4):
+            start = len(forms)
+            hyperbolicity.euler_characteristic(n, d=9)
+            assert forms[start:] == towers[2 * n - 2] == towers[2 * n - 1]
+        for form in sum(towers, []):
+            for part in (form.numerator, form.prefactor):
+                assert part.variables() <= {*form.order, hyperbolicity.D_VAR}
+                assert all(type(c) is int for c in part.terms.values())
 
 
 class TestOracle:
