@@ -5,6 +5,10 @@ The residue form, its contour and its sign are built in one place,
 :func:`curvilinear_form`: its plain iterated residue is the calibrated
 value, and the hyperbolicity module reads its tower residues the same way.
 The residue keeps Chern weight, so only the Thom polynomial's is built.
+No Chern class meets a denominator or the prefactor either, so the body
+carries none: each Chern monomial is one power of a private tag variable,
+which names the S_k-orbit of the exponent vectors it came from, and
+:func:`thom_polynomial` reads the Chern monomials back off the tags.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import (RESIDUE, Monomial, Polynomial, compositions, cvar,
-                      vandermonde, zvar)
+from .algebra import (RESIDUE, Monomial, Polynomial, Slate, compositions,
+                      cvar, svar, vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
@@ -108,6 +112,10 @@ def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
     return ResidueForm(body, dens, zs, prefactor)
 
 
+#: The tag of a Thom body term, one power per Chern monomial; the text
+#: grammar cannot read its name, so no input holds it.
+_ORBIT = svar("#orbit")
+
 #: Most terms the cut Chern-tail product for (k, codim) may reach, which
 #: bounds the work of :func:`residue_form`; checked before it starts.
 MAX_TAIL_TERMS = 2_000
@@ -132,27 +140,51 @@ def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     """The calibrated residue form for (k, codim): :func:`curvilinear_form`
     times the part of ``prod_l c(1/z_l) z_l^codim`` of Chern weight cmax =
     k(codim+1), the only weight the residue reads, since no other factor
-    has a Chern class: one term ``prod_l c_(a_l) z_l^(codim - a_l)``
-    (c_0 = 1) per composition (a_1..a_k) of cmax."""
+    has a Chern class.  A composition (a_1..a_k) of cmax gives the term
+    ``prod_l c_(a_l) z_l^(codim - a_l)`` (c_0 = 1), written with the tag
+    ``t^g`` in place of its Chern monomial: g spells the sorted parts in
+    base cmax + 1, one tag per S_k-orbit of compositions, so one per Chern
+    monomial.  The terms are built on dense keys over z_1..z_k and t."""
     qk = q.get(k)
     check_tail_size(k, codim)
     cmax = k * (codim + 1)
     terms = {}
     for parts in compositions(cmax, k):
-        pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
-        terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
-    return curvilinear_form(k, qk, Polynomial(terms))
+        tag = 0
+        for a in sorted(parts):
+            tag = tag * (cmax + 1) + a
+        terms[(*(codim - a for a in parts), tag)] = 1
+    slate = Slate([zvar(l) for l in range(1, k + 1)] + [_ORBIT])
+    return curvilinear_form(k, qk, Polynomial(slate.sparse(terms)))
+
+
+def _untag(tagged: Polynomial, base: int) -> Polynomial:
+    """The residue of a tagged Thom body with each tag power t^g read back
+    into its Chern monomial: one factor c_a per base-``base`` digit a of g
+    (``divmod``).  The zero parts sort first, so they are leading zeros of
+    g and no digit read is 0."""
+    terms = {}
+    for m, c in tagged.terms.items():
+        g, pairs = m.exponent(_ORBIT), []
+        while g:
+            g, a = divmod(g, base)
+            pairs.append((cvar(a), 1))
+        terms[Monomial.make(pairs)] = c
+    return Polynomial(terms)
 
 
 def thom_polynomial(k: int, codim: int,
                     q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
-    classes c_1..c_{k(codim+1)} of the difference bundle."""
+    classes c_1..c_{k(codim+1)} of the difference bundle: the residue of
+    :func:`residue_form`, a polynomial in its tag, with each tag power
+    read back into its Chern monomial."""
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
-    poly = iterated_residue(residue_form(k, codim, q))
-    return ThomResult(k, codim, poly, (-1) ** k)
+    tagged = iterated_residue(residue_form(k, codim, q))
+    return ThomResult(k, codim, _untag(tagged, k * (codim + 1) + 1),
+                      (-1) ** k)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ the hyperbolicity module: every product multiplied out in a plain scalar
 tower residues: the one form the package once built for
 sum_j x_j Z^(n^2-j) T_(n-j) (z_1...z_n)^-n, with the x_j and the degree
 inside the numerator, where the package now takes one residue per j and
-applies the x_j after it.  :func:`permutation_det` is the reference for the
+applies the x_j after it.  :func:`thom_form` is the reference for the
+Thom body: the form the package once built for (k, codim), each body term
+with its Chern monomial, where the package now writes one tag per Chern
+monomial and reads the monomials back after the residue.
+:func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`fraction_rho` is the reference for the jet embedding matrix: the
 composition sum of the jet's own entries in ``Fraction`` arithmetic, with
@@ -50,11 +54,12 @@ from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
                              Polynomial, Slate, _add_into, _check_bits,
                              _classify, _coefficient_bits, _height_bits,
                              _integral_ints, _literal, _num, _power,
-                             mul_dense, parse_polynomial, svar, zvar)
+                             compositions, cvar, mul_dense, parse_polynomial,
+                             svar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from equiloc.hyperbolicity import _zshift, _zsum
 from equiloc.residue import ResidueForm, iterated_residue
-from equiloc.thom import curvilinear_form
+from equiloc.thom import QTable, check_tail_size, curvilinear_form
 
 H = svar("h")
 
@@ -111,6 +116,20 @@ def tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
         top = top + xs[j] * power * tail[n - j]
         power = power * zsum
     return curvilinear_form(n, qn, _zshift(n, n), top)
+
+
+def thom_form(k: int, codim: int, q: QTable) -> ResidueForm:
+    """The calibrated residue form for (k, codim) with the Chern classes in
+    the body: one term ``prod_l c_(a_l) z_l^(codim - a_l)`` (c_0 = 1) per
+    composition (a_1..a_k) of cmax = k(codim+1)."""
+    qk = q.get(k)
+    check_tail_size(k, codim)
+    cmax = k * (codim + 1)
+    terms = {}
+    for parts in compositions(cmax, k):
+        pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
+        terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
+    return curvilinear_form(k, qk, Polynomial(terms))
 
 
 def permutation_det(rows):

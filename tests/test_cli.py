@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from equiloc.algebra import parse_polynomial, zvar
 from equiloc.cli import main
 from equiloc.residue import ResidueForm, iterated_residue
-from equiloc.thom import QTable, residue_form
+from equiloc.thom import QTable
+from oracles import thom_form
 
 
 def run(capsys, *argv):
@@ -607,12 +608,12 @@ class TestScanAndUserTables:
     def test_non_homogeneous_q_entry(self, capsys, tmp_path, entry):
         # z1 + z2^2 gives the prefactor's z5-slices terms of several degrees
         # in z1..z4, and only the degree-3 part reaches the residue; the
-        # output must be the residue of the multiplied-out form (codim 1 is
-        # over MAX_TAIL_TERMS at k = 5)
+        # output must be the residue of the multiplied-out form, with the
+        # Chern classes in the body (codim 1 is over MAX_TAIL_TERMS at k = 5)
         qfile = tmp_path / "q5.json"
         qfile.write_text(json.dumps({"5": entry}))
         table = QTable.builtin().with_entry(5, parse_polynomial(entry))
-        form = residue_form(5, 0, table)
+        form = thom_form(5, 0, table)
         whole = ResidueForm(form.prefactor * form.numerator,
                             form.denominators, form.order)
         expected = iterated_residue(whole)

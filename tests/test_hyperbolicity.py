@@ -203,6 +203,21 @@ class TestEulerCharacteristic:
             "81/648*(13*(4 - d)^2*d - 9*(d^2 - 4*d + 6)*d)")
         assert lead == oracle
 
+    @pytest.mark.parametrize("n,d,expected", [
+        (1, 5, -5),
+        *(pytest.param(n, d, expected, marks=pytest.mark.xfail(
+            strict=True, reason="euler holds only m^(n^2-n)..m^(n^2) for "
+            "n >= 2, so it reads 0 at m = 0"))
+          for n, d, expected in ((2, 5, 5), (3, 9, -69), (4, 9, 57))),
+    ])
+    def test_value_at_zero_is_chi_of_the_structure_sheaf(self, n, d,
+                                                         expected):
+        # E_(n,0) = O_X, and 0 -> O(-d) -> O -> O_X -> 0 gives
+        # chi(O_X) = 1 - (-1)^(n+1) C(d-1, n+1)
+        assert expected == 1 - (-1) ** (n + 1) * math.comb(d - 1, n + 1)
+        chi = euler_characteristic(n, d=d).chi
+        assert chi.evaluate({M_VAR: 0}).constant_value() == expected
+
     def test_coefficients_are_rational(self):
         chi = euler_characteristic(2, d=7).chi
         for _, c in chi.terms.items():

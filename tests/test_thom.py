@@ -3,18 +3,22 @@ brute-force oracle, degree/positivity invariants and the report tools."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiloc import hyperbolicity, residue, thom
-from equiloc.algebra import CHERN, RESIDUE, Polynomial, parse_polynomial
+from equiloc.algebra import (CHERN, RESIDUE, Polynomial, parse_polynomial,
+                             zvar)
 from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           check_tail_size, denominator_triples,
                           generating_coefficient, positivity_check,
                           ratio_check, residue_form, thom_polynomial)
-from oracles import brute_thom
+from oracles import brute_thom, thom_form
 
 P = Polynomial
 
@@ -105,11 +109,70 @@ class TestGoldenValues:
         (1, 0), (2, 1), (3, 0), (4, 0), (1, 1998),
     ])
     def test_form_holds_only_the_thom_weight(self, k, codim):
-        # the residue keeps Chern weight, and only k(codim+1) is read
-        numerator = residue_form(k, codim, QTable.builtin()).numerator
-        assert weighted_degrees(numerator) == {k * (codim + 1)}
+        # the residue keeps Chern weight, and only cmax = k(codim+1) is
+        # read: each body term is one composition of cmax, its parts spelt
+        # by the tag in base cmax + 1 and read off the z-exponents
+        cmax = k * (codim + 1)
+        form = residue_form(k, codim, QTable.builtin())
+        numerator = form.numerator
+        assert len(numerator.terms) == math.comb(cmax + k - 1, k - 1)
+        for m in numerator.terms:
+            assert set(m.variables()) <= {*form.order, thom._ORBIT}
+            g, parts = m.exponent(thom._ORBIT), []
+            while g:
+                g, a = divmod(g, cmax + 1)
+                parts.append(a)
+            assert sum(parts) == cmax
+            from_z = [codim - m.exponent(z) for z in form.order]
+            assert sorted(parts) == sorted(a for a in from_z if a)
         if k == 1:
             assert len(numerator.terms) == 1
+
+    @pytest.mark.parametrize("l", range(30))
+    def test_ronga_a2(self, l):
+        # F. Ronga, Comment. Math. Helv. 47 (1972): tp(A_2) in codim l is
+        # c_(l+1)^2 + sum_(i=1..l+1) 2^(i-1) c_(l+1-i) c_(l+1+i), c_0 = 1;
+        # l = 29 is the largest codimension the tail bound admits at k = 2
+        def c(i):
+            return f"c{i}" if i else "1"
+        text = f"c{l + 1}^2" + "".join(
+            f" + {2 ** (i - 1)}*{c(l + 1 - i)}*c{l + 1 + i}"
+            for i in range(1, l + 2))
+        assert thom_polynomial(2, l).polynomial == parse_polynomial(text)
+
+
+def _admitted():
+    """Every (k, codim) the tail bound admits for k = 2, 3, 4, and k = 1
+    at codims 0..5 and its largest, 1998."""
+    cases = [(1, codim) for codim in (*range(6), 1998)]
+    for k, top in ((2, 29), (3, 5), (4, 2)):
+        cases += [(k, codim) for codim in range(top + 1)]
+    return cases
+
+
+class TestTaggedRoute:
+    """The tagged body's residue, read back into Chern monomials, is the
+    residue of the form with the Chern classes in the body."""
+
+    @pytest.mark.parametrize("k,codim", _admitted())
+    def test_matches_the_chern_slot_form(self, k, codim):
+        expected = residue.iterated_residue(
+            thom_form(k, codim, QTable.builtin()))
+        assert thom_polynomial(k, codim).polynomial == expected
+
+    @given(terms=st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool),
+                  st.lists(st.integers(0, 2), min_size=5, max_size=5)),
+        min_size=1, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_random_entries_at_order_5(self, terms):
+        # q-file entries in z1..z5, homogeneous or not
+        entry = Polynomial.from_terms(
+            (c, [(zvar(i), e) for i, e in enumerate(exps, 1)])
+            for c, exps in terms)
+        q = QTable.builtin().with_entry(5, entry)
+        expected = residue.iterated_residue(thom_form(5, 0, q))
+        assert thom_polynomial(5, 0, q).polynomial == expected
 
 
 class TestBuiltinPrefactors:
