@@ -1,8 +1,8 @@
 """Intersection polynomial and Euler characteristics of the invariant-jet
 tower of a smooth degree-d hypersurface in P^(n+1).
 
-Every residue here is the iterated residue of the order-n form built by
-:func:`equiloc.thom.curvilinear_form`, which carries the calibrating sign.
+Every residue here is the iterated residue of one order-n form built by
+:func:`equiloc.thom.orbit_form`, which carries the calibrating sign.
 The n = 1 case is pinned independently by classical curve geometry
 (canonical degree and Riemann-Roch), which fixes the sign of the
 ``z_1 + ... + z_n`` block inside the positivity form R.
@@ -14,10 +14,13 @@ multiplies two such lists and cuts the product at h^n.  The denominators
 are homogeneous in the z's alone, so the residue reads a numerator only at
 h^n and z-degree n^2 - n, where the intersection polynomial and the Euler
 characteristic are both sum_j x_j Z^(n^2-j) T_(n-j) and differ only in the
-z-free coefficients x_j.  :func:`_tower_residue` takes one residue per part
-j, of a form that depends on n alone (its numerator an integer polynomial
-in z and a symbolic d), and applies the x_j after the residues; a numeric
-degree is substituted into the result.
+z-free coefficients x_j.  Each part is symmetric in z, so
+:func:`_tower_residue` takes one residue, of the orbit form over the
+S_n-orbits of the exponents of all parts, which depends on n alone; it
+weighs each orbit sum by the part's multinomials and tail coefficients
+(integer polynomials in a symbolic d), and applies the x_j after that; a
+numeric degree is substituted into the result.  No power of
+Z = z_1 + ... + z_n is built.
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
@@ -32,29 +35,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Monomial, Polynomial, svar, zvar
+from .algebra import Polynomial, compositions, svar
 from .errors import DomainError, InputError, SizeLimitExceeded
 from .residue import iterated_residue
-from .thom import QTable, curvilinear_form
+from .thom import QTable, orbit_form, orbit_sums, partitions
 
 D_VAR = svar("d")
 DELTA_VAR = svar("delta")
 M_VAR = svar("m")
 
 
-#: Most terms the largest numerator factors of a tower residue may have
-#: together, checked from n before any factor is built: the powers of
-#: Z = z_1 + ... + z_n, Z^(n^2) for the leading constant and
-#: Z^(n^2-n) .. Z^(n^2) for the intersection polynomial and the Euler
-#: characteristic.
+#: Most monomials z^v of degree low .. n^2 in z_1..z_n whose multinomials
+#: a tower residue may weigh its orbit sums by (low = n^2 for the leading
+#: constant, n^2 - n for the intersection polynomial and the Euler
+#: characteristic), checked from n before any form is built.  The orbit
+#: form's body has one term per z^(v - a - n) these reach: all C(n^2 +
+#: n - 1, n - 1) of degree n^2 for the leading constant, and 3,115 at
+#: n = 4, where 3,480 monomials are counted, for the tower.
 MAX_FACTOR_TERMS = 50_000
 
 
 def _table_entry(n: int, q: QTable | None, low: int) -> Polynomial:
-    """Q_n from the table, once the terms of Z^low .. Z^(n^2), one per
-    monomial of degree low .. n^2 in z_1..z_n, are within MAX_FACTOR_TERMS.
-    For n >= 2, Z^(n^2) alone has more than n^2 terms, so a larger n is
-    rejected before any binomial is formed."""
+    """Q_n from the table, once the monomials of degree low .. n^2 in
+    z_1..z_n are within MAX_FACTOR_TERMS.  For n >= 2, more than n^2 have
+    degree n^2 alone, so a larger n is rejected before any binomial is
+    formed."""
     qn = (q or QTable.builtin()).get(n)
     terms = (math.comb(n * n + n, n) - math.comb(low + n - 1, n)
              if n * n <= MAX_FACTOR_TERMS else None)
@@ -85,11 +90,6 @@ class EulerResult:
     chi: Polynomial
 
 
-def _zshift(n: int, power: int) -> Polynomial:
-    mono = Monomial.make([(zvar(l), -power) for l in range(1, n + 1)])
-    return Polynomial({mono: 1})
-
-
 def _series_mul(a: list, b: list, n: int) -> list:
     """The product of two series given as lists of at most n + 1
     coefficients, cut at the power n."""
@@ -115,24 +115,18 @@ def _hypersurface_class(n: int, g) -> list:
     return _series_mul([c * d ** i for i, c in enumerate(g)], power, n)
 
 
-def _hypersurface_tail(n: int) -> list:
-    """[T_0, ..., T_n], the coefficients of h^0 .. h^n of
-    prod_l (1 + d h/z_l) / (1 + h/z_l)^(n+2); T_i has z-degree -i and
-    integer coefficients."""
-    cls = _hypersurface_class(n, (1, 1))
-    tail = [1]
-    for l in range(1, n + 1):
-        factor = [c * Polynomial({Monomial.make([(zvar(l), -i)]): 1})
-                  for i, c in enumerate(cls)]
-        tail = _series_mul(tail, factor, n)
-    return tail
-
-
-def _zsum(n: int) -> Polynomial:
-    acc = Polynomial.zero()
-    for l in range(1, n + 1):
-        acc = acc + Polynomial.var(zvar(l))
-    return acc
+def _multinomial_sum(sums: dict, p: int, shift) -> Fraction:
+    """sum_lambda S(lambda) p! / prod_l (lambda_l + shift_l)! over the
+    orbits lambda of ``sums`` with every lambda_l + shift_l >= 0: the
+    residue of the orbit-form body whose z^lambda coefficient is that
+    multinomial.  Each multinomial is an int before it meets S."""
+    total = Fraction(0)
+    for orbit, s in sums.items():
+        vs = [e + b for e, b in zip(orbit, shift)]
+        if min(vs) >= 0:
+            total += s * (math.factorial(p)
+                          // math.prod(map(math.factorial, vs)))
+    return total
 
 
 def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
@@ -140,25 +134,39 @@ def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
     residue of the order-n form of Z^(n^2-j) T_(n-j) (z_1...z_n)^-n.  The
     sum is the residue of the part of (sum_j xs[j] h^j Z^(n^2-j)) times
     the tail that the residue reads, since T_i, its h^i coefficient, has
-    z-degree -i; the xs hold no z, so they are applied after the residue."""
-    zsum, shift = _zsum(n), _zshift(n, n)
-    tail = _hypersurface_tail(n)
-    total, power = Polynomial.zero(), zsum ** (n * n - n)
-    for j in range(n, -1, -1):
-        form = curvilinear_form(n, qn, shift, power * tail[n - j])
-        total = total + xs[j] * iterated_residue(form)
-        power = power * zsum
+    z-degree -i; the xs hold no z, so they are applied after the residue.
+
+    The z^lambda coefficient of that body is N_j(lambda), the sum over the
+    compositions a of n - j of (n^2-j)! / prod_l (lambda_l + n + a_l)!
+    times prod_l cls[a_l]; it is symmetric in lambda, so R_j is read off
+    the orbit sums of one :func:`orbit_form`, whose orbits are the lambda
+    of degree -n with lambda_l + n + a_l >= 0 for some a of size <= n."""
+    cls = _hypersurface_class(n, (1, 1))
+    orbits = [tuple(w - 2 * n for w in parts)
+              for parts in partitions(2 * n * n - n, n)
+              if sum(max(n - w, 0) for w in parts) <= n]
+    sums = orbit_sums(iterated_residue(orbit_form(n, qn, orbits)), orbits)
+    total = Polynomial.zero()
+    for j in range(n + 1):
+        for a in compositions(n - j, n):
+            weight = _multinomial_sum(sums, n * n - j, [n + b for b in a])
+            total = total + xs[j] * weight * math.prod(
+                (cls[b] for b in a), start=Polynomial.one())
     return total
 
 
 def leading_constant(n: int, q: QTable | None = None) -> Fraction:
     """Constant term of the degree-zero form
     ``prod(z_i - z_j) Q_n (z_1+...+z_n)^(n^2) / [prod(z_i+z_j-z_l)
-    (z_1...z_n)^n]`` under the calibrated contour; this is the constant
-    multiplying the top d-coefficient of the intersection polynomial."""
+    (z_1...z_n)^(n+1)]`` under the calibrated contour; this is the constant
+    multiplying the top d-coefficient of the intersection polynomial.  The
+    z^lambda coefficient of its body is (n^2)! / prod_l (lambda_l + n + 1)!,
+    read against the orbit sums of :func:`orbit_form`."""
     qn = _table_entry(n, q, n * n)
-    form = curvilinear_form(n, qn, _zsum(n) ** (n * n), _zshift(n, n + 1))
-    return iterated_residue(form).constant_value()
+    orbits = [tuple(v - n - 1 for v in parts)
+              for parts in partitions(n * n, n)]
+    sums = orbit_sums(iterated_residue(orbit_form(n, qn, orbits)), orbits)
+    return _multinomial_sum(sums, n * n, [n + 1] * n)
 
 
 def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:

@@ -3,12 +3,14 @@ iterated-residue formula, with positivity and coefficient-ratio reports.
 
 The residue form, its contour and its sign are built in one place,
 :func:`curvilinear_form`: its plain iterated residue is the calibrated
-value, and the hyperbolicity module reads its tower residues the same way.
-The residue keeps Chern weight, so only the Thom polynomial's is built.
-No Chern class meets a denominator or the prefactor either, so the body
-carries none: each Chern monomial is one power of a private tag variable,
-which names the S_k-orbit of the exponent vectors it came from, and
-:func:`thom_polynomial` reads the Chern monomials back off the tags.
+value.  Every body this package sums over is symmetric in z_1..z_k, so
+it is built once, by :func:`orbit_form`: one power of a private tag
+variable per S_k-orbit of exponent vectors, times the orbit's sum of
+monomials.  The residue, a polynomial in the tag, gives the residue of
+each orbit sum (:func:`orbit_sums`), and a caller weighs them.  The Thom
+body's orbits are the compositions of the Chern weight k(codim+1) the
+residue reads, each weighed by its Chern monomial; the hyperbolicity
+module weighs the orbits of its tower by multinomials.
 """
 
 from __future__ import annotations
@@ -85,36 +87,58 @@ def denominator_triples(k: int) -> list[tuple[int, int, int]]:
             for l in range(i + j, k + 1)]
 
 
-def curvilinear_form(k: int, qk: Polynomial, *factors) -> ResidueForm:
+def curvilinear_form(k: int, qk: Polynomial, body: Polynomial) -> ResidueForm:
     """The calibrated residue form of order k: numerator ``(-1)^k Q_k *
-    prod_{i<j}(z_i - z_j)`` (``qk`` is the table entry) times the given
-    factors; denominators ``z_i + z_j - z_l`` over
-    :func:`denominator_triples`; contour ``z_1..z_k``, ``z_k`` most dominant.
+    prod_{i<j}(z_i - z_j)`` (``qk`` is the table entry) times ``body``;
+    denominators ``z_i + z_j - z_l`` over :func:`denominator_triples`;
+    contour ``z_1..z_k``, ``z_k`` most dominant.
 
-    The factor with the most terms is the form's numerator, multiplied by
-    nothing; ``(-1)^k Q_k``, the Vandermonde and the other factors make up
-    its prefactor, which the engine multiplies slice by slice into the
-    denominator expansions at the first peel.  The global sign ``(-1)^k``
-    cancels the engine's orientation ``(-1)^k``, so the iterated residue
-    of this form is the plain ``(z_1...z_k)^-1`` coefficient of the
-    expansion.  This makes the k = 1 family come out as ``+c_(codim+1)``
-    and is asserted against classical values for k = 2, 3 in the tests.
+    The body is the form's numerator, multiplied by nothing; ``(-1)^k
+    Q_k`` and the Vandermonde make up its prefactor, which the engine
+    multiplies slice by slice into the denominator expansions at the first
+    peel.  The global sign ``(-1)^k`` cancels the engine's orientation
+    ``(-1)^k``, so the iterated residue of this form is the plain
+    ``(z_1...z_k)^-1`` coefficient of the expansion.  This makes the k = 1
+    family come out as ``+c_(codim+1)`` and is asserted against classical
+    values for k = 2, 3 in the tests.
     """
     zs = tuple(zvar(l) for l in range(1, k + 1))
-    *small, body = (sorted(factors, key=lambda f: len(f.terms))
-                    or [Polynomial.one()])
     prefactor = (-qk if k % 2 else qk) * vandermonde(zs)
-    for f in small:
-        prefactor = prefactor * f
     dens = tuple(Polynomial.var(zs[i - 1]) + Polynomial.var(zs[j - 1])
                  - Polynomial.var(zs[l - 1])
                  for i, j, l in denominator_triples(k))
     return ResidueForm(body, dens, zs, prefactor)
 
 
-#: The tag of a Thom body term, one power per Chern monomial; the text
-#: grammar cannot read its name, so no input holds it.
+def partitions(total: int, k: int) -> list[tuple[int, ...]]:
+    """The nondecreasing compositions of ``total`` into k parts, one per
+    S_k-orbit of compositions."""
+    return [p for p in compositions(total, k) if list(p) == sorted(p)]
+
+
+#: The tag of an orbit-form body term; the text grammar cannot read its
+#: name, so no input holds it.
 _ORBIT = svar("#orbit")
+
+
+def orbit_form(k: int, qk: Polynomial, orbits) -> ResidueForm:
+    """:func:`curvilinear_form` of the body ``sum_g t^g sum_v z^v``, v over
+    the distinct permutations of ``orbits[g]``, built on dense keys over
+    z_1..z_k and the tag t.  Its residue is ``sum_g S(orbits[g]) t^g``,
+    where S(lambda) is the residue of the orbit sum of z^lambda; a body
+    symmetric in z is a sum of such orbit sums, so its residue is read off
+    this one (:func:`orbit_sums`)."""
+    terms = {(*v, g): 1 for g, orbit in enumerate(orbits)
+             for v in itertools.permutations(orbit)}
+    slate = Slate([zvar(l) for l in range(1, k + 1)] + [_ORBIT])
+    return curvilinear_form(k, qk, Polynomial(slate.sparse(terms)))
+
+
+def orbit_sums(tagged: Polynomial, orbits) -> dict:
+    """{lambda: S(lambda)} from the residue of :func:`orbit_form`, for the
+    orbits whose sum has a nonzero residue."""
+    return {orbits[m.exponent(_ORBIT)]: c for m, c in tagged.terms.items()}
+
 
 #: Most terms the cut Chern-tail product for (k, codim) may reach, which
 #: bounds the work of :func:`residue_form`; checked before it starts.
@@ -136,55 +160,45 @@ def check_tail_size(k: int, codim: int) -> None:
                 f"reaches {terms} terms, over the limit of {MAX_TAIL_TERMS}")
 
 
+def _thom_orbits(k: int, codim: int) -> list[tuple[int, ...]]:
+    """codim - a for each nondecreasing composition a of cmax = k(codim+1)
+    into k parts: the exponents of ``prod_l c_(a_l) z_l^(codim - a_l)``."""
+    return [tuple(codim - a for a in parts)
+            for parts in partitions(k * (codim + 1), k)]
+
+
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
-    """The calibrated residue form for (k, codim): :func:`curvilinear_form`
-    times the part of ``prod_l c(1/z_l) z_l^codim`` of Chern weight cmax =
+    """The calibrated residue form for (k, codim): the :func:`orbit_form` of
+    the part of ``prod_l c(1/z_l) z_l^codim`` of Chern weight cmax =
     k(codim+1), the only weight the residue reads, since no other factor
     has a Chern class.  A composition (a_1..a_k) of cmax gives the term
-    ``prod_l c_(a_l) z_l^(codim - a_l)`` (c_0 = 1), written with the tag
-    ``t^g`` in place of its Chern monomial: g spells the sorted parts in
-    base cmax + 1, one tag per S_k-orbit of compositions, so one per Chern
-    monomial.  The terms are built on dense keys over z_1..z_k and t."""
+    ``prod_l c_(a_l) z_l^(codim - a_l)`` (c_0 = 1), whose Chern monomial
+    depends only on its S_k-orbit, so the orbit tag stands in for it."""
     qk = q.get(k)
     check_tail_size(k, codim)
-    cmax = k * (codim + 1)
-    terms = {}
-    for parts in compositions(cmax, k):
-        tag = 0
-        for a in sorted(parts):
-            tag = tag * (cmax + 1) + a
-        terms[(*(codim - a for a in parts), tag)] = 1
-    slate = Slate([zvar(l) for l in range(1, k + 1)] + [_ORBIT])
-    return curvilinear_form(k, qk, Polynomial(slate.sparse(terms)))
+    return orbit_form(k, qk, _thom_orbits(k, codim))
 
 
-def _untag(tagged: Polynomial, base: int) -> Polynomial:
-    """The residue of a tagged Thom body with each tag power t^g read back
-    into its Chern monomial: one factor c_a per base-``base`` digit a of g
-    (``divmod``).  The zero parts sort first, so they are leading zeros of
-    g and no digit read is 0."""
-    terms = {}
-    for m, c in tagged.terms.items():
-        g, pairs = m.exponent(_ORBIT), []
-        while g:
-            g, a = divmod(g, base)
-            pairs.append((cvar(a), 1))
-        terms[Monomial.make(pairs)] = c
-    return Polynomial(terms)
+def _chern_sum(sums: dict, codim: int) -> Polynomial:
+    """Each orbit sum times the Chern monomial ``prod_l c_(codim -
+    lambda_l)`` of its orbit lambda (c_0 = 1)."""
+    return Polynomial({
+        Monomial.make([(cvar(codim - e), 1) for e in orbit if e < codim]): c
+        for orbit, c in sums.items()})
 
 
 def thom_polynomial(k: int, codim: int,
                     q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
     classes c_1..c_{k(codim+1)} of the difference bundle: the residue of
-    :func:`residue_form`, a polynomial in its tag, with each tag power
-    read back into its Chern monomial."""
+    :func:`residue_form` read into orbit sums, each weighed by its Chern
+    monomial (:func:`_chern_sum`)."""
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
-    tagged = iterated_residue(residue_form(k, codim, q))
-    return ThomResult(k, codim, _untag(tagged, k * (codim + 1) + 1),
-                      (-1) ** k)
+    sums = orbit_sums(iterated_residue(residue_form(k, codim, q)),
+                      _thom_orbits(k, codim))
+    return ThomResult(k, codim, _chern_sum(sums, codim), (-1) ** k)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,15 @@ the hyperbolicity module: every product multiplied out in a plain scalar
 ``H``, with no cut at H^n, and coefficients read by
 ``Polynomial.coefficient``.  :func:`tower_form` is the reference for the
 tower residues: the one form the package once built for
-sum_j x_j Z^(n^2-j) T_(n-j) (z_1...z_n)^-n, with the x_j and the degree
-inside the numerator, where the package now takes one residue per j and
-applies the x_j after it.  :func:`thom_form` is the reference for the
-Thom body: the form the package once built for (k, codim), each body term
-with its Chern monomial, where the package now writes one tag per Chern
-monomial and reads the monomials back after the residue.
+sum_j x_j Z^(n^2-j) T_(n-j) (z_1...z_n)^-n, with the powers of
+Z = z_1 + ... + z_n (:func:`zsum`), the x_j and the degree multiplied out
+in the numerator, where the package now takes one residue of an orbit
+form and weighs its orbit sums by multinomials.  :func:`leading_form` is
+the same reference for the leading constant, Z^(n^2) (z_1...z_n)^-(n+1).
+:func:`thom_form` is the reference for the Thom body: the form the
+package once built for (k, codim), each body term with its Chern
+monomial, where the package now writes one tag per S_k-orbit and maps
+each orbit to its Chern monomial after the residue.
 :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`fraction_rho` is the reference for the jet embedding matrix: the
@@ -57,7 +60,6 @@ from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
                              compositions, cvar, mul_dense, parse_polynomial,
                              svar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
-from equiloc.hyperbolicity import _zshift, _zsum
 from equiloc.residue import ResidueForm, iterated_residue
 from equiloc.thom import QTable, check_tail_size, curvilinear_form
 
@@ -104,18 +106,34 @@ def hypersurface_tail(n: int, d_poly: Polynomial) -> Polynomial:
     return acc
 
 
+def zshift(n: int, power: int) -> Polynomial:
+    """(z_1...z_n)^-power."""
+    return Polynomial({Monomial.make([(zvar(l), -power)
+                                      for l in range(1, n + 1)]): 1})
+
+
+def zsum(n: int) -> Polynomial:
+    """Z = z_1 + ... + z_n."""
+    return sum((Polynomial.var(zvar(l)) for l in range(1, n + 1)),
+               Polynomial.zero())
+
+
 def tower_form(n: int, qn: Polynomial, xs, d_poly: Polynomial):
     """The order-n form of sum_j xs[j] Z^(n^2-j) T_(n-j) (z_1...z_n)^-n:
     the part of (sum_j xs[j] h^j Z^(n^2-j)) times the tail that the residue
     reads, since T_i, its h^i coefficient, has z-degree -i."""
-    zsum = _zsum(n)
     full = hypersurface_tail(n, d_poly)
     tail = [full.coefficient(H, i) for i in range(n + 1)]
-    top, power = Polynomial.zero(), zsum ** (n * n - n)
+    top, power = Polynomial.zero(), zsum(n) ** (n * n - n)
     for j in range(n, -1, -1):
         top = top + xs[j] * power * tail[n - j]
-        power = power * zsum
-    return curvilinear_form(n, qn, _zshift(n, n), top)
+        power = power * zsum(n)
+    return curvilinear_form(n, qn, zshift(n, n) * top)
+
+
+def leading_form(n: int, qn: Polynomial):
+    """The order-n form of Z^(n^2) (z_1...z_n)^-(n+1), multiplied out."""
+    return curvilinear_form(n, qn, zsum(n) ** (n * n) * zshift(n, n + 1))
 
 
 def thom_form(k: int, codim: int, q: QTable) -> ResidueForm:

@@ -111,6 +111,13 @@ class TestGoldenCommands:
             "bf5d96566cdb3815387d579e6ce39a72fafbfda3f7f9e1d2e9e33f94259dbd54",
         "theta --n 4":
             "8e7713c64daf13b3172e16f6d9f76e809751bb0fd9bb00638410dc49fecd14b1",
+        # n = 4, as the route of one residue per tower part printed it
+        "gg --n 4":
+            "6293254acb85bb3511e6cb462994af3109a8876628f42134a48243c6f2de60e1",
+        "euler --n 4":
+            "a5002cf5c0d375c50781e3f4a92661451c6ea6c7045ecaea5d36848d17748687",
+        "euler --n 4 --d 9":
+            "8c73d547b81e93a3e2c99b04ca2f795732eab8beb1e81804b4aa4bff5e8386c6",
     }
 
     @pytest.mark.parametrize("argv", list(TOWER_DIGESTS), ids=lambda argv:

@@ -3,20 +3,23 @@ the jet-sheaf Euler characteristic against direct curve geometry."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from equiloc import hyperbolicity
-from equiloc.algebra import Polynomial, parse_polynomial
-from equiloc.errors import MissingQ
-from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR, EulerResult,
-                                   _hypersurface_class, _todd_class,
-                                   _tower_residue, _zshift, _zsum,
+from equiloc import hyperbolicity, thom
+from equiloc.algebra import Polynomial, parse_polynomial, zvar
+from equiloc.errors import MissingQ, SizeLimitExceeded
+from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR,
+                                   MAX_FACTOR_TERMS, EulerResult,
+                                   _hypersurface_class, _table_entry,
+                                   _todd_class, _tower_residue,
                                    euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
@@ -33,12 +36,23 @@ def top_intersection(n: int) -> Polynomial:
     block); equals (n^2)! times the leading m-coefficient of the Euler
     characteristic."""
     residue = iterated_residue(curvilinear_form(
-        n, QTable.builtin().get(n), _zsum(n) ** (n * n),
-        oracles.hypersurface_tail(n, P.var(D_VAR)), _zshift(n, n)))
+        n, QTable.builtin().get(n), oracles.zsum(n) ** (n * n)
+        * oracles.hypersurface_tail(n, P.var(D_VAR)) * oracles.zshift(n, n)))
     return residue.coefficient(H, n) * P.var(D_VAR)
 
 
 _RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+def entries(n: int):
+    """Numerators over z_1..z_n, neither symmetric nor homogeneous in
+    general, as a q-file may give them for orders >= 5."""
+    return st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool),
+                  st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        min_size=1, max_size=4).map(lambda terms: Polynomial.from_terms(
+            (c, [(zvar(i), e) for i, e in enumerate(exps, 1)])
+            for c, exps in terms))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -55,8 +69,9 @@ def test_hypersurface_class_is_the_cut_product(n, data):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
-    # one form per part j, whose numerator is the h^n coefficient of
-    # h^j Z^(n^2-j) times the tail, exactly
+    # one residue, of an orbit form: the terms of each tag are every
+    # permutation of one exponent vector, one tag per S_n-orbit, and the
+    # orbits are those of the part of the product the residue reads
     forms = []
 
     def capture(form):
@@ -66,31 +81,52 @@ def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
     monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
     qn = QTable.builtin().get(n)
     _tower_residue(n, qn, [1] * (n + 1))
-    tail = oracles.hypersurface_tail(n, P.var(D_VAR))
-    expected = set()
-    for j in range(n + 1):
-        part = (P.var(H, j) * _zsum(n) ** (n * n - j) * tail).coefficient(H, n)
-        read = curvilinear_form(n, qn, _zshift(n, n), part)
-        expected.add((read.prefactor, read.numerator))
-    assert len(forms) == n + 1
-    assert {(f.prefactor, f.numerator) for f in forms} == expected
+    (form,) = forms
+    groups = {}
+    for m, c in form.numerator.terms.items():
+        assert c == 1 and set(m.variables()) <= {*form.order, thom._ORBIT}
+        groups.setdefault(m.exponent(thom._ORBIT), set()).add(
+            tuple(m.exponent(z) for z in form.order))
+    assert sorted(groups) == list(range(len(groups)))
+    orbits = set()
+    for exps in groups.values():
+        first = next(iter(exps))
+        assert exps == set(itertools.permutations(first))
+        orbits.add(tuple(sorted(first)))
+    assert len(orbits) == len(groups)
+    read = oracles.tower_form(n, qn, [1] * (n + 1), P.var(D_VAR)).numerator
+    assert orbits == {tuple(sorted(m.exponent(z) for z in form.order))
+                      for m in read.terms}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_tower_residue_is_the_residue_of_the_tower_form(n, data):
-    # the x_j and a rational degree applied after the residues give the
-    # residue of the one form that holds them
+    # the orbit sums weighed by multinomials, the x_j and a rational
+    # degree applied after them give the residue of the one form that
+    # holds them all, for any numerator Q
     xs = data.draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))
     d = data.draw(st.one_of(st.none(), _RATIONAL))
-    qn = QTable.builtin().get(n)
+    qn = data.draw(st.one_of(st.just(QTable.builtin().get(n)), entries(n)))
     got = _tower_residue(n, qn, xs)
     if d is None:
         d_poly = P.var(D_VAR)
     else:
         d_poly, got = P.rational(d), got.evaluate({D_VAR: d})
     assert got == iterated_residue(oracles.tower_form(n, qn, xs, d_poly))
+
+
+def test_factor_check_boundary():
+    # gg and euler (low = n^2 - n) accept n <= 4, theta (low = n^2) n <= 5
+    # given an entry for 5; the check runs before any form is built
+    assert MAX_FACTOR_TERMS == 50_000
+    assert _table_entry(4, None, 12) == QTable.builtin().get(4)
+    q = QTable.builtin().with_entry(5, P.one()).with_entry(6, P.one())
+    assert _table_entry(5, q, 25) == P.one()
+    for n, low in ((5, 20), (6, 36)):
+        with pytest.raises(SizeLimitExceeded):
+            _table_entry(n, q, low)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +160,18 @@ class TestLeadingConstant:
     def test_missing_q(self):
         with pytest.raises(MissingQ):
             leading_constant(5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_multiplied_out_form(self, n, data):
+        # the orbit read holds for any numerator Q, given here as a table
+        # entry for n in place of the built-in one
+        qn = data.draw(st.one_of(st.just(QTable.builtin().get(n)),
+                                 entries(n)))
+        q = QTable(MappingProxyType({n: qn}))
+        expected = iterated_residue(oracles.leading_form(n, qn))
+        assert leading_constant(n, q) == expected.constant_value()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_intersection_polynomial_reads_it(self, gg, n):

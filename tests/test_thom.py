@@ -3,6 +3,7 @@ brute-force oracle, degree/positivity invariants and the report tools."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -110,21 +111,27 @@ class TestGoldenValues:
     ])
     def test_form_holds_only_the_thom_weight(self, k, codim):
         # the residue keeps Chern weight, and only cmax = k(codim+1) is
-        # read: each body term is one composition of cmax, its parts spelt
-        # by the tag in base cmax + 1 and read off the z-exponents
+        # read: each body term is one composition a of cmax, read off the
+        # z-exponents codim - a, and each tag holds every permutation of
+        # one composition, one tag per S_k-orbit
         cmax = k * (codim + 1)
         form = residue_form(k, codim, QTable.builtin())
         numerator = form.numerator
         assert len(numerator.terms) == math.comb(cmax + k - 1, k - 1)
-        for m in numerator.terms:
+        groups = {}
+        for m, c in numerator.terms.items():
+            assert c == 1
             assert set(m.variables()) <= {*form.order, thom._ORBIT}
-            g, parts = m.exponent(thom._ORBIT), []
-            while g:
-                g, a = divmod(g, cmax + 1)
-                parts.append(a)
-            assert sum(parts) == cmax
-            from_z = [codim - m.exponent(z) for z in form.order]
-            assert sorted(parts) == sorted(a for a in from_z if a)
+            groups.setdefault(m.exponent(thom._ORBIT), set()).add(
+                tuple(codim - m.exponent(z) for z in form.order))
+        assert sorted(groups) == list(range(len(groups)))
+        orbits = set()
+        for parts in groups.values():
+            first = next(iter(parts))
+            assert sum(first) == cmax and min(first) >= 0
+            assert parts == set(itertools.permutations(first))
+            orbits.add(tuple(sorted(first)))
+        assert len(orbits) == len(groups)
         if k == 1:
             assert len(numerator.terms) == 1
 
@@ -212,26 +219,27 @@ class TestBuiltinPrefactors:
             generating_coefficient(k, (0,) * (k - 1) + (1 - k,))
         towers = []
         for n in range(1, 4):
-            # n + 1 tower forms each, and the leading_constant form
+            # one orbit form each for gg, euler and theta
             for command in (hyperbolicity.intersection_polynomial,
-                            hyperbolicity.euler_characteristic):
+                            hyperbolicity.euler_characteristic,
+                            hyperbolicity.leading_constant):
                 start = len(forms)
                 command(n)
-                towers.append(forms[start:])
-            hyperbolicity.leading_constant(n)
-        assert len(forms) == 4 + 2 * (2 + 3 + 4) + 3
+                assert len(forms) == start + 1
+                towers.append(forms[start])
+        assert len(forms) == 4 + 3 * 3
         for form in forms:
             self.check(form)
-        # the tower forms depend on n alone: integer polynomials in z and d,
-        # with no delta, m or numeric degree, the same for gg and for euler
-        # with or without one
+        # the tower forms depend on n alone: integer polynomials in z and
+        # the orbit tag, the same for gg and for euler with or without a
+        # numeric degree
         for n in range(1, 4):
             start = len(forms)
             hyperbolicity.euler_characteristic(n, d=9)
-            assert forms[start:] == towers[2 * n - 2] == towers[2 * n - 1]
-        for form in sum(towers, []):
+            assert forms[start:] == [towers[3 * n - 3]] == [towers[3 * n - 2]]
+        for form in towers:
             for part in (form.numerator, form.prefactor):
-                assert part.variables() <= {*form.order, hyperbolicity.D_VAR}
+                assert part.variables() <= {*form.order, thom._ORBIT}
                 assert all(type(c) is int for c in part.terms.values())
 
 

@@ -4,8 +4,9 @@ in-process runs of each stage, in seconds, and the term counts beside them.
     python tools/thom_stages.py K CODIM [--repeat N]
 
 The stages are ``form`` (the residue form, its body one tagged term per
-composition), ``residue`` (the iterated residue, a polynomial in the tag)
-and ``decode`` (each tag power read back into its Chern monomial);
+composition, one tag per S_k-orbit), ``residue`` (the iterated residue, a
+polynomial in the tag) and ``decode`` (the orbit sums read off the tags,
+each orbit mapped to its Chern monomial);
 ``thom_polynomial`` times them together, through the function the command
 line calls, and its answer must be the stages' answer.  Orders 1..4 use
 the built-in numerator table.
@@ -20,8 +21,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from equiloc.residue import iterated_residue  # noqa: E402
-from equiloc.thom import (QTable, _untag, residue_form,  # noqa: E402
-                          thom_polynomial)
+from equiloc.thom import (QTable, _chern_sum, _thom_orbits,  # noqa: E402
+                          orbit_sums, residue_form, thom_polynomial)
 from job_stages import best  # noqa: E402
 
 
@@ -34,11 +35,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     k, codim, q = args.k, args.codim, QTable.builtin()
     expected = thom_polynomial(k, codim, q).polynomial  # also validates
-    base = k * (codim + 1) + 1
+    orbits = _thom_orbits(k, codim)
+
+    def decode(tagged):
+        return _chern_sum(orbit_sums(tagged, orbits), codim)
 
     form = residue_form(k, codim, q)
     tagged = iterated_residue(form)
-    result = _untag(tagged, base)
+    result = decode(tagged)
     if result != expected:
         print("the stages' answer differs from thom_polynomial's",
               file=sys.stderr)
@@ -49,7 +53,7 @@ def main(argv=None) -> int:
              f"{len(form.denominators)} denominators"),
             ("residue", lambda: iterated_residue(form),
              f"{len(tagged.terms)} tagged terms out"),
-            ("decode", lambda: _untag(tagged, base),
+            ("decode", lambda: decode(tagged),
              f"{len(result.terms)} Chern monomials"),
             ("thom_polynomial", lambda: thom_polynomial(k, codim, q),
              "all of the above")]
