@@ -8,12 +8,15 @@ Variables come in four disjoint alphabets:
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
 
-Terms are stored sparsely, keyed by :class:`Monomial`.  Every product of
-two polynomials goes to one kernel, :func:`mul_dense`, on terms keyed by
-dense exponent tuples over a :class:`Slate` of variables (the residue
-engine and the jet composition call the kernel directly).  The text
-grammar, :func:`parse_polynomial`, is a recursive descent over the text's
-tokens, each distinct word read once: a number becomes its int and a
+Terms are stored sparsely, keyed by :class:`Monomial`; no other module
+reads or builds one.  A :class:`Slate` of variables is the only way
+between a :class:`Polynomial` and terms keyed by dense exponent tuples:
+:meth:`Slate.dense` reads a polynomial's terms, :meth:`Slate.polynomial`
+makes dense terms a polynomial.  Every product of two polynomials goes to
+one kernel, :func:`mul_dense`, on such terms; the residue engine and the
+jet embedding matrix (:func:`equiloc.jets.rho`) call it directly.  The
+text grammar, :func:`parse_polynomial`, is a recursive descent over the
+text's tokens, each distinct word read once: a number becomes its int and a
 name its slot in one slate of the text's variables (at most
 :data:`MAX_TEXT_VARIABLES`).  It evaluates on dense exponent tuples over
 that slate: a run of number and variable factors, each maybe to a power,
@@ -94,7 +97,7 @@ def _num(c):
     """Normalize a coefficient to int (when integral) or Fraction."""
     if type(c) is int:
         return c
-    f = Fraction(c)
+    f = c if type(c) is Fraction else Fraction(c)
     return f.numerator if f.denominator == 1 else f
 
 
@@ -211,7 +214,7 @@ def _add_into(acc: dict, terms, scale=1):
 class Slate:
     """A fixed variable list: ``first`` in the given order, then the other
     variables sorted; over it a term is keyed by its dense exponent tuple.
-    :meth:`sparse` lists exponents in slate order, so its monomials are
+    :meth:`polynomial` lists exponents in slate order, so its monomials are
     canonical as long as the nonzero ``first`` slots of each key are in
     sorted order."""
 
@@ -222,20 +225,25 @@ class Slate:
         self.vars = (*first, *sorted(rest, key=_SORT_KEY))
         self.index = {v: i for i, v in enumerate(self.vars)}
 
-    def dense(self, terms: dict) -> dict:
+    def dense(self, p: "Polynomial") -> dict:
+        """The terms of ``p``, whose variables are all on the slate, keyed
+        by their exponent tuples."""
         out = {}
-        n = len(self.vars)
-        for m, c in terms.items():
-            key = [0] * n
+        index, zero = self.index, [0] * len(self.vars)
+        for m, c in p.terms.items():
+            key = zero.copy()
             for v, e in m.exps:
-                key[self.index[v]] = e
+                key[index[v]] = e
             out[tuple(key)] = c
         return out
 
-    def sparse(self, dense: dict) -> dict:
+    def polynomial(self, dense: dict) -> "Polynomial":
+        """The polynomial of the terms keyed by exponent tuples over the
+        slate; coefficients are kept as they are."""
         vs = self.vars
-        return {Monomial(tuple(itertools.compress(zip(vs, key), key))): c
-                for key, c in dense.items()}
+        return Polynomial({
+            Monomial(tuple(itertools.compress(zip(vs, key), key))): c
+            for key, c in dense.items()})
 
 
 def mul_dense(a: dict, b: dict) -> dict:
@@ -269,14 +277,6 @@ def _integral_ints(terms: dict) -> dict:
         if type(c) is not int:
             terms[m] = _num(c)
     return terms
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of Monomial-keyed terms, by :func:`mul_dense` over the slate
-    of the variables of both; an integral coefficient is an int."""
-    slate = Slate({v for m in itertools.chain(a, b) for v, _ in m.exps})
-    return slate.sparse(_integral_ints(
-        mul_dense(slate.dense(a), slate.dense(b))))
 
 
 class Polynomial:
@@ -341,8 +341,13 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        """By :func:`mul_dense` over the slate of the variables of both; an
+        integral coefficient is an int."""
         other = _coerce(other)
-        return Polynomial(_mul_terms(self.terms, other.terms))
+        slate = Slate({v for m in itertools.chain(self.terms, other.terms)
+                       for v, _ in m.exps})
+        return slate.polynomial(_integral_ints(
+            mul_dense(slate.dense(self), slate.dense(other))))
 
     __rmul__ = __mul__
 
@@ -378,7 +383,7 @@ class Polynomial:
         return Fraction(self.terms[ONE_MONO])
 
     def variables(self) -> set[Var]:
-        return {v for m in self.terms for v in m.variables()}
+        return {v for m in self.terms for v, _ in m.exps}
 
     def degree_in(self, v: Var) -> int:
         return max((m.exponent(v) for m in self.terms), default=0)
@@ -657,7 +662,7 @@ class _Parser:
             raise InputError(f"trailing input at {self.value(self.pos)!r}")
 
     def polynomial(self, terms: dict) -> Polynomial:
-        return Polynomial(self.slate.sparse(_integral_ints(terms)))
+        return self.slate.polynomial(_integral_ints(terms))
 
     def check(self, a: dict, b: dict) -> None:
         """The limits on the product of ``a`` and ``b``, before it is

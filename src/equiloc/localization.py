@@ -32,8 +32,8 @@ import random
 from fractions import Fraction
 from operator import add, attrgetter, mul, sub
 
-from .algebra import (ONE_MONO, Monomial, Polynomial, Slate, _num,
-                      compositions, cvar, vandermonde, zvar)
+from .algebra import (Polynomial, Slate, compositions, cvar, vandermonde,
+                      zvar)
 from .errors import (DegreeMismatch, InconsistentDraws, InputError,
                      RepeatedWeights, SizeLimitExceeded)
 from .residue import ResidueForm, iterated_residue
@@ -112,8 +112,9 @@ def _require_variables(poly: Polynomial, var, count: int,
     """InputError naming the first variable of ``poly`` that is not one of
     var(1)..var(count) or that carries a negative exponent."""
     allowed = {var(i) for i in range(1, count + 1)}
-    bad = {v for m in poly.terms for v, e in m.exps
-           if e < 0 or v not in allowed}
+    slate = Slate(poly.variables())
+    lows = map(min, zip(*slate.dense(poly)))  # each variable's least exponent
+    bad = {v for v, e in zip(slate.vars, lows) if e < 0 or v not in allowed}
     if bad:
         v = min(bad, key=attrgetter("sort_key"))
         found = f"a negative power of {v.name}" if v in allowed else v.name
@@ -152,7 +153,7 @@ def _integer_terms(poly: Polynomial, variables, grades, scale: int):
     variable j.  ``den`` clears the coefficient denominators and ``top`` is
     the largest weighted degree; a term of weighted degree g carries
     scale^(top − g), so a non-homogeneous ``poly`` stays exact."""
-    dense = Slate(variables, variables).dense(poly.terms)
+    dense = Slate(variables, variables).dense(poly)
     den = math.lcm(*(c.denominator for c in dense.values()))
     degrees = [sum(map(mul, grades, exps)) for exps in dense]
     top = max(degrees, default=0)
@@ -342,10 +343,10 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
 
 @functools.cache
 def _flag_frame(d: int):
-    """z_1..z_d, the monomials z_l and vandermonde(z_1..z_d), built once
-    per d."""
+    """z_1..z_d, the polynomials -z_l and vandermonde(z_1..z_d), built
+    once per d."""
     zs = tuple(zvar(l) for l in range(1, d + 1))
-    return zs, tuple(Monomial(((z, 1),)) for z in zs), vandermonde(zs)
+    return zs, tuple(-Polynomial.var(z) for z in zs), vandermonde(zs)
 
 
 def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
@@ -356,10 +357,9 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     _check_rank("d", d)
     weights = _distinct(n, weights)
     _require_variables(Q, zvar, d, "Q")
-    zs, monomials, vander = _flag_frame(d)
-    constants = [{ONE_MONO: _num(w)} if w else {} for w in weights]
-    dens = tuple(Polynomial({**c, z: -1})
-                 for z in monomials for c in constants)
+    zs, negated, vander = _flag_frame(d)
+    constants = list(map(Polynomial.rational, weights))
+    dens = tuple(z + c for z in negated for c in constants)
     form = ResidueForm(Q, dens, zs, prefactor=vander)
     return iterated_residue(form).constant_value()
 

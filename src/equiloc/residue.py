@@ -94,6 +94,10 @@ class ResidueForm:
     prefactor: Polynomial = field(default_factory=Polynomial.one)
 
     def __post_init__(self):
+        bad = [v.name for v in self.order if v.kind != RESIDUE]
+        if bad:  # the engine reads the order's slots as residue variables
+            raise InputError("order entries must be residue variables, got "
+                             + ", ".join(bad))
         allowed = set(self.order)
         if len(allowed) != len(self.order):
             names = ", ".join(v.name for v in self.order)
@@ -106,23 +110,30 @@ class ResidueForm:
             raise InputError(f"residue variables not in the order: {names}")
 
 
-def _split(w: Polynomial, rank: dict[Var, int]):
-    """``(z, a, rest)`` with ``w = a*z + rest``, ``z`` the highest-ranked
-    residue variable of ``w`` and ``rest`` its other terms.  InputError
-    when a term of ``w`` is not linear in one residue variable or free of
-    them; NoDominantVariable when ``w`` has no residue variable."""
+def _split(ws: Slate, w: Polynomial, d: int):
+    """``(zi, (rest, a, bits))`` for the factor ``w = a*z + rest`` of
+    height ``bits``, on dense keys over ``ws``, whose first ``d`` slots are
+    the order and hold every residue variable of the form: ``z`` is the
+    variable of the highest slot ``zi`` that a linear term of ``w`` holds,
+    and ``rest`` the other terms.  A term is linear when its first ``d``
+    exponents are a unit vector and its others are 0.  InputError when a
+    term of ``w`` is neither linear nor free of residue variables;
+    NoDominantVariable when ``w`` has no residue variable."""
+    terms = ws.dense(w)
     linear = {}
-    for m, c in w.terms.items():
-        if any(v.kind == RESIDUE for v, _ in m.exps):
-            if len(m.exps) > 1 or m.exps[0][1] != 1:
+    for key in terms:
+        head = key[:d]
+        if any(head):
+            if head.count(0) != d - 1 or 1 not in head or any(key[d:]):
                 raise InputError(f"denominator factor is not affine: {w}")
-            linear[m.exps[0][0]] = c
+            linear[head.index(1)] = key
     if not linear:
         raise NoDominantVariable(
             f"pure parameter factor has no residue variable: {w}")
-    z = max(linear, key=rank.__getitem__)
-    rest = {m: c for m, c in w.terms.items() if m.exps != ((z, 1),)}
-    return z, linear[z], rest
+    zi = max(linear)
+    rest = dict(terms)
+    a = rest.pop(linear[zi])
+    return zi, (rest, a, _height_bits(terms))
 
 
 def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
@@ -228,28 +239,22 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
     expanded product.  The result contains no residue variables.  The
     prefactor is multiplied in slice by slice at the first peel."""
     order = tuple(form.order)
-    rank = {v: i for i, v in enumerate(order)}
-    groups: dict[Var, list] = {}
-    variables = (set(order) | form.numerator.variables()
-                 | form.prefactor.variables())
+    d = len(order)
+    ws = Slate(set(order).union(*(p.variables() for p in (
+        form.prefactor, form.numerator, *form.denominators))), first=order)
+    groups: list[list] = [[] for _ in order]
     for w in form.denominators:
-        z, a, rest = _split(w, rank)
-        groups.setdefault(z, []).append((rest, a, _height_bits(w.terms)))
-        variables |= w.variables()
+        zi, factor = _split(ws, w, d)
+        groups[zi].append(factor)
     if not order:  # nothing to peel
         return form.prefactor * form.numerator
-    ws = Slate(variables, first=order)
-    num = ws.dense(form.numerator.terms)
-    pre = ws.dense(form.prefactor.terms)
-    need = sum(len(groups.get(z, ())) - 1 for z in order)
-    for zi in reversed(range(len(order))):
-        factors = [(ws.dense(rest), a, bits)
-                   for rest, a, bits in groups.get(order[zi], ())]
-        need -= len(factors) - 1
-        num = _peel(ws, num, factors, zi, need, pre)
+    pre, num = ws.dense(form.prefactor), ws.dense(form.numerator)
+    need = sum(len(factors) - 1 for factors in groups)
+    for zi in reversed(range(d)):
+        need -= len(groups[zi]) - 1
+        num = _peel(ws, num, groups[zi], zi, need, pre)
         pre = {(0,) * len(ws.vars): 1}
-    sign = -1 if len(order) % 2 else 1
-    return Polynomial({m: c * sign for m, c in ws.sparse(num).items()})
+    return ws.polynomial({m: -c for m, c in num.items()} if d % 2 else num)
 
 
 def residue_job(job: dict) -> dict:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import (RESIDUE, Monomial, Polynomial, Slate, compositions,
-                      cvar, svar, vandermonde, zvar)
+from .algebra import (RESIDUE, Polynomial, Slate, compositions, cvar, svar,
+                      term_list, vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
@@ -131,13 +131,13 @@ def orbit_form(k: int, qk: Polynomial, orbits) -> ResidueForm:
     terms = {(*v, g): 1 for g, orbit in enumerate(orbits)
              for v in itertools.permutations(orbit)}
     slate = Slate([zvar(l) for l in range(1, k + 1)] + [_ORBIT])
-    return curvilinear_form(k, qk, Polynomial(slate.sparse(terms)))
+    return curvilinear_form(k, qk, slate.polynomial(terms))
 
 
 def orbit_sums(tagged: Polynomial, orbits) -> dict:
     """{lambda: S(lambda)} from the residue of :func:`orbit_form`, for the
     orbits whose sum has a nonzero residue."""
-    return {orbits[m.exponent(_ORBIT)]: c for m, c in tagged.terms.items()}
+    return {orbits[g]: c for (g,), c in Slate([_ORBIT]).dense(tagged).items()}
 
 
 #: Most terms the cut Chern-tail product for (k, codim) may reach, which
@@ -182,9 +182,9 @@ def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
 def _chern_sum(sums: dict, codim: int) -> Polynomial:
     """Each orbit sum times the Chern monomial ``prod_l c_(codim -
     lambda_l)`` of its orbit lambda (c_0 = 1)."""
-    return Polynomial({
-        Monomial.make([(cvar(codim - e), 1) for e in orbit if e < codim]): c
-        for orbit, c in sums.items()})
+    return Polynomial.from_terms(
+        (c, [(cvar(codim - e), 1) for e in orbit if e < codim])
+        for orbit, c in sums.items())
 
 
 def thom_polynomial(k: int, codim: int,
@@ -214,8 +214,7 @@ class PositivityReport:
 
 def positivity_check(result: ThomResult) -> PositivityReport:
     """List every monomial of the polynomial with a negative coefficient."""
-    bad = tuple(sorted((repr(m), Fraction(c))
-                       for m, c in result.polynomial.terms.items() if c < 0))
+    bad = tuple(sorted(t for t in term_list(result.polynomial) if t[1] < 0))
     return PositivityReport(result.k, result.codim, bad)
 
 
@@ -229,9 +228,8 @@ def generating_coefficient(k: int, exponents,
         raise InputError(f"order {k} needs {k} exponents, got "
                          f"{len(exponents)}")
     q = q or QTable.builtin()
-    shift = Monomial.make([(zvar(i + 1), -exponents[i] - 1)
-                           for i in range(k)])
-    form = curvilinear_form(k, q.get(k), Polynomial({shift: 1}))
+    shift = [(zvar(i), -e - 1) for i, e in enumerate(exponents, 1)]
+    form = curvilinear_form(k, q.get(k), Polynomial.from_terms([(1, shift)]))
     return iterated_residue(form).constant_value()
 
 
@@ -255,7 +253,7 @@ def ratio_check(k: int, q: QTable | None = None,
     (exponent moved by +1/-1 in two slots) against the bound k^2.  The
     generating function does not depend on the codimension."""
     q = q or QTable.builtin()
-    gen_degree = {m.degree for m in q.get(k).terms}
+    gen_degree = q.get(k).weighted_degrees(lambda v: 1)
     vandermonde_degree = k * (k - 1) // 2
     levels = {vandermonde_degree + g - len(denominator_triples(k))
               for g in gen_degree}

@@ -480,7 +480,7 @@ class _Parser:
             raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
 
     def polynomial(self, terms: dict) -> Polynomial:
-        return Polynomial(self.slate.sparse(_integral_ints(terms)))
+        return self.slate.polynomial(_integral_ints(terms))
 
     def check(self, a: dict, b: dict) -> None:
         """The limits on the product of ``a`` and ``b``, before it is

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (Monomial, Polynomial, compositions,
-                             parse_polynomial, vandermonde, wvar, zvar)
+from equiloc.algebra import (Monomial, Polynomial, compositions, cvar,
+                             parse_polynomial, svar, vandermonde, wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
 from equiloc.localization import flag_dimension, flag_fixed_sum
 from equiloc.residue import ResidueForm, iterated_residue, residue_job
@@ -49,10 +49,17 @@ class TestIteratedResidue:
         with pytest.raises(NoDominantVariable):
             res(P.one(), ["z1", "l1 + 1"], (Z1,))
 
-    @pytest.mark.parametrize("text", ["z1^2", "l1*z1", "z1*z2", "z1 + z2^2"])
-    def test_non_affine_denominator_rejected(self, text):
+    # the text grammar has no negative powers, so the last two are built
+    # from monomials; z1^2*z2^-1 has residue exponents that sum to 1, as a
+    # linear term's do
+    @pytest.mark.parametrize("w", [
+        *map(parse_polynomial, ["z1^2", "l1*z1", "z1*z2", "z1 + z2^2"]),
+        Polynomial({Monomial.make([(Z1, 2), (Z2, -1)]): 1}),
+        Polynomial({Monomial.make([(Z2, -1)]): 1})],
+        ids=["z1^2", "l1*z1", "z1*z2", "z1 + z2^2", "z1^2*z2^-1", "z2^-1"])
+    def test_non_affine_denominator_rejected(self, w):
         with pytest.raises(InputError, match="not affine"):
-            res(P.one(), ["z1", text], (Z1, Z2))
+            iterated_residue(ResidueForm(P.one(), (P.var(Z1), w), (Z1, Z2)))
 
     def test_variable_missing_from_order(self):
         with pytest.raises(InputError):
@@ -69,6 +76,18 @@ class TestIteratedResidue:
         for j in range(4):
             assert res(P.var(Z1) ** j, ["l1 - z1"], (Z1,)) == \
                 P.var(wvar(1)) ** j
+
+    @pytest.mark.parametrize("entry, numerator",
+                             [(svar("h"), P.one()),
+                              (wvar(2), P.var(wvar(2))),
+                              (cvar(1), P.one())], ids=["h", "l2", "c1"])
+    def test_non_residue_order_entry_rejected(self, entry, numerator):
+        # such an entry took a residue variable's place and read 0 over
+        # z1 - 3, whose residue under the order (z1,) is -1
+        assert res(P.one(), ["z1 - 3"], (Z1,)) == -1
+        with pytest.raises(InputError, match="order entries must be residue "
+                           f"variables, got {entry.name}"):
+            res(numerator, ["z1 - 3"], (entry, Z1))
 
     def test_repeated_order_entry_rejected(self):
         with pytest.raises(InputError):

@@ -6,7 +6,8 @@ runs of each stage, in seconds, and the term counts beside them.
 JOB.json holds a job as ``equiloc residue --job`` reads it.  The stages are
 ``numerator`` (its text parsed, kept factored), ``denominators`` (their
 texts parsed), ``form`` (the ResidueForm and its variable checks),
-``residue`` (the iterated residue) and ``print`` (the answer's text);
+``residue`` (the iterated residue: the denominator split on dense keys,
+then the peels) and ``print`` (the answer's text);
 ``residue_job`` times them together, through the function the command
 line calls, and its answer must be the stages' answer.
 """
