@@ -145,28 +145,19 @@ def _cmd_thom(args):
 
 
 def _cmd_thom_scan(args):
-    if args.kmax < 1 or args.lmax < 0:
-        raise InputError(f"thom-scan needs --kmax >= 1 and --lmax >= 0, got "
-                         f"{args.kmax} and {args.lmax}")
-    # the largest order's table entry and tail size, before any work
-    (args.q_file or thom.QTable.builtin()).get(args.kmax)
-    thom.check_tail_size(args.kmax, args.lmax)
-    rows = []
-    lines = []
-    for k in range(1, args.kmax + 1):
-        for codim in range(0, args.lmax + 1):
-            result = thom.thom_polynomial(k, codim, args.q_file)
-            entry = _thom_json(result)
-            line = f"k={k} codim={codim}: {result.polynomial}"
-            if args.check_positivity:
-                report = thom.positivity_check(result)
-                entry["negative_terms"] = [[m, format_rational(c)]
-                                           for m, c in report.negative_terms]
-                line += ("  [all coefficients nonnegative]"
-                         if report.all_nonnegative
-                         else f"  [NEGATIVE: {report.negative_terms}]")
-            rows.append(entry)
-            lines.append(line)
+    rows, lines = [], []
+    for result in thom.thom_scan(args.kmax, args.lmax, args.q_file):
+        entry = _thom_json(result)
+        line = f"k={result.k} codim={result.codim}: {result.polynomial}"
+        if args.check_positivity:
+            report = thom.positivity_check(result)
+            entry["negative_terms"] = [[m, format_rational(c)]
+                                       for m, c in report.negative_terms]
+            line += ("  [all coefficients nonnegative]"
+                     if report.all_nonnegative
+                     else f"  [NEGATIVE: {report.negative_terms}]")
+        rows.append(entry)
+        lines.append(line)
     _emit(args, "\n".join(lines), rows)
 
 

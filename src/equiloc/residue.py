@@ -86,12 +86,14 @@ class ResidueForm:
     least dominant first.  The numerator is ``prefactor * numerator``; the
     engine multiplies the prefactor's slices into the denominator
     expansions at the first peel, so a small factor of a large numerator
-    belongs there."""
+    belongs there.  ``variables``, the order's and every part's variables,
+    is collected once, when the form is made."""
 
     numerator: Polynomial
     denominators: tuple[Polynomial, ...]
     order: tuple[Var, ...]
     prefactor: Polynomial = field(default_factory=Polynomial.one)
+    variables: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = [v.name for v in self.order if v.kind != RESIDUE]
@@ -103,8 +105,9 @@ class ResidueForm:
             names = ", ".join(v.name for v in self.order)
             raise InputError(f"repeated residue variable in the order: {names}")
         parts = (self.prefactor, self.numerator, *self.denominators)
-        seen = {v for p in parts for v in p.variables() if v.kind == RESIDUE}
-        missing = seen - allowed
+        seen = frozenset(allowed.union(*(p.variables() for p in parts)))
+        object.__setattr__(self, "variables", seen)
+        missing = {v for v in seen - allowed if v.kind == RESIDUE}
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise InputError(f"residue variables not in the order: {names}")
@@ -238,15 +241,13 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
     order: ``(-1)^d`` times the ``z_1^-1 ... z_d^-1`` coefficient of the
     expanded product.  The result contains no residue variables.  The
     prefactor is multiplied in slice by slice at the first peel."""
-    order = tuple(form.order)
-    d = len(order)
-    ws = Slate(set(order).union(*(p.variables() for p in (
-        form.prefactor, form.numerator, *form.denominators))), first=order)
-    groups: list[list] = [[] for _ in order]
+    d = len(form.order)
+    ws = Slate(form.variables, first=form.order)
+    groups: list[list] = [[] for _ in range(d)]
     for w in form.denominators:
         zi, factor = _split(ws, w, d)
         groups[zi].append(factor)
-    if not order:  # nothing to peel
+    if not d:  # nothing to peel
         return form.prefactor * form.numerator
     pre, num = ws.dense(form.prefactor), ws.dense(form.numerator)
     need = sum(len(factors) - 1 for factors in groups)

@@ -11,6 +11,13 @@ each orbit sum (:func:`orbit_sums`), and a caller weighs them.  The Thom
 body's orbits are the compositions of the Chern weight k(codim+1) the
 residue reads, each weighed by its Chern monomial; the hyperbolicity
 module weighs the orbits of its tower by multinomials.
+
+The orbit sums of the Thom residue do not depend on the codim, and the
+residue at codim L holds those of every codim l <= L, so one read
+(:func:`read_codims`) gives the polynomial at each such l:
+:func:`thom_polynomial` reads its own codim, and :func:`thom_scan` takes
+one residue per order, at its largest codim, and reads every codim off
+it, after checking its largest order's table entry and tail size.
 """
 
 from __future__ import annotations
@@ -179,26 +186,44 @@ def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     return orbit_form(k, qk, _thom_orbits(k, codim))
 
 
-def _chern_sum(sums: dict, codim: int) -> Polynomial:
-    """Each orbit sum times the Chern monomial ``prod_l c_(codim -
-    lambda_l)`` of its orbit lambda (c_0 = 1)."""
-    return Polynomial.from_terms(
-        (c, [(cvar(codim - e), 1) for e in orbit if e < codim])
-        for orbit, c in sums.items())
+def read_codims(k: int, top: int, tagged: Polynomial, codims) -> list:
+    """The result at each codim l <= top of ``codims`` from ``tagged``, the
+    residue of :func:`residue_form` at (k, top).  Its orbits are the sorted
+    vectors of sum -k and no entry above top, and their sums do not depend
+    on the codim, so the orbits of l are those with no entry above l; each
+    sum is weighed by its Chern monomial ``prod_j c_(l - lambda_j)``
+    (c_0 = 1)."""
+    sums = orbit_sums(tagged, _thom_orbits(k, top))
+    return [ThomResult(k, l, Polynomial.from_terms(
+                (c, [(cvar(l - e), 1) for e in orbit if e < l])
+                for orbit, c in sums.items() if max(orbit) <= l), (-1) ** k)
+            for l in codims]
 
 
 def thom_polynomial(k: int, codim: int,
                     q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
     classes c_1..c_{k(codim+1)} of the difference bundle: the residue of
-    :func:`residue_form` read into orbit sums, each weighed by its Chern
-    monomial (:func:`_chern_sum`)."""
+    :func:`residue_form` read at its own codim (:func:`read_codims`)."""
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
-    sums = orbit_sums(iterated_residue(residue_form(k, codim, q)),
-                      _thom_orbits(k, codim))
-    return ThomResult(k, codim, _chern_sum(sums, codim), (-1) ** k)
+    tagged = iterated_residue(residue_form(k, codim, q))
+    return read_codims(k, codim, tagged, [codim])[0]
+
+
+def thom_scan(kmax: int, lmax: int, q: QTable | None = None) -> list:
+    """:func:`thom_polynomial` at every order 1..kmax and codim 0..lmax,
+    order-major, from one residue per order, taken at lmax.  The largest
+    order's table entry and tail size are checked before any residue."""
+    if kmax < 1 or lmax < 0:
+        raise InputError(f"thom-scan needs --kmax >= 1 and --lmax >= 0, got "
+                         f"{kmax} and {lmax}")
+    q = q or QTable.builtin()
+    q.get(kmax)
+    check_tail_size(kmax, lmax)
+    return [result for k in range(1, kmax + 1) for result in read_codims(
+        k, lmax, iterated_residue(residue_form(k, lmax, q)), range(lmax + 1))]
 
 
 @dataclass(frozen=True)

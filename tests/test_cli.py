@@ -129,6 +129,32 @@ class TestGoldenCommands:
         assert digest == self.TOWER_DIGESTS[argv]
 
 
+    # stdout of thom-scan, which no perfbench pin covers, as the scan of
+    # one residue per (k, codim) printed it; {q5} is the q-file
+    # {"5": "z1^2*z5"}, whose negative terms print as Python reprs
+    THOM_SCAN_DIGESTS = {
+        "--kmax 4 --lmax 2":
+            "70b6230edaa717b16eb0600a1ef8232d8aec34a71fa24f573b9c7b293abeb460",
+        "--kmax 3 --lmax 5 --check-positivity":
+            "48025a67648fb7bfdd218f1445749ac6a547fa71eaea8378c96245ac8e875f36",
+        "--kmax 2 --lmax 29 --format json --check-positivity":
+            "fa70900433e97da0a14125d4748fd2c352cc3aac25fe6f495aa587fa43e25f06",
+        "--kmax 5 --lmax 0 --check-positivity --q-file {q5}":
+            "cc9881f38c1564e2f765eb8d8d2ad4bd38194cbcda5bd5c558d969ce0a61edae",
+    }
+
+    @pytest.mark.parametrize("argv", list(THOM_SCAN_DIGESTS), ids=lambda argv:
+                             argv.replace(" --", "-").replace(" ", ""))
+    def test_thom_scan_output_sha256(self, capsys, tmp_path, argv):
+        qfile = tmp_path / "q5.json"
+        qfile.write_text(json.dumps({"5": "z1^2*z5"}))
+        args = [str(qfile) if a == "{q5}" else a for a in argv.split()]
+        code, out, _ = run(capsys, "thom-scan", *args)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.THOM_SCAN_DIGESTS[argv]
+
+
 class TestErrors:
     def test_missing_job_file_exits_2(self, capsys):
         code, out, err = run(capsys, "residue", "--job", "missing.json")
@@ -611,7 +637,8 @@ class TestScanAndUserTables:
         assert "c1^2 + c2" in lines[2]
 
     @pytest.mark.parametrize("entry", ["z1 + z2^2 + z1*z5^2",
-                                       "z1 + z2^2 - z3*z4*z5 + 2*z2^3"])
+                                       "z1 + z2^2 - z3*z4*z5 + 2*z2^3",
+                                       "z1^2*z5 - 3*z2*z3 + z4 + 2"])
     def test_non_homogeneous_q_entry(self, capsys, tmp_path, entry):
         # z1 + z2^2 gives the prefactor's z5-slices terms of several degrees
         # in z1..z4, and only the degree-3 part reaches the residue; the

@@ -368,6 +368,27 @@ def _random_class(degree, d, rng):
         for exps in compositions(degree, d))
 
 
+class TestFormVariables:
+    def test_each_part_is_walked_once(self, monkeypatch):
+        # the form collects its variables when it is made, and the engine
+        # builds its slate from them: one variables() call per part
+        zs = (Z1, Z2)
+        forms = [_flag_form(4, 2, _random_class(2, 2, random.Random(5)), zs),
+                 ResidueForm(P.var(svar("a")) * P.var(Z2),
+                             tuple(parse_polynomial(t) for t in
+                                   ("z1 - 2", "z2 - z1 + b", "z2 + 3")),
+                             zs, parse_polynomial("z1 - z2"))]
+        calls = []
+        variables = Polynomial.variables
+        monkeypatch.setattr(Polynomial, "variables",
+                            lambda p: calls.append(p) or variables(p))
+        for form in forms:
+            calls.clear()
+            iterated_residue(ResidueForm(form.numerator, form.denominators,
+                                         form.order, form.prefactor))
+            assert len(calls) == 2 + len(form.denominators)
+
+
 class TestFlagPushforwardOracles:
     """Flag pushforwards with symbolic weights against oracles that share
     nothing with the residue engine."""

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from equiloc import hyperbolicity, residue, thom
 from equiloc.algebra import (CHERN, RESIDUE, Polynomial, parse_polynomial,
                              zvar)
+from equiloc.cli import main
 from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           check_tail_size, denominator_triples,
                           generating_coefficient, positivity_check,
-                          ratio_check, residue_form, thom_polynomial)
+                          ratio_check, read_codims, residue_form,
+                          thom_polynomial)
 from oracles import brute_thom, thom_form
 
 P = Polynomial
@@ -180,6 +182,61 @@ class TestTaggedRoute:
         q = QTable.builtin().with_entry(5, entry)
         expected = residue.iterated_residue(thom_form(5, 0, q))
         assert thom_polynomial(5, 0, q).polynomial == expected
+
+
+#: Codim 30 for k = 1, and for k = 2, 3, 4 the largest codim the tail
+#: bound admits.
+_TOPS = {1: 30, 2: 29, 3: 5, 4: 2}
+
+
+class TestOneResiduePerOrder:
+    """The residue of order k at codim L holds tp(A_k) at every codim
+    l <= L, since the coefficients of the Thom series do not depend on the
+    codim (Feher and Rimanyi, Ann. Math. 176, 2012; Berczi and Szenes, Ann.
+    Math. 175, 2012)."""
+
+    @pytest.mark.parametrize("k", sorted(_TOPS))
+    def test_coefficient_is_the_same_at_every_codim(self, k):
+        # tp(A_k) at codim l is sum_i a_i prod_j c_(l+1+i_j), c_0 = 1,
+        # with i sorted and sum_j i_j = 0: a_i must not depend on l
+        seen = {}
+        for l in range(_TOPS[k] + 1):
+            for m, c in thom_polynomial(k, l).polynomial.terms.items():
+                indices = [v.index for v in m.variables()
+                           for _ in range(m.exponent(v))]
+                indices += [0] * (k - len(indices))
+                i = tuple(sorted(a - l - 1 for a in indices))
+                assert sum(i) == 0
+                assert seen.setdefault(i, c) == c, (k, l, i)
+        assert seen
+
+    @pytest.mark.parametrize("k", sorted(_TOPS))
+    def test_read_matches_the_oracle(self, k):
+        q = QTable.builtin()
+        expected = [residue.iterated_residue(thom_form(k, l, q))
+                    for l in range(_TOPS[k] + 1)]
+        for top in range(_TOPS[k] + 1):
+            tagged = residue.iterated_residue(residue_form(k, top, q))
+            results = read_codims(k, top, tagged, range(top + 1))
+            assert [(r.k, r.codim) for r in results] == [
+                (k, l) for l in range(top + 1)]
+            assert [r.polynomial for r in results] == expected[:top + 1]
+
+    @pytest.mark.parametrize("argv,residues", [
+        ("thom-scan --kmax 3 --lmax 2", 3),
+        ("thom-scan --kmax 4 --lmax 2 --check-positivity", 4),
+        ("thom-scan --kmax 2 --lmax 29", 2),
+        ("thom --k 4 --codim 2", 1),
+    ])
+    def test_one_residue_per_order(self, monkeypatch, capsys, argv,
+                                   residues):
+        taken = []
+        engine = residue.iterated_residue
+        monkeypatch.setattr(thom, "iterated_residue",
+                            lambda form: taken.append(form) or engine(form))
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out
+        assert len(taken) == residues
 
 
 class TestBuiltinPrefactors:

@@ -5,11 +5,13 @@ in-process runs of each stage, in seconds, and the term counts beside them.
 
 The stages are ``form`` (the residue form, its body one tagged term per
 composition, one tag per S_k-orbit), ``residue`` (the iterated residue, a
-polynomial in the tag) and ``decode`` (the orbit sums read off the tags,
-each orbit mapped to its Chern monomial);
-``thom_polynomial`` times them together, through the function the command
-line calls, and its answer must be the stages' answer.  Orders 1..4 use
-the built-in numerator table.
+polynomial in the tag) and ``decode`` (the read of ``thom_polynomial``:
+the orbit sums read off the tags, each orbit mapped to its Chern
+monomial); ``thom_polynomial`` times them together, through the function
+the command line calls, and its answer must be the stages' answer.  The
+``scan`` row times ``thom-scan`` of orders 1..K at codims 0..CODIM, one
+residue per order read at every codim, and each of its answers must be
+``thom_polynomial``'s.  Orders 1..4 use the built-in numerator table.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from equiloc.residue import iterated_residue  # noqa: E402
-from equiloc.thom import (QTable, _chern_sum, _thom_orbits,  # noqa: E402
-                          orbit_sums, residue_form, thom_polynomial)
+from equiloc.thom import (QTable, read_codims, residue_form,  # noqa: E402
+                          thom_polynomial, thom_scan)
 from job_stages import best  # noqa: E402
 
 
@@ -35,16 +37,21 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     k, codim, q = args.k, args.codim, QTable.builtin()
     expected = thom_polynomial(k, codim, q).polynomial  # also validates
-    orbits = _thom_orbits(k, codim)
 
     def decode(tagged):
-        return _chern_sum(orbit_sums(tagged, orbits), codim)
+        return read_codims(k, codim, tagged, [codim])[0].polynomial
 
     form = residue_form(k, codim, q)
     tagged = iterated_residue(form)
     result = decode(tagged)
     if result != expected:
         print("the stages' answer differs from thom_polynomial's",
+              file=sys.stderr)
+        return 1
+    scan = thom_scan(k, codim, q)
+    if any(r.polynomial != thom_polynomial(r.k, r.codim, q).polynomial
+           for r in scan):
+        print("the scan's answer differs from thom_polynomial's",
               file=sys.stderr)
         return 1
     rows = [("form", lambda: residue_form(k, codim, q),
@@ -56,7 +63,9 @@ def main(argv=None) -> int:
             ("decode", lambda: decode(tagged),
              f"{len(result.terms)} Chern monomials"),
             ("thom_polynomial", lambda: thom_polynomial(k, codim, q),
-             "all of the above")]
+             "all of the above"),
+            ("scan", lambda: thom_scan(k, codim, q),
+             f"{len(scan)} results from {k} residues")]
     times = best([fn for _, fn, _ in rows], args.repeat)
     for (name, _, note), seconds in zip(rows, times):
         print(f"{name:<16} {seconds:.6f} s  {note}".rstrip())
