@@ -8,7 +8,8 @@ draws as the certificate.
 
 A fixed-point sum runs on integer-scaled weights: the weights are scaled
 once by the common multiple L of their denominators, the class is read
-once into integer terms, and each coordinate subspace adds one exact
+once per sum, through one ``Slate``, into int terms keyed by exponent
+tuples, with no column layout, and each coordinate subspace adds one exact
 ``Fraction`` of two ints, its class value over its product of tangent
 weights.  On Fl_d(C^n) the d! fixed flags over one d-subspace share their
 tangent weights up to sign, so their signed class values are summed as
@@ -107,31 +108,15 @@ def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
     return [Fraction(w) for w in rng.sample(_WEIGHT_POOL, n)]
 
 
-def _require_variables(poly: Polynomial, var, count: int,
-                       what: str) -> None:
-    """InputError naming the first variable of ``poly`` that is not one of
-    var(1)..var(count) or that carries a negative exponent."""
-    allowed = {var(i) for i in range(1, count + 1)}
-    slate = Slate(poly.variables())
-    lows = map(min, zip(*slate.dense(poly)))  # each variable's least exponent
-    bad = {v for v, e in zip(slate.vars, lows) if e < 0 or v not in allowed}
-    if bad:
-        v = min(bad, key=attrgetter("sort_key"))
-        found = f"a negative power of {v.name}" if v in allowed else v.name
-        raise InputError(f"{what} must be a polynomial in {var(1).name}"
-                         f"..{var(count).name}, found {found}")
-
-
 def grass_class_degree_check(n: int, k: int, cls: Polynomial):
     """Require every monomial to use c_1..c_k only, with weighted degree
     (deg c_i = i) equal to dim Grass(k, n) = k(n-k)."""
     target = k * (n - k)
-    _require_variables(cls, cvar, k, "class")
-    degrees = cls.weighted_degrees(lambda v: v.index)
-    if degrees - {target}:
-        found = sorted(degrees - {target})
+    _, _, degrees = _read_class(cls, cvar, k, range(1, k + 1), "class")
+    wrong = set(degrees) - {target}
+    if wrong:
         raise DegreeMismatch(
-            f"class has weighted degree {found}, expected {target}")
+            f"class has weighted degree {sorted(wrong)}, expected {target}")
 
 
 def _scaled(n: int, weights) -> tuple[list[int], int]:
@@ -142,36 +127,39 @@ def _scaled(n: int, weights) -> tuple[list[int], int]:
     return [w.numerator * (scale // w.denominator) for w in weights], scale
 
 
-def _integer_terms(poly: Polynomial, variables, grades, scale: int):
-    """``poly``, a polynomial in ``variables`` only, read for evaluation at
-    integer-scaled values: returns (coeffs, columns, den, top) such that,
-    when each variable of grade g takes a value x/scale^g,
+def _read_class(poly: Polynomial, var, count: int, grades, what: str,
+                scale: int = 1):
+    """``poly`` read once, through one ``Slate`` with var(1)..var(count)
+    first: InputError naming the first variable of ``poly``, in variable
+    order, that is not one of them or that carries a negative exponent;
+    else (terms, den, degrees), ready for evaluation at integer-scaled
+    values.  ``terms`` maps each term's exponent tuple to an int
+    coefficient and ``degrees`` lists the terms' weighted degrees, in the
+    same order, var(i) of grade grades[i-1].  When each variable of grade
+    g takes a value x/scale^g,
 
-        poly = Σ_t coeffs[t]·Π_j x_j^columns[j][t] / (den · scale^top).
+        poly = Σ_a terms[a]·Π_i x_i^a_i / (den · scale^top),
 
-    The coefficients are ints and columns[j] lists the exponents of
-    variable j.  ``den`` clears the coefficient denominators and ``top`` is
-    the largest weighted degree; a term of weighted degree g carries
-    scale^(top − g), so a non-homogeneous ``poly`` stays exact."""
-    dense = Slate(variables, variables).dense(poly)
+    with ``den`` clearing the coefficient denominators and ``top`` the
+    largest degree: a term of degree g carries scale^(top − g), so a
+    non-homogeneous ``poly`` stays exact."""
+    slate = Slate(poly.variables(), [var(i) for i in range(1, count + 1)])
+    dense = slate.dense(poly)
+    lows = map(min, zip(*dense))  # each variable's least exponent
+    bad = [v for i, (v, e) in enumerate(zip(slate.vars, lows))
+           if e < 0 or i >= count]
+    if bad:
+        v = min(bad, key=attrgetter("sort_key"))
+        found = (f"a negative power of {v.name}" if slate.index[v] < count
+                 else v.name)
+        raise InputError(f"{what} must be a polynomial in {var(1).name}"
+                         f"..{var(count).name}, found {found}")
     den = math.lcm(*(c.denominator for c in dense.values()))
     degrees = [sum(map(mul, grades, exps)) for exps in dense]
     top = max(degrees, default=0)
-    coeffs = [c.numerator * (den // c.denominator) * scale ** (top - g)
-              for c, g in zip(dense.values(), degrees)]
-    columns = [tuple(exps[j] for exps in dense)
-               for j in range(len(variables))]
-    return coeffs, columns, den, top
-
-
-def _value(coeffs, columns, powers) -> int:
-    """Σ_t coeffs[t]·Π_j powers[j][columns[j][t]]: the integer terms of
-    :func:`_integer_terms` at the values whose power tables are
-    ``powers``."""
-    acc = coeffs
-    for row, column in zip(powers, columns):
-        acc = map(mul, acc, map(row.__getitem__, column))
-    return sum(acc)
+    terms = {exps: c.numerator * (den // c.denominator) * scale ** (top - g)
+             for (exps, c), g in zip(dense.items(), degrees)}
+    return terms, den, degrees
 
 
 def _elementary(values) -> list[int]:
@@ -199,19 +187,20 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     """
     _check_rank("k", k)
     u, scale = _scaled(n, mu)
-    _require_variables(cls, cvar, k, "class")
-    coeffs, columns, den, top = _integer_terms(
-        cls, [cvar(i) for i in range(1, k + 1)], range(1, k + 1), scale)
-    tops = [max(column, default=0) for column in columns]
+    terms, den, degrees = _read_class(cls, cvar, k, range(1, k + 1),
+                                      "class", scale)
+    tops = list(map(max, zip(*terms)))
     total = Fraction(0)
     for subset in itertools.combinations(range(n), k):
         powers = [[x ** e for e in range(t + 1)]
                   for x, t in zip(_elementary([u[i] for i in subset]), tops)]
         tangent = math.prod(u[s] - u[i] for i in subset
                             for s in range(n) if s not in subset)
-        total += Fraction(_value(coeffs, columns, powers), tangent)
-    return (math.factorial(k) * total
-            * Fraction(scale) ** (k * (n - k) - top) / den)
+        value = sum(c * math.prod(map(list.__getitem__, powers, exps))
+                    for exps, c in terms.items())
+        total += Fraction(value, tangent)
+    return (math.factorial(k) * total * Fraction(scale)
+            ** (k * (n - k) - max(degrees, default=0)) / den)
 
 
 def grass_integrate(n: int, k: int, cls: Polynomial, *,
@@ -261,12 +250,12 @@ def _prefix_levels(terms: dict) -> tuple[list, list]:
     return start, levels
 
 
-def _subset_numerators(u, coeffs, columns) -> dict[int, int]:
+def _subset_numerators(u, terms) -> dict[int, int]:
     """N_H = Σ_σ (−1)^inv(σ)·Q(x_σ(1), ..., x_σ(d)) for each d-subset H of
     the lines range(n) where it is nonzero, keyed by the bitmask of H: σ
     runs over the orderings of H, inv(σ) counts their inverted pairs, Q is
-    given by the integer ``coeffs`` and exponent ``columns`` of
-    :func:`_integer_terms`, and x_i = u[i].
+    given by its int ``terms`` keyed by exponent tuples
+    (:func:`_read_class`), and x_i = u[i].
 
     The signed sum of z^a over the orderings is the alternant
     det(x_h^(a_i)), so a term with a repeated exponent adds nothing, and
@@ -280,7 +269,7 @@ def _subset_numerators(u, coeffs, columns) -> dict[int, int]:
     states, not n!/(n−r)!, and each level's states go once the next is
     built."""
     alternants: dict[tuple, int] = {}
-    for c, *a in zip(coeffs, *columns):
+    for a, c in terms.items():
         if len(set(a)) == len(a):
             lam = tuple(sorted(a, reverse=True))
             odd = sum(x < y for x, y in itertools.combinations(a, 2)) & 1
@@ -330,15 +319,14 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     once, at the end."""
     _check_rank("d", d)
     u, scale = _scaled(n, weights)
-    _require_variables(Q, zvar, d, "Q")
-    coeffs, columns, den, top = _integer_terms(
-        Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
+    terms, den, degrees = _read_class(Q, zvar, d, [1] * d, "Q", scale)
     total = Fraction(0)
-    for mask, value in _subset_numerators(u, coeffs, columns).items():
+    for mask, value in _subset_numerators(u, terms).items():
         tangent = math.prod(u[b] - u[a] for a in range(n) if mask >> a & 1
                             for b in range(n) if b > a or not mask >> b & 1)
         total += Fraction(value, tangent)
-    return total * Fraction(scale) ** (flag_dimension(n, d) - top) / den
+    return (total * Fraction(scale)
+            ** (flag_dimension(n, d) - max(degrees, default=0)) / den)
 
 
 @functools.cache
@@ -356,7 +344,7 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     prefactor, so Q·V is never formed."""
     _check_rank("d", d)
     weights = _distinct(n, weights)
-    _require_variables(Q, zvar, d, "Q")
+    _read_class(Q, zvar, d, [1] * d, "Q")
     zs, negated, vander = _flag_frame(d)
     constants = list(map(Polynomial.rational, weights))
     dens = tuple(z + c for z in negated for c in constants)
@@ -391,20 +379,13 @@ def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:
     _check_sum_work(space, n, math.comb(n, d), flag_dimension(n, d))
     rng = random.Random(seed)
     results = []
-    all_ok = True
     for t in range(trials):
         Q = random_flag_class(n, d, rng)
-        values = []
-        ok = True
-        for _ in range(WEIGHT_DRAWS):
-            w = draw_weights(n, rng)
-            fs = flag_fixed_sum(n, d, Q, w)
-            fr = flag_residue(n, d, Q, w)
-            ok = ok and fs == fr
-            values.append(fs)
-        ok = ok and values.count(values[0]) == len(values)
-        all_ok = all_ok and ok
-        results.append({"trial": t, "class": str(Q),
-                        "value": str(values[0]), "match": ok})
+        draws = [draw_weights(n, rng) for _ in range(WEIGHT_DRAWS)]
+        values = [route(n, d, Q, w) for w in draws
+                  for route in (flag_fixed_sum, flag_residue)]
+        results.append({"trial": t, "class": str(Q), "value": str(values[0]),
+                        "match": len(set(values)) == 1})
     return {"n": n, "d": d, "trials": trials, "seed": seed,
-            "all_match": all_ok, "results": results}
+            "all_match": all(r["match"] for r in results),
+            "results": results}

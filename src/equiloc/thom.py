@@ -215,13 +215,16 @@ def thom_polynomial(k: int, codim: int,
 def thom_scan(kmax: int, lmax: int, q: QTable | None = None) -> list:
     """:func:`thom_polynomial` at every order 1..kmax and codim 0..lmax,
     order-major, from one residue per order, taken at lmax.  The largest
-    order's table entry and tail size are checked before any residue."""
+    order's table entry, its tail size and then every other order's entry
+    are checked before any residue."""
     if kmax < 1 or lmax < 0:
         raise InputError(f"thom-scan needs --kmax >= 1 and --lmax >= 0, got "
                          f"{kmax} and {lmax}")
     q = q or QTable.builtin()
     q.get(kmax)
     check_tail_size(kmax, lmax)
+    for k in range(1, kmax):
+        q.get(k)
     return [result for k in range(1, kmax + 1) for result in read_codims(
         k, lmax, iterated_residue(residue_form(k, lmax, q)), range(lmax + 1))]
 

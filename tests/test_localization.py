@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from equiloc.algebra import (Polynomial, cvar, parse_polynomial, vandermonde,
-                             wvar, zvar)
+from equiloc.algebra import (Polynomial, Slate, cvar, parse_polynomial,
+                             svar, vandermonde, wvar, zvar)
 from equiloc import localization
 from equiloc.errors import (DegreeMismatch, InputError, RepeatedWeights,
                             SizeLimitExceeded)
 from equiloc.localization import (draw_weights, flag_dimension,
                                   flag_fixed_sum, flag_residue,
-                                  grass_integrate, grass_sum_at,
-                                  random_flag_class, run_flag_trials)
+                                  grass_class_degree_check, grass_integrate,
+                                  grass_sum_at, random_flag_class,
+                                  run_flag_trials)
 from equiloc.residue import ResidueForm, iterated_residue
 
 P = Polynomial
@@ -235,10 +236,10 @@ def _kernel(n, d, Q, weights):
     """``localization._subset_numerators`` on Q read at the weights, and
     den·L^top, the factor the integer reading puts on every value."""
     u, scale = localization._scaled(n, weights)
-    coeffs, columns, den, top = localization._integer_terms(
-        Q, [zvar(l) for l in range(1, d + 1)], [1] * d, scale)
-    return (localization._subset_numerators(u, coeffs, columns),
-            den * scale ** top)
+    terms, den, degrees = localization._read_class(Q, zvar, d, [1] * d, "Q",
+                                                   scale)
+    return (localization._subset_numerators(u, terms),
+            den * scale ** max(degrees, default=0))
 
 
 class TestSubsetNumerators:
@@ -274,27 +275,53 @@ class TestSubsetNumerators:
         assert flag_fixed_sum(n, d, Q, weights) == 0
 
 
+def _mixed(terms, name):
+    """A case of a class built from (coefficient, [(var, exp), ...]) terms,
+    which may hold negative powers that no text parses to, and the bad
+    variable it names; the case's id is the class's text."""
+    Q = P.from_terms(terms)
+    return pytest.param(Q, name, id=str(Q))
+
+
+# classes with two kinds of bad variable: the first in variable order is
+# named, whatever its kind
+_MIXED_FLAG = [
+    _mixed([(1, [(zvar(2), -1), (wvar(1), 1)])], "a negative power of z2"),
+    _mixed([(1, [(zvar(3), 1)]), (1, [(zvar(1), -1)])],
+           "a negative power of z1")]
+_MIXED_GRASS = [
+    _mixed([(1, [(zvar(1), -1), (cvar(1), 1)])], "z1"),
+    _mixed([(1, [(cvar(3), 1)]), (1, [(svar("h"), 1)])], "c3")]
+
+
+def _read(text):
+    return parse_polynomial(text) if isinstance(text, str) else text
+
+
 class TestForeignVariables:
     """A variable the fixed-point sum does not assign is a typed error that
     names it, raised before any fixed point is summed."""
 
     @pytest.mark.parametrize("text,name", [
-        ("z1*l1", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3"), ("c1", "c1")])
+        ("z1*l1", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3"), ("c1", "c1"),
+        *_MIXED_FLAG])
     def test_flag_fixed_sum(self, text, name):
         with pytest.raises(InputError, match=f"found {name}$"):
-            flag_fixed_sum(4, 2, parse_polynomial(text), [1, 2, 3, 4])
+            flag_fixed_sum(4, 2, _read(text), [1, 2, 3, 4])
 
     @pytest.mark.parametrize("text,name", [
-        ("c1*z1", "z1"), ("c2 + l2", "l2"), ("c1*c3", "c3"), ("x", "x")])
+        ("c1*z1", "z1"), ("c2 + l2", "l2"), ("c1*c3", "c3"), ("x", "x"),
+        *_MIXED_GRASS])
     def test_grass_sum_at(self, text, name):
         with pytest.raises(InputError, match=f"found {name}$"):
-            grass_sum_at(4, 2, parse_polynomial(text), [1, 2, 3, 4])
+            grass_sum_at(4, 2, _read(text), [1, 2, 3, 4])
 
     @pytest.mark.parametrize("text,name", [
-        ("l1*z1^3*z2^2", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3")])
+        ("l1*z1^3*z2^2", "l1"), ("z2 + h", "h"), ("z1^2*z3", "z3"),
+        *_MIXED_FLAG])
     def test_flag_residue(self, text, name):
         with pytest.raises(InputError, match=f"found {name}$"):
-            flag_residue(4, 2, parse_polynomial(text), [1, 2, 3, 5])
+            flag_residue(4, 2, _read(text), [1, 2, 3, 5])
 
     @pytest.mark.parametrize("function", [flag_fixed_sum, flag_residue])
     @pytest.mark.parametrize("exps,direct", [
@@ -316,6 +343,22 @@ class TestForeignVariables:
             flag_residue(100, 4, parse_polynomial("z1*l1"), range(100))
         with pytest.raises(InputError, match="found c9$"):
             grass_sum_at(100, 8, parse_polynomial("c9"), range(100))
+
+
+@pytest.mark.parametrize("function,args", [
+    (flag_fixed_sum, (4, 2, "z1^3*z2^2 + 2/3*z1*z2^4", [1, 2, 3, 5])),
+    (grass_sum_at, (4, 2, "c1^2*c2 - 1/5*c2^2", [1, 2, 3, 5])),
+    (grass_class_degree_check, (4, 2, "c1^2*c2 - 1/5*c2^2"))])
+def test_one_read_of_the_class(monkeypatch, function, args):
+    # the class goes through Slate.dense once: checked and read together
+    n, k, text, *weights = args
+    cls = parse_polynomial(text)
+    reads = []
+    dense = Slate.dense
+    monkeypatch.setattr(Slate, "dense",
+                        lambda slate, p: reads.append(p) or dense(slate, p))
+    function(n, k, cls, *weights)
+    assert sum(p is cls for p in reads) == 1
 
 
 @pytest.mark.parametrize("function,text", [

@@ -4,6 +4,7 @@ brute-force oracle, degree/positivity invariants and the report tools."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -237,6 +238,25 @@ class TestOneResiduePerOrder:
         assert main(argv.split()) == 0
         assert capsys.readouterr().out
         assert len(taken) == residues
+
+    @pytest.mark.parametrize("kmax,error", [
+        ("6", "missing-q"), ("7", "size-limit")])
+    def test_scan_checks_every_order_first(self, monkeypatch, capsys,
+                                           tmp_path, kmax, error):
+        # no entry for order 5: found before the residues of orders 1..4;
+        # at kmax 7 the tail size is checked before the gap is looked up
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps({kmax: "1"}))
+        taken = []
+        engine = residue.iterated_residue
+        monkeypatch.setattr(thom, "iterated_residue",
+                            lambda form: taken.append(form) or engine(form))
+        assert main(["thom-scan", "--kmax", kmax, "--lmax", "0",
+                     "--q-file", str(qfile)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == error
+        assert taken == []
 
 
 class TestBuiltinPrefactors:

@@ -8,8 +8,9 @@ Its stages follow ``localization.run_flag_trials``: ``draws`` (the random
 classes and their weight draws, from one seeded stream), ``fixed_sums``
 (``flag_fixed_sum`` at every draw), ``residues`` (``flag_residue`` at
 every draw) and ``report`` (each trial's class and value as text, and
-whether they match); ``run_flag_trials`` times them together, and its
-report must be the stages' report, or the tool exits 1.
+whether its fixed sums and residues make one set of a single value);
+``run_flag_trials`` times them together, and its report must be the
+stages' report, or the tool exits 1.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
 
     def report():
         results = [{"trial": t, "class": str(Q), "value": str(fs[0]),
-                    "match": fs == fr and fs.count(fs[0]) == len(fs)}
+                    "match": len({*fs, *fr}) == 1}
                    for t, ((Q, _), fs, fr) in enumerate(zip(drawn, fixed,
                                                             residual))]
         return {"n": n, "d": d, "trials": trials, "seed": seed,
