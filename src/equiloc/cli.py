@@ -5,6 +5,10 @@ weight draws of ``grass-integrate`` and ``flag-check`` are driven by
 ``--seed`` (default 0) and every polynomial is printed in the canonical
 term order.  Domain errors exit with code 1, malformed input and bad
 arguments with code 2, both with a JSON error object on stderr.
+
+Each handler imports the modules it runs when it runs, so a process
+loads only the computing modules of its one subcommand, and ``--help``
+and usage errors load none.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import hyperbolicity, jets, localization, thom
-from .algebra import format_rational, parse_polynomial, term_list
 from .errors import DomainError, EquilocError, InputError
-from .residue import residue_job
 
 
 def _rat(text: str) -> Fraction:
@@ -64,7 +65,8 @@ def _emit(args, text_value, json_value):
         print(text_value)
 
 
-def _load_jet(path: str, n: int, k: int) -> jets.JetCurve:
+def _load_jet(path: str, n: int, k: int):
+    from .jets import JetCurve
     data = _load_json(path)
     arrays = [a for a in ("coefficients", "derivatives") if a in data]
     if len(arrays) != 1:
@@ -79,12 +81,14 @@ def _load_jet(path: str, n: int, k: int) -> jets.JetCurve:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad jet entry: {exc}") from exc
     if derivative:
-        return jets.JetCurve.from_derivatives(rows)
-    return jets.JetCurve(rows)
+        return JetCurve.from_derivatives(rows)
+    return JetCurve(rows)
 
 
-def _load_qtable(path: str) -> thom.QTable:
-    table = thom.QTable.builtin()
+def _load_qtable(path: str):
+    from .algebra import parse_polynomial
+    from .thom import QTable
+    table = QTable.builtin()
     data = _load_json(path)
     for key in sorted(data):
         try:
@@ -96,8 +100,9 @@ def _load_qtable(path: str) -> thom.QTable:
 
 
 def _basis_labels(n: int, k: int) -> list[str]:
+    from .jets import sym_basis
     labels = []
-    for exps in jets.sym_basis(n, k):
+    for exps in sym_basis(n, k):
         parts = [f"e{i + 1}" if e == 1 else f"e{i + 1}^{e}"
                  for i, e in enumerate(exps) if e]
         labels.append("*".join(parts))
@@ -107,22 +112,25 @@ def _basis_labels(n: int, k: int) -> list[str]:
 # -- subcommand handlers -------------------------------------------------
 
 def _cmd_residue(args):
+    from .residue import residue_job
     job = _load_json(args.job)
     out = residue_job(job)
     _emit(args, out["residue"], out)
 
 
 def _cmd_grass_integrate(args):
+    from .algebra import format_rational, parse_polynomial
+    from .localization import grass_integrate
     cls = parse_polynomial(getattr(args, "class"))
-    value = localization.grass_integrate(args.n, args.k, cls, seed=args.seed)
+    value = grass_integrate(args.n, args.k, cls, seed=args.seed)
     _emit(args, format_rational(value),
           {"n": args.n, "k": args.k, "class": getattr(args, "class"),
            "integral": format_rational(value)})
 
 
 def _cmd_flag_check(args):
-    report = localization.run_flag_trials(args.n, args.d, args.trials,
-                                          seed=args.seed)
+    from .localization import run_flag_trials
+    report = run_flag_trials(args.n, args.d, args.trials, seed=args.seed)
     lines = [f"trial {r['trial']}: value={r['value']} match={r['match']}"
              for r in report["results"]]
     lines.append(f"all_match={report['all_match']}")
@@ -131,7 +139,9 @@ def _cmd_flag_check(args):
         raise DomainError("fixed-point and residue values disagreed")
 
 
-def _thom_json(result: thom.ThomResult) -> dict:
+def _thom_json(result) -> dict:
+    """The JSON row of a :class:`~equiloc.thom.ThomResult`."""
+    from .algebra import format_rational, term_list
     return {"k": result.k, "codim": result.codim,
             "polynomial": str(result.polynomial),
             "terms": [[m, format_rational(c)]
@@ -140,17 +150,20 @@ def _thom_json(result: thom.ThomResult) -> dict:
 
 
 def _cmd_thom(args):
-    result = thom.thom_polynomial(args.k, args.codim, args.q_file)
+    from .thom import thom_polynomial
+    result = thom_polynomial(args.k, args.codim, args.q_file)
     _emit(args, str(result.polynomial), _thom_json(result))
 
 
 def _cmd_thom_scan(args):
+    from .algebra import format_rational
+    from .thom import positivity_check, thom_scan
     rows, lines = [], []
-    for result in thom.thom_scan(args.kmax, args.lmax, args.q_file):
+    for result in thom_scan(args.kmax, args.lmax, args.q_file):
         entry = _thom_json(result)
         line = f"k={result.k} codim={result.codim}: {result.polynomial}"
         if args.check_positivity:
-            report = thom.positivity_check(result)
+            report = positivity_check(result)
             entry["negative_terms"] = [[m, format_rational(c)]
                                        for m, c in report.negative_terms]
             line += ("  [all coefficients nonnegative]"
@@ -162,6 +175,8 @@ def _cmd_thom_scan(args):
 
 
 def _cmd_gg(args):
+    from . import hyperbolicity
+    from .algebra import format_rational
     delta, d = (None if t is None else _rat(t) for t in (args.delta, args.d))
     result = hyperbolicity.intersection_polynomial(args.n, args.q_file)
     payload = {"n": args.n, "polynomial": str(result.polynomial),
@@ -182,14 +197,17 @@ def _cmd_gg(args):
 
 
 def _cmd_theta(args):
-    value = format_rational(hyperbolicity.leading_constant(args.n,
-                                                           args.q_file))
+    from .algebra import format_rational
+    from .hyperbolicity import leading_constant
+    value = format_rational(leading_constant(args.n, args.q_file))
     _emit(args, value, {"n": args.n, "theta": value})
 
 
 def _cmd_euler(args):
+    from .algebra import format_rational
+    from .hyperbolicity import euler_characteristic
     d = _rat(args.d) if args.d is not None else None
-    result = hyperbolicity.euler_characteristic(args.n, d, args.q_file)
+    result = euler_characteristic(args.n, d, args.q_file)
     payload = {"n": args.n, "chi": str(result.chi)}
     if d is not None:
         payload["d"] = format_rational(d)
@@ -197,8 +215,10 @@ def _cmd_euler(args):
 
 
 def _cmd_rho(args):
+    from .algebra import format_rational
+    from .jets import rho
     curve = _load_jet(args.jet, args.n, args.k)
-    matrix = [[format_rational(x) for x in row] for row in jets.rho(curve)]
+    matrix = [[format_rational(x) for x in row] for row in rho(curve)]
     text = "\n".join("\t".join(row) for row in matrix)
     _emit(args, text, {"n": args.n, "k": args.k,
                        "basis": _basis_labels(args.n, args.k),
@@ -206,8 +226,10 @@ def _cmd_rho(args):
 
 
 def _cmd_minors(args):
+    from .algebra import format_rational
+    from .jets import invariant_minors
     curve = _load_jet(args.jet, args.n, args.k)
-    minors = [format_rational(x) for x in jets.invariant_minors(curve)]
+    minors = [format_rational(x) for x in invariant_minors(curve)]
     _emit(args, "\n".join(minors),
           {"n": args.n, "k": args.k, "minors": minors})
 

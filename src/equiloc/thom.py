@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import (RESIDUE, Polynomial, Slate, compositions, cvar, svar,
-                      term_list, vandermonde, zvar)
+from .algebra import (RESIDUE, Polynomial, Slate, cvar, svar, term_list,
+                      vandermonde, zvar)
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
@@ -119,8 +119,15 @@ def curvilinear_form(k: int, qk: Polynomial, body: Polynomial) -> ResidueForm:
 
 def partitions(total: int, k: int) -> list[tuple[int, ...]]:
     """The nondecreasing compositions of ``total`` into k parts, one per
-    S_k-orbit of compositions."""
-    return [p for p in compositions(total, k) if list(p) == sorted(p)]
+    S_k-orbit of compositions, in lexicographic order.  They are built part
+    by part: each part runs from the one before it up to an equal share of
+    what is left, so no composition is built only to be dropped."""
+    def rest(total, k, low):
+        if k == 1:
+            return [(total,)]
+        return [(first, *tail) for first in range(low, total // k + 1)
+                for tail in rest(total - first, k - 1, first)]
+    return rest(total, k, 0)
 
 
 #: The tag of an orbit-form body term; the text grammar cannot read its

@@ -24,6 +24,8 @@ the same reference for the leading constant, Z^(n^2) (z_1...z_n)^-(n+1).
 package once built for (k, codim), each body term with its Chern
 monomial, where the package now writes one tag per S_k-orbit and maps
 each orbit to its Chern monomial after the residue.
+:func:`partitions` is the reference for the S_k-orbits of the Thom and
+tower bodies: every composition built, the nondecreasing ones kept.
 :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`fraction_rho` is the reference for the jet embedding matrix: the
@@ -148,6 +150,13 @@ def thom_form(k: int, codim: int, q: QTable) -> ResidueForm:
         pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
         terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
     return curvilinear_form(k, qk, Polynomial(terms))
+
+
+def partitions(total: int, k: int) -> list[tuple[int, ...]]:
+    """Reference for :func:`equiloc.thom.partitions`: the compositions of
+    ``total`` into k parts that are nondecreasing, in the order
+    :func:`compositions` yields them."""
+    return [p for p in compositions(total, k) if list(p) == sorted(p)]
 
 
 def permutation_det(rows):

@@ -2,8 +2,9 @@
 package names ``Monomial`` or ``ONE_MONO``, or reads ``.terms``,
 ``.exps``, ``.exponent`` or ``.sparse``.  They go between a ``Polynomial``
 and dense terms through a ``Slate`` instead, so a change of the storage
-touches ``algebra`` alone.  The one exception is the re-export of
-``Monomial`` in ``__init__``."""
+touches ``algebra`` alone.  ``__init__`` is held to the same rule: it
+names its public ``Monomial`` only as a string, resolved on first
+access."""
 
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ def sites(source: str, module: str) -> list[str]:
         if isinstance(node, ast.Name) and node.id in NAMES:
             name = node.id
         elif isinstance(node, ast.alias) and NAMES & {node.name, node.asname}:
-            if module == "__init__.py" and node.name == "Monomial":
-                continue  # the package's public re-export
             name = node.name
         elif isinstance(node, ast.Attribute) and node.attr in ATTRIBUTES:
             name = "." + node.attr
@@ -55,7 +54,6 @@ def test_the_walk_finds_every_kind_of_site():
         "m.py:3 .Monomial", "m.py:4 Monomial", "m.py:4 ONE_MONO"]
 
 
-def test_only_the_init_reexport_of_monomial_is_allowed():
+def test_init_is_held_to_the_same_rule():
     assert sites(SAMPLE, "__init__.py") == [
-        site.replace("m.py", "__init__.py") for site in sites(SAMPLE, "m.py")
-        if site != "m.py:1 Monomial"]
+        site.replace("m.py", "__init__.py") for site in sites(SAMPLE, "m.py")]

@@ -155,6 +155,42 @@ class TestGoldenCommands:
         assert digest == self.THOM_SCAN_DIGESTS[argv]
 
 
+    # stdout of `equiloc --help` and of each `equiloc <command> --help` at
+    # 80 columns, as printed while cli imported every module up front
+    HELP_DIGESTS = {
+        "": "42c50f105a392cfe3cc91972426196aa6ef4bfe4d3ff3f2a06af5f67ad7a7c12",
+        "residue":
+            "e4cd7ac2f35128c5d6b75ca7fd96659c29d17ceca0776be91f44483719a59072",
+        "grass-integrate":
+            "cf2e67eb9101baefd1b9291d23c40210320db190dfaa80837d7da51259ff1cac",
+        "flag-check":
+            "f53b84bf9bc8c28d8a798ad4b702b9b9a642bbb259a46b5ecd3f8cf15a45e238",
+        "thom":
+            "e79ac0311294d73d8d90a538ff0d6d801f4bed1ce76b2f9790bee07e99572cd7",
+        "thom-scan":
+            "5e2a9054ba4ad8fc122dceecb5887d2d9cf241fa9948e99ffbe05fb5d1b1d787",
+        "gg": "e8a29eab876f7c0f91e3d254a57981ff2d4868fe7740e5840dfcf75f09365dd5",
+        "theta":
+            "4d4da21772d56b90c25407230ac7ec148a46892195fe926c64452a7c6219b726",
+        "euler":
+            "dbcf89cc459979c6f1d0aab3c8178dd77105a0e16d5dfced18382c0157b7d8c3",
+        "rho": "50e1fc2aaf99d15f29e2833b743d5377235473a494694e4e0b2566732982cfc0",
+        "minors":
+            "4c450214389c8235f7b42952541190634069ccc6db86ac4d319db056fc94d079",
+    }
+
+    @pytest.mark.parametrize("command", list(HELP_DIGESTS),
+                             ids=lambda command: command or "equiloc")
+    def test_help_output_sha256(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.HELP_DIGESTS[command]
+
+
 class TestErrors:
     def test_missing_job_file_exits_2(self, capsys):
         code, out, err = run(capsys, "residue", "--job", "missing.json")

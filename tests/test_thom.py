@@ -22,7 +22,7 @@ from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           generating_coefficient, positivity_check,
                           ratio_check, read_codims, residue_form,
                           thom_polynomial)
-from oracles import brute_thom, thom_form
+from oracles import brute_thom, partitions, thom_form
 
 P = Polynomial
 
@@ -158,6 +158,16 @@ def _admitted():
     for k, top in ((2, 29), (3, 5), (4, 2)):
         cases += [(k, codim) for codim in range(top + 1)]
     return cases
+
+
+@pytest.mark.parametrize("k,top", [(1, 40), (2, 40), (3, 40), (4, 40),
+                                   (5, 40), (6, 24)])
+def test_partitions_match_the_filtered_compositions(k, top):
+    # in lexicographic order, as the orbit lists are indexed by it; the
+    # oracle builds all C(total + k - 1, k - 1) compositions, about 1.5 s
+    # per million, so k = 6 stops at 24 (593,775 in all)
+    for total in range(top + 1):
+        assert thom.partitions(total, k) == partitions(total, k), total
 
 
 class TestTaggedRoute:
