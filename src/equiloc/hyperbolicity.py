@@ -1,11 +1,14 @@
 """Intersection polynomial and Euler characteristics of the invariant-jet
 tower of a smooth degree-d hypersurface in P^(n+1).
 
-Every residue here is the iterated residue of one order-n form built by
-:func:`equiloc.thom.orbit_form`, which carries the calibrating sign.
-The n = 1 case is pinned independently by classical curve geometry
-(canonical degree and Riemann-Roch), which fixes the sign of the
-``z_1 + ... + z_n`` block inside the positivity form R.
+Every number here is read off one order-n table {lambda: S_n(lambda)} of
+:func:`equiloc.thom.orbit_table`, whose orbit form carries the
+calibrating sign: each body is symmetric in z, so its residue is the sum
+of the entries S_n(lambda) weighed by the body's z^lambda coefficients,
+here multinomials (:func:`_multinomial_sum`).  The n = 1 case is pinned
+independently by classical curve geometry (canonical degree and
+Riemann-Roch), which fixes the sign of the ``z_1 + ... + z_n`` block
+inside the positivity form R.
 
 The hyperplane class h satisfies h^(n+1) == 0 on the hypersurface, and
 pairing with the fundamental class replaces h^n by d, so a series in h is
@@ -14,13 +17,13 @@ multiplies two such lists and cuts the product at h^n.  The denominators
 are homogeneous in the z's alone, so the residue reads a numerator only at
 h^n and z-degree n^2 - n, where the intersection polynomial and the Euler
 characteristic are both sum_j x_j Z^(n^2-j) T_(n-j) and differ only in the
-z-free coefficients x_j.  Each part is symmetric in z, so
-:func:`_tower_residue` takes one residue, of the orbit form over the
-S_n-orbits of the exponents of all parts, which depends on n alone; it
-weighs each orbit sum by the part's multinomials and tail coefficients
-(integer polynomials in a symbolic d), and applies the x_j after that; a
-numeric degree is substituted into the result.  No power of
-Z = z_1 + ... + z_n is built.
+z-free coefficients x_j.  :func:`_tower_residue` builds one table, over
+the orbits the parts reach, which depends on n alone; it weighs each
+entry by the parts' multinomials and tail coefficients (integer
+polynomials in a symbolic d), and applies the x_j after that; a numeric
+degree is substituted into the result.  No power of Z = z_1 + ... + z_n
+is built.  :func:`leading_constant` reads a table of its own, over the
+orbits with no entry below -(n+1).
 
 By the splitting principle T_X + O(d) = (n+2) O(1) - O, the multiplicative
 class of T_X with series 1/g is g(d h) / g(h)^(n+2); one helper,
@@ -37,8 +40,7 @@ from fractions import Fraction
 
 from .algebra import Polynomial, compositions, svar
 from .errors import DomainError, InputError, SizeLimitExceeded
-from .residue import iterated_residue
-from .thom import QTable, orbit_form, orbit_sums, partitions
+from .thom import QTable, orbit_form, orbit_table, orbits
 
 D_VAR = svar("d")
 DELTA_VAR = svar("delta")
@@ -46,7 +48,7 @@ M_VAR = svar("m")
 
 
 #: Most monomials z^v of degree low .. n^2 in z_1..z_n whose multinomials
-#: a tower residue may weigh its orbit sums by (low = n^2 for the leading
+#: a tower residue may weigh its table entries by (low = n^2 for the leading
 #: constant, n^2 - n for the intersection polynomial and the Euler
 #: characteristic), checked from n before any form is built.  The orbit
 #: form's body has one term per z^(v - a - n) these reach: all C(n^2 +
@@ -115,13 +117,13 @@ def _hypersurface_class(n: int, g) -> list:
     return _series_mul([c * d ** i for i, c in enumerate(g)], power, n)
 
 
-def _multinomial_sum(sums: dict, p: int, shift) -> Fraction:
+def _multinomial_sum(table: dict, p: int, shift) -> Fraction:
     """sum_lambda S(lambda) p! / prod_l (lambda_l + shift_l)! over the
-    orbits lambda of ``sums`` with every lambda_l + shift_l >= 0: the
+    orbits lambda of ``table`` with every lambda_l + shift_l >= 0: the
     residue of the orbit-form body whose z^lambda coefficient is that
     multinomial.  Each multinomial is an int before it meets S."""
     total = Fraction(0)
-    for orbit, s in sums.items():
+    for orbit, s in table.items():
         vs = [e + b for e, b in zip(orbit, shift)]
         if min(vs) >= 0:
             total += s * (math.factorial(p)
@@ -139,17 +141,17 @@ def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
     The z^lambda coefficient of that body is N_j(lambda), the sum over the
     compositions a of n - j of (n^2-j)! / prod_l (lambda_l + n + a_l)!
     times prod_l cls[a_l]; it is symmetric in lambda, so R_j is read off
-    the orbit sums of one :func:`orbit_form`, whose orbits are the lambda
-    of degree -n with lambda_l + n + a_l >= 0 for some a of size <= n."""
+    one table, over the lambda of sum -n with lambda_l + n + a_l >= 0 for
+    some a of size <= n: the orbits above -2n whose entries fall short of
+    -n by at most n in all."""
     cls = _hypersurface_class(n, (1, 1))
-    orbits = [tuple(w - 2 * n for w in parts)
-              for parts in partitions(2 * n * n - n, n)
-              if sum(max(n - w, 0) for w in parts) <= n]
-    sums = orbit_sums(iterated_residue(orbit_form(n, qn, orbits)), orbits)
+    lambdas = [v for v in orbits(n, low=-2 * n)
+               if sum(max(-n - e, 0) for e in v) <= n]
+    table = orbit_table(orbit_form(n, qn, lambdas), lambdas)
     total = Polynomial.zero()
     for j in range(n + 1):
         for a in compositions(n - j, n):
-            weight = _multinomial_sum(sums, n * n - j, [n + b for b in a])
+            weight = _multinomial_sum(table, n * n - j, [n + b for b in a])
             total = total + xs[j] * weight * math.prod(
                 (cls[b] for b in a), start=Polynomial.one())
     return total
@@ -161,12 +163,11 @@ def leading_constant(n: int, q: QTable | None = None) -> Fraction:
     (z_1...z_n)^(n+1)]`` under the calibrated contour; this is the constant
     multiplying the top d-coefficient of the intersection polynomial.  The
     z^lambda coefficient of its body is (n^2)! / prod_l (lambda_l + n + 1)!,
-    read against the orbit sums of :func:`orbit_form`."""
+    read against the table of the orbits with no entry below -(n+1)."""
     qn = _table_entry(n, q, n * n)
-    orbits = [tuple(v - n - 1 for v in parts)
-              for parts in partitions(n * n, n)]
-    sums = orbit_sums(iterated_residue(orbit_form(n, qn, orbits)), orbits)
-    return _multinomial_sum(sums, n * n, [n + 1] * n)
+    lambdas = orbits(n, low=-n - 1)
+    table = orbit_table(orbit_form(n, qn, lambdas), lambdas)
+    return _multinomial_sum(table, n * n, [n + 1] * n)
 
 
 def intersection_polynomial(n: int, q: QTable | None = None) -> GGResult:

@@ -4,20 +4,24 @@ iterated-residue formula, with positivity and coefficient-ratio reports.
 The residue form, its contour and its sign are built in one place,
 :func:`curvilinear_form`: its plain iterated residue is the calibrated
 value.  Every body this package sums over is symmetric in z_1..z_k, so
-it is built once, by :func:`orbit_form`: one power of a private tag
-variable per S_k-orbit of exponent vectors, times the orbit's sum of
-monomials.  The residue, a polynomial in the tag, gives the residue of
-each orbit sum (:func:`orbit_sums`), and a caller weighs them.  The Thom
-body's orbits are the compositions of the Chern weight k(codim+1) the
-residue reads, each weighed by its Chern monomial; the hyperbolicity
-module weighs the orbits of its tower by multinomials.
+it is a sum of orbit sums of monomials z^lambda, and its residue is
+sum_lambda N_lambda S_k(lambda), where S_k(lambda) is the residue of the
+orbit sum of z^lambda (the Thom series coefficients of Feher and
+Rimanyi, Ann. Math. 176, 2012; the orbit form is Berczi and Szenes's,
+Ann. Math. 175, 2012).  Each lambda is a sorted (nondecreasing) vector of
+sum -k, listed by one enumerator, :func:`orbits`; :func:`orbit_form`
+builds the body with one power of a private tag variable per orbit, and
+:func:`orbit_table` takes its one residue and returns the table
+{lambda: S_k(lambda)}.  Every curvilinear command reads a table: the
+Thom body weighs each entry by a Chern monomial, and the hyperbolicity
+module by multinomials.
 
-The orbit sums of the Thom residue do not depend on the codim, and the
-residue at codim L holds those of every codim l <= L, so one read
-(:func:`read_codims`) gives the polynomial at each such l:
-:func:`thom_polynomial` reads its own codim, and :func:`thom_scan` takes
-one residue per order, at its largest codim, and reads every codim off
-it, after checking its largest order's table entry and tail size.
+The Thom body at codim L holds the orbits with no entry above L, and
+S_k(lambda) does not depend on the codim, so the table at L gives the
+polynomial at each codim l <= L (:func:`read_codims`):
+:func:`thom_polynomial` reads its own codim, and :func:`thom_scan` builds
+one table per order, at its largest codim, and reads every codim off it,
+after checking its largest order's table entry and tail size.
 """
 
 from __future__ import annotations
@@ -117,17 +121,22 @@ def curvilinear_form(k: int, qk: Polynomial, body: Polynomial) -> ResidueForm:
     return ResidueForm(body, dens, zs, prefactor)
 
 
-def partitions(total: int, k: int) -> list[tuple[int, ...]]:
-    """The nondecreasing compositions of ``total`` into k parts, one per
-    S_k-orbit of compositions, in lexicographic order.  They are built part
-    by part: each part runs from the one before it up to an equal share of
-    what is left, so no composition is built only to be dropped."""
-    def rest(total, k, low):
-        if k == 1:
-            return [(total,)]
-        return [(first, *tail) for first in range(low, total // k + 1)
-                for tail in rest(total - first, k - 1, first)]
-    return rest(total, k, 0)
+def orbits(k: int, low=None, high=None) -> list[tuple[int, ...]]:
+    """The sorted (nondecreasing) vectors of k integers of sum -k with every
+    entry in [low, high], one per S_k-orbit, in lexicographic order; a
+    bound left out is the one the other implies: -k - (k-1) times it.
+    They are built part by part, each part from the one before it (or low)
+    up to an equal share of what the rest must sum to, and no lower than
+    that sum less what the parts after it can hold under high, so no
+    vector is built only to be dropped."""
+    high = -k - (k - 1) * low if high is None else high
+    # each row: a prefix, what the rest of it sums to, and its floor
+    rows = [((), -k, -k - (k - 1) * high if low is None else low)]
+    for parts in range(k, 0, -1):
+        rows = [((*v, x), total - x, x) for v, total, first in rows
+                for x in range(max(first, total - (parts - 1) * high),
+                               min(high, total // parts) + 1)]
+    return [v for v, _, _ in rows]
 
 
 #: The tag of an orbit-form body term; the text grammar cannot read its
@@ -135,23 +144,24 @@ def partitions(total: int, k: int) -> list[tuple[int, ...]]:
 _ORBIT = svar("#orbit")
 
 
-def orbit_form(k: int, qk: Polynomial, orbits) -> ResidueForm:
+def orbit_form(k: int, qk: Polynomial, lambdas) -> ResidueForm:
     """:func:`curvilinear_form` of the body ``sum_g t^g sum_v z^v``, v over
-    the distinct permutations of ``orbits[g]``, built on dense keys over
-    z_1..z_k and the tag t.  Its residue is ``sum_g S(orbits[g]) t^g``,
-    where S(lambda) is the residue of the orbit sum of z^lambda; a body
-    symmetric in z is a sum of such orbit sums, so its residue is read off
-    this one (:func:`orbit_sums`)."""
-    terms = {(*v, g): 1 for g, orbit in enumerate(orbits)
+    the distinct permutations of ``lambdas[g]``, built on dense keys over
+    z_1..z_k and the tag t.  Its residue is ``sum_g S_k(lambdas[g]) t^g``,
+    which :func:`orbit_table` reads."""
+    terms = {(*v, g): 1 for g, orbit in enumerate(lambdas)
              for v in itertools.permutations(orbit)}
     slate = Slate([zvar(l) for l in range(1, k + 1)] + [_ORBIT])
     return curvilinear_form(k, qk, slate.polynomial(terms))
 
 
-def orbit_sums(tagged: Polynomial, orbits) -> dict:
-    """{lambda: S(lambda)} from the residue of :func:`orbit_form`, for the
-    orbits whose sum has a nonzero residue."""
-    return {orbits[g]: c for (g,), c in Slate([_ORBIT]).dense(tagged).items()}
+def orbit_table(form: ResidueForm, lambdas) -> dict:
+    """{lambda: S_k(lambda)} over the orbits ``lambdas`` of ``form``, their
+    :func:`orbit_form`, from its one residue; an orbit whose sum has a
+    zero residue is left out."""
+    tagged = iterated_residue(form)
+    return {lambdas[g]: c
+            for (g,), c in Slate([_ORBIT]).dense(tagged).items()}
 
 
 #: Most terms the cut Chern-tail product for (k, codim) may reach, which
@@ -174,54 +184,52 @@ def check_tail_size(k: int, codim: int) -> None:
                 f"reaches {terms} terms, over the limit of {MAX_TAIL_TERMS}")
 
 
-def _thom_orbits(k: int, codim: int) -> list[tuple[int, ...]]:
-    """codim - a for each nondecreasing composition a of cmax = k(codim+1)
-    into k parts: the exponents of ``prod_l c_(a_l) z_l^(codim - a_l)``."""
-    return [tuple(codim - a for a in parts)
-            for parts in partitions(k * (codim + 1), k)]
-
-
 def residue_form(k: int, codim: int, q: QTable) -> ResidueForm:
     """The calibrated residue form for (k, codim): the :func:`orbit_form` of
     the part of ``prod_l c(1/z_l) z_l^codim`` of Chern weight cmax =
     k(codim+1), the only weight the residue reads, since no other factor
     has a Chern class.  A composition (a_1..a_k) of cmax gives the term
     ``prod_l c_(a_l) z_l^(codim - a_l)`` (c_0 = 1), whose Chern monomial
-    depends only on its S_k-orbit, so the orbit tag stands in for it."""
+    depends only on its S_k-orbit, so the orbit tag stands in for it; the
+    orbits are those of :func:`orbits` with no entry above codim."""
     qk = q.get(k)
     check_tail_size(k, codim)
-    return orbit_form(k, qk, _thom_orbits(k, codim))
+    return orbit_form(k, qk, orbits(k, high=codim))
 
 
-def read_codims(k: int, top: int, tagged: Polynomial, codims) -> list:
-    """The result at each codim l <= top of ``codims`` from ``tagged``, the
-    residue of :func:`residue_form` at (k, top).  Its orbits are the sorted
-    vectors of sum -k and no entry above top, and their sums do not depend
-    on the codim, so the orbits of l are those with no entry above l; each
-    sum is weighed by its Chern monomial ``prod_j c_(l - lambda_j)``
-    (c_0 = 1)."""
-    sums = orbit_sums(tagged, _thom_orbits(k, top))
+def _thom_table(k: int, top: int, q: QTable) -> dict:
+    """The :func:`orbit_table` of :func:`residue_form` at (k, top)."""
+    return orbit_table(residue_form(k, top, q), orbits(k, high=top))
+
+
+def read_codims(k: int, top: int, table: dict, codims) -> list:
+    """The result at each codim l of ``codims`` from ``table``, the order-k
+    table of the orbits with no entry above top; InputError for an l above
+    top, whose orbits the table lacks.  S_k(lambda) does not depend on the
+    codim, so the orbits of l are those with no entry above l, each
+    weighed by its Chern monomial ``prod_j c_(l - lambda_j)`` (c_0 = 1)."""
+    if max(codims, default=top) > top:
+        raise InputError(f"codim above {top}, the top of the order-{k} table")
     return [ThomResult(k, l, Polynomial.from_terms(
                 (c, [(cvar(l - e), 1) for e in orbit if e < l])
-                for orbit, c in sums.items() if max(orbit) <= l), (-1) ** k)
+                for orbit, c in table.items() if orbit[-1] <= l), (-1) ** k)
             for l in codims]
 
 
 def thom_polynomial(k: int, codim: int,
                     q: QTable | None = None) -> ThomResult:
     """Universal polynomial of the order-k singularity locus in the Chern
-    classes c_1..c_{k(codim+1)} of the difference bundle: the residue of
-    :func:`residue_form` read at its own codim (:func:`read_codims`)."""
+    classes c_1..c_{k(codim+1)} of the difference bundle: the order-k
+    table built at codim, read there (:func:`read_codims`)."""
     if codim < 0:
         raise InputError(f"codimension must be >= 0, got {codim}")
     q = q or QTable.builtin()
-    tagged = iterated_residue(residue_form(k, codim, q))
-    return read_codims(k, codim, tagged, [codim])[0]
+    return read_codims(k, codim, _thom_table(k, codim, q), [codim])[0]
 
 
 def thom_scan(kmax: int, lmax: int, q: QTable | None = None) -> list:
     """:func:`thom_polynomial` at every order 1..kmax and codim 0..lmax,
-    order-major, from one residue per order, taken at lmax.  The largest
+    order-major, from one table per order, built at lmax.  The largest
     order's table entry, its tail size and then every other order's entry
     are checked before any residue."""
     if kmax < 1 or lmax < 0:
@@ -233,7 +241,7 @@ def thom_scan(kmax: int, lmax: int, q: QTable | None = None) -> list:
     for k in range(1, kmax):
         q.get(k)
     return [result for k in range(1, kmax + 1) for result in read_codims(
-        k, lmax, iterated_residue(residue_form(k, lmax, q)), range(lmax + 1))]
+        k, lmax, _thom_table(k, lmax, q), range(lmax + 1))]
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,18 @@ the hyperbolicity module: every product multiplied out in a plain scalar
 tower residues: the one form the package once built for
 sum_j x_j Z^(n^2-j) T_(n-j) (z_1...z_n)^-n, with the powers of
 Z = z_1 + ... + z_n (:func:`zsum`), the x_j and the degree multiplied out
-in the numerator, where the package now takes one residue of an orbit
-form and weighs its orbit sums by multinomials.  :func:`leading_form` is
+in the numerator, where the package now reads one orbit table and
+weighs its entries by multinomials.  :func:`leading_form` is
 the same reference for the leading constant, Z^(n^2) (z_1...z_n)^-(n+1).
 :func:`thom_form` is the reference for the Thom body: the form the
 package once built for (k, codim), each body term with its Chern
-monomial, where the package now writes one tag per S_k-orbit and maps
-each orbit to its Chern monomial after the residue.
-:func:`partitions` is the reference for the S_k-orbits of the Thom and
-tower bodies: every composition built, the nondecreasing ones kept.
+monomial, where the package now reads one orbit table and maps each
+orbit to its Chern monomial.
+:func:`orbits` is the reference for the enumerator of S_k-orbits: every
+composition built, shifted, and the sorted ones in bounds kept.
+:func:`tower_orbits` is the reference for the tower's orbits: the list
+the package built before its one enumerator, from the compositions of
+2n^2 - n, cut to those the tower body reaches.
 :func:`permutation_det` is the reference for the
 jet minors: the k!-term Leibniz expansion, with no sub-minor shared.
 :func:`fraction_rho` is the reference for the jet embedding matrix: the
@@ -152,11 +155,23 @@ def thom_form(k: int, codim: int, q: QTable) -> ResidueForm:
     return curvilinear_form(k, qk, Polynomial(terms))
 
 
-def partitions(total: int, k: int) -> list[tuple[int, ...]]:
-    """Reference for :func:`equiloc.thom.partitions`: the compositions of
-    ``total`` into k parts that are nondecreasing, in the order
-    :func:`compositions` yields them."""
-    return [p for p in compositions(total, k) if list(p) == sorted(p)]
+def orbits(k: int, low: int, high: int) -> list[tuple[int, ...]]:
+    """Reference for :func:`equiloc.thom.orbits`: low plus each composition
+    of -k - k low into k parts, in the order :func:`compositions` yields
+    them, kept when it is nondecreasing with no entry above high."""
+    shifted = (tuple(low + a for a in parts)
+               for parts in compositions(-k - k * low, k))
+    return [v for v in shifted if list(v) == sorted(v) and v[-1] <= high]
+
+
+def tower_orbits(n: int) -> list[tuple[int, ...]]:
+    """The S_n-orbits the tower body reaches, as the package once listed
+    them: w - 2n for each nondecreasing composition w of 2n^2 - n into n
+    parts with sum_l max(n - w_l, 0) <= n."""
+    return [tuple(w - 2 * n for w in parts)
+            for parts in compositions(2 * n * n - n, n)
+            if list(parts) == sorted(parts)
+            and sum(max(n - w, 0) for w in parts) <= n]
 
 
 def permutation_det(rows):

@@ -78,7 +78,7 @@ def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
         forms.append(form)
         return iterated_residue(form)
 
-    monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
+    monkeypatch.setattr(thom, "iterated_residue", capture)
     qn = QTable.builtin().get(n)
     _tower_residue(n, qn, [1] * (n + 1))
     (form,) = forms
@@ -99,11 +99,27 @@ def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
                       for m in read.terms}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tower_orbits_are_the_cut_box(n, monkeypatch):
+    # the list the tower table is built over, read without a residue (no
+    # Q_5 is built in): the orbits of sum -n above -2n cut to those the
+    # body reaches, 4, 23 and 172 at n = 2, 3, 4 against 4, 27 and 249
+    lists = []
+    monkeypatch.setattr(hyperbolicity, "orbit_form", lambda *args: None)
+    monkeypatch.setattr(hyperbolicity, "orbit_table",
+                        lambda form, orbits: lists.append(orbits) or {})
+    assert _tower_residue(n, P.one(), [1] * (n + 1)).is_zero
+    assert lists == [oracles.tower_orbits(n)]
+    sizes = {1: (1, 1), 2: (4, 4), 3: (23, 27), 4: (172, 249)}
+    if n in sizes:
+        assert (len(lists[0]), len(thom.orbits(n, low=-2 * n))) == sizes[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_tower_residue_is_the_residue_of_the_tower_form(n, data):
-    # the orbit sums weighed by multinomials, the x_j and a rational
+    # the table entries weighed by multinomials, the x_j and a rational
     # degree applied after them give the residue of the one form that
     # holds them all, for any numerator Q
     xs = data.draw(st.lists(_RATIONAL, min_size=n + 1, max_size=n + 1))

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,11 @@ from equiloc.cli import main
 from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
                           check_tail_size, denominator_triples,
-                          generating_coefficient, positivity_check,
-                          ratio_check, read_codims, residue_form,
-                          thom_polynomial)
-from oracles import brute_thom, partitions, thom_form
+                          generating_coefficient, orbit_form, orbit_table,
+                          orbits, positivity_check, ratio_check, read_codims,
+                          residue_form, thom_polynomial)
+import oracles
+from oracles import brute_thom, thom_form
 
 P = Polynomial
 
@@ -162,12 +164,87 @@ def _admitted():
 
 @pytest.mark.parametrize("k,top", [(1, 40), (2, 40), (3, 40), (4, 40),
                                    (5, 40), (6, 24)])
-def test_partitions_match_the_filtered_compositions(k, top):
-    # in lexicographic order, as the orbit lists are indexed by it; the
-    # oracle builds all C(total + k - 1, k - 1) compositions, about 1.5 s
-    # per million, so k = 6 stops at 24 (593,775 in all)
-    for total in range(top + 1):
-        assert thom.partitions(total, k) == partitions(total, k), total
+def test_orbits_match_the_filtered_compositions(k, top):
+    # in lexicographic order, as orbit forms are tagged by it, at every
+    # low and high whose oracle builds compositions of at most top; the
+    # oracle builds all C(top + k - 1, k - 1) of them, so k = 6 stops at 24
+    for low in range(-1, -2 - top // k, -1):
+        cap = -k - (k - 1) * low  # the largest entry the sum allows
+        full = oracles.orbits(k, low, cap)
+        assert thom.orbits(k, low=low) == full, low
+        for high in range(-1, cap + 1):
+            assert thom.orbits(k, low, high) == [
+                v for v in full if v[-1] <= high], (low, high)
+    for high in range(-1, top + 1):
+        low = -k - (k - 1) * high
+        if -k - k * low > top:
+            break
+        assert thom.orbits(k, high=high) == oracles.orbits(k, low, high)
+
+
+def _thom_table(k, top):
+    return orbit_table(residue_form(k, top, QTable.builtin()),
+                       orbits(k, high=top))
+
+
+def _orbit_table(k, lambdas):
+    form = orbit_form(k, QTable.builtin().get(k), lambdas)
+    return orbit_table(form, lambdas)
+
+
+def _read_lists(n):
+    """The orbit lists of the tables gg and euler (the tower) and theta
+    read at order n."""
+    return [oracles.tower_orbits(n), orbits(n, low=-n - 1)]
+
+
+class TestOrbitTable:
+    """S_k(lambda), the residue of the S_k-orbit sum of z^lambda, is one
+    function of (k, Q_k, lambda), whichever command's list it is read over
+    (the Thom series coefficients of Feher and Rimanyi, Ann. Math. 176,
+    2012)."""
+
+    def test_golden(self):
+        # every orbit the commands read for k <= 4: the Thom lists at the
+        # largest codims the tail bound admits, and the tower and theta
+        # lists; the values were taken before the table had one reader
+        golden = json.loads(
+            (Path(__file__).parent / "orbit_table.json").read_text())
+        golden = {tuple(orbit): value for orbit, value in golden}
+        assert [sum(len(o) == k for o in golden) for k in range(1, 5)] == [
+            1, 31, 39, 174]
+        assert all(type(v) is int and v > 0 for v in golden.values())
+        read = {}
+        for k, top in ((1, 1998), (2, 29), (3, 5), (4, 2)):
+            read.update(_thom_table(k, top))
+            for lambdas in _read_lists(k):
+                read.update(_orbit_table(k, lambdas))
+        assert read == golden
+
+    @pytest.mark.parametrize("n,top", [(2, 2), (3, 6)])
+    def test_thom_table_holds_the_tower_and_theta_tables(self, n, top):
+        # built past the tail bound at (3, 6), which only limits residue_form
+        thom_table = _orbit_table(n, orbits(n, high=top))
+        for lambdas in _read_lists(n):
+            table = _orbit_table(n, lambdas)
+            assert table.keys() == set(lambdas) <= thom_table.keys()
+            assert table == {o: thom_table[o] for o in table}
+
+    def test_ronga_coefficients(self):
+        # F. Ronga, Comment. Math. Helv. 47 (1972): the coefficients of
+        # tp(A_2), read off the table with no codim
+        expected = {(-1, -1): 1}
+        expected.update({(-1 - i, i - 1): 2 ** (i - 1) for i in range(1, 31)})
+        assert _thom_table(2, 29) == expected
+
+    def test_read_refuses_a_codim_above_the_top(self):
+        # the table at codim 1 lacks the orbits with an entry of 2
+        table = _thom_table(2, 1)
+        assert [r.polynomial for r in read_codims(2, 1, table, [0, 1])] == [
+            thom_polynomial(2, l).polynomial for l in (0, 1)]
+        for codims in ([2], [0, 2], range(3)):
+            with pytest.raises(InputError, match="above 1"):
+                read_codims(2, 1, table, codims)
 
 
 class TestTaggedRoute:
@@ -227,8 +304,7 @@ class TestOneResiduePerOrder:
         expected = [residue.iterated_residue(thom_form(k, l, q))
                     for l in range(_TOPS[k] + 1)]
         for top in range(_TOPS[k] + 1):
-            tagged = residue.iterated_residue(residue_form(k, top, q))
-            results = read_codims(k, top, tagged, range(top + 1))
+            results = read_codims(k, top, _thom_table(k, top), range(top + 1))
             assert [(r.k, r.codim) for r in results] == [
                 (k, l) for l in range(top + 1)]
             assert [r.polynomial for r in results] == expected[:top + 1]
@@ -301,7 +377,6 @@ class TestBuiltinPrefactors:
             return residue.iterated_residue(form)
 
         monkeypatch.setattr(thom, "iterated_residue", capture)
-        monkeypatch.setattr(hyperbolicity, "iterated_residue", capture)
         for k in range(1, 5):
             generating_coefficient(k, (0,) * (k - 1) + (1 - k,))
         towers = []

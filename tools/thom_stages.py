@@ -5,10 +5,12 @@ in-process runs of each stage, in seconds, and the term counts beside them.
 
 The stages are ``form`` (the residue form, its body one tagged term per
 composition, one tag per S_k-orbit), ``residue`` (the iterated residue, a
-polynomial in the tag) and ``decode`` (the read of ``thom_polynomial``:
-the orbit sums read off the tags, each orbit mapped to its Chern
-monomial); ``thom_polynomial`` times them together, through the function
-the command line calls, and its answer must be the stages' answer.  The
+polynomial in the tag), ``table`` (the residue again and its read into
+the table {lambda: S_k(lambda)}, so ``table`` less ``residue`` is the
+read) and ``read`` (the read of ``thom_polynomial``: each orbit of the
+table mapped to its Chern monomial); ``thom_polynomial`` times them
+together, through the function the command line calls, and its answer
+must be the stages' answer.  The
 ``scan`` row times ``thom-scan`` of orders 1..K at codims 0..CODIM, one
 residue per order read at every codim, and each of its answers must be
 ``thom_polynomial``'s.  Orders 1..4 use the built-in numerator table.
@@ -23,8 +25,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from equiloc.residue import iterated_residue  # noqa: E402
-from equiloc.thom import (QTable, read_codims, residue_form,  # noqa: E402
-                          thom_polynomial, thom_scan)
+from equiloc.thom import (QTable, orbit_table, orbits,  # noqa: E402
+                          read_codims, residue_form, thom_polynomial,
+                          thom_scan)
 from job_stages import best  # noqa: E402
 
 
@@ -38,12 +41,13 @@ def main(argv=None) -> int:
     k, codim, q = args.k, args.codim, QTable.builtin()
     expected = thom_polynomial(k, codim, q).polynomial  # also validates
 
-    def decode(tagged):
-        return read_codims(k, codim, tagged, [codim])[0].polynomial
+    def read(table):
+        return read_codims(k, codim, table, [codim])[0].polynomial
 
-    form = residue_form(k, codim, q)
+    form, lambdas = residue_form(k, codim, q), orbits(k, high=codim)
     tagged = iterated_residue(form)
-    result = decode(tagged)
+    table = orbit_table(form, lambdas)
+    result = read(table)
     if result != expected:
         print("the stages' answer differs from thom_polynomial's",
               file=sys.stderr)
@@ -60,7 +64,9 @@ def main(argv=None) -> int:
              f"{len(form.denominators)} denominators"),
             ("residue", lambda: iterated_residue(form),
              f"{len(tagged.terms)} tagged terms out"),
-            ("decode", lambda: decode(tagged),
+            ("table", lambda: orbit_table(form, lambdas),
+             f"{len(table)} of {len(lambdas)} orbits with a nonzero sum"),
+            ("read", lambda: read(table),
              f"{len(result.terms)} Chern monomials"),
             ("thom_polynomial", lambda: thom_polynomial(k, codim, q),
              "all of the above"),
