@@ -164,11 +164,11 @@ def _cmd_thom_scan(args):
         line = f"k={result.k} codim={result.codim}: {result.polynomial}"
         if args.check_positivity:
             report = positivity_check(result)
-            entry["negative_terms"] = [[m, format_rational(c)]
-                                       for m, c in report.negative_terms]
+            terms = [[m, format_rational(c)] for m, c in report.negative_terms]
+            entry["negative_terms"] = terms
             line += ("  [all coefficients nonnegative]"
-                     if report.all_nonnegative
-                     else f"  [NEGATIVE: {report.negative_terms}]")
+                     if report.all_nonnegative else "  [NEGATIVE: "
+                     + ", ".join(f"{m}={c}" for m, c in terms) + "]")
         rows.append(entry)
         lines.append(line)
     _emit(args, "\n".join(lines), rows)

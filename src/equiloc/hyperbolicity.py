@@ -35,7 +35,7 @@ per l, as the Chern tail of the tower (g = 1 + y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Polynomial, compositions, svar
@@ -67,29 +67,22 @@ def _table_entry(n: int, q: QTable | None, low: int) -> Polynomial:
              if n * n <= MAX_FACTOR_TERMS else None)
     if terms is None or terms > MAX_FACTOR_TERMS:
         raise SizeLimitExceeded(
-            f"order {n}: the powers of z_1 + ... + z_n reach "
-            f"{'more than n^2' if terms is None else terms} terms, over the "
-            f"limit of {MAX_FACTOR_TERMS}")
+            f"order {n}: the tower weighs its table by "
+            f"{'more than n^2' if terms is None else terms} monomials of "
+            f"degree {low}..{n * n} in z_1..z_{n}, over the limit of "
+            f"{MAX_FACTOR_TERMS}")
     return qn
 
 
-@dataclass(frozen=True)
-class GGResult:
-    """Intersection polynomial data: p(n, d, delta) is the residue of the
-    h^n part of the numerator; pairing with the fundamental class gives the
-    actual intersection number d * p."""
+#: Intersection polynomial data: p(n, d, delta), the ``polynomial``, is the
+#: residue of the h^n part of the numerator; pairing with the fundamental
+#: class gives the actual intersection number d * p.  ``theta`` is the
+#: leading constant and ``leading`` p's d^n coefficient.
+GGResult = namedtuple("GGResult", "n polynomial theta leading")
 
-    n: int
-    polynomial: Polynomial
-    theta: Fraction
-    leading: Polynomial
-
-
-@dataclass(frozen=True)
-class EulerResult:
-    n: int
-    d: object  # Fraction for numeric degree, None for symbolic
-    chi: Polynomial
+#: The Euler characteristic ``chi`` at order n, and ``d``, the Fraction of a
+#: numeric degree substituted into it, or None for a symbolic one.
+EulerResult = namedtuple("EulerResult", "n d chi")
 
 
 def _series_mul(a: list, b: list, n: int) -> list:

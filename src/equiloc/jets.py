@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Polynomial, _add_into, compositions, mul_dense
@@ -59,41 +59,37 @@ def _is_zero(x) -> bool:
     return x.is_zero if isinstance(x, Polynomial) else x == 0
 
 
-@dataclass(frozen=True)
-class ReparamJet:
+class ReparamJet(namedtuple("ReparamJet", "alphas")):
     """Jet of a reparametrization of (C, 0): t -> a1 t + a2 t^2 + ...,
     with invertible linear part a1 != 0."""
 
-    alphas: tuple
+    __slots__ = ()
 
-    def __init__(self, alphas):
+    def __new__(cls, alphas):
         alphas = tuple(_value(a) for a in alphas)
         if not alphas or _is_zero(alphas[0]):
             raise SingularLinearPart(
                 "reparametrization must have a nonzero linear part")
-        object.__setattr__(self, "alphas", alphas)
+        return super().__new__(cls, alphas)
 
     @property
     def k(self) -> int:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class JetCurve:
+class JetCurve(namedtuple("JetCurve", "coefficients n")):
     """k-jet of a curve germ in C^n: coefficient vectors v_1..v_k with
-    v_i = f^(i)/i!."""
+    v_i = f^(i)/i!, as k tuples of length n."""
 
-    n: int
-    coefficients: tuple  # k tuples of length n
+    __slots__ = ()
 
-    def __init__(self, coefficients, n=None):
+    def __new__(cls, coefficients, n=None):
         rows = tuple(tuple(_value(x) for x in row) for row in coefficients)
         if n is None:
             n = len(rows[0]) if rows else 0
         if any(len(row) != n for row in rows):
             raise ValueError("coefficient rows must all have length n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", rows)
+        return super().__new__(cls, rows, n)
 
     @property
     def k(self) -> int:

@@ -65,10 +65,10 @@ a term of ``P`` that pass together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate, Var,
+from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate,
                       _add_into, _height_bits, _num, _literal, mul_dense,
                       parse_factored, parse_polynomial, zvar)
 from .errors import (InputError, NoDominantVariable, SizeLimitExceeded,
@@ -79,38 +79,41 @@ from .errors import (InputError, NoDominantVariable, SizeLimitExceeded,
 MAX_EXPANSION_ORDER = 256
 
 
-@dataclass(frozen=True)
-class ResidueForm:
+class ResidueForm(namedtuple("ResidueForm", "numerator denominators order "
+                                             "prefactor variables")):
     """Numerator with a multiset of denominator factors, each affine in the
     residue variables, and the dominance order of the residue variables,
-    least dominant first.  The numerator is ``prefactor * numerator``; the
-    engine multiplies the prefactor's slices into the denominator
-    expansions at the first peel, so a small factor of a large numerator
-    belongs there.  ``variables``, the order's and every part's variables,
-    is collected once, when the form is made."""
+    least dominant first: ``ResidueForm(numerator, denominators, order,
+    prefactor=None)``.  The numerator is ``prefactor * numerator``, the
+    prefactor 1 when left out; the engine multiplies the prefactor's slices
+    into the denominator expansions at the first peel, so a small factor of
+    a large numerator belongs there.  ``variables``, the order's and every
+    part's variables, is collected once, when the form is made."""
 
-    numerator: Polynomial
-    denominators: tuple[Polynomial, ...]
-    order: tuple[Var, ...]
-    prefactor: Polynomial = field(default_factory=Polynomial.one)
-    variables: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = [v.name for v in self.order if v.kind != RESIDUE]
+    def __new__(cls, numerator, denominators, order, prefactor=None):
+        if prefactor is None:
+            prefactor = Polynomial.one()
+        bad = [v.name for v in order if v.kind != RESIDUE]
         if bad:  # the engine reads the order's slots as residue variables
             raise InputError("order entries must be residue variables, got "
                              + ", ".join(bad))
-        allowed = set(self.order)
-        if len(allowed) != len(self.order):
-            names = ", ".join(v.name for v in self.order)
+        allowed = set(order)
+        if len(allowed) != len(order):
+            names = ", ".join(v.name for v in order)
             raise InputError(f"repeated residue variable in the order: {names}")
-        parts = (self.prefactor, self.numerator, *self.denominators)
+        parts = (prefactor, numerator, *denominators)
         seen = frozenset(allowed.union(*(p.variables() for p in parts)))
-        object.__setattr__(self, "variables", seen)
         missing = {v for v in seen - allowed if v.kind == RESIDUE}
         if missing:
             names = ", ".join(sorted(v.name for v in missing))
             raise InputError(f"residue variables not in the order: {names}")
+        return super().__new__(cls, numerator, denominators, order, prefactor,
+                               seen)
+
+    def __getnewargs__(self):  # copy.copy rebuilds a form from its four parts
+        return self[:4]
 
 
 def _split(ws: Slate, w: Polynomial, d: int):

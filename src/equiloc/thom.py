@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -37,23 +37,21 @@ from .algebra import (RESIDUE, Polynomial, Slate, cvar, svar, term_list,
 from .errors import InputError, MissingQ, SizeLimitExceeded
 from .residue import ResidueForm, iterated_residue
 
-_BUILTIN_Q = {
+_BUILTIN_Q = MappingProxyType({
     1: Polynomial.one(),
     2: Polynomial.one(),
     3: Polynomial.one(),
     4: (2 * Polynomial.var(zvar(1)) + Polynomial.var(zvar(2))
         - Polynomial.var(zvar(4))),
-}
+})
 
 
-@dataclass(frozen=True)
-class QTable:
-    """Numerator polynomials of the residue formula, indexed by the order k.
-    Orders 1..4 are built in; user-supplied entries may add other orders,
-    each once."""
+class QTable(namedtuple("QTable", "entries", defaults=(_BUILTIN_Q,))):
+    """Numerator polynomials of the residue formula, indexed by the order k,
+    in a read-only mapping.  Orders 1..4 are built in; user-supplied entries
+    may add other orders, each once."""
 
-    entries: MappingProxyType = field(
-        default_factory=lambda: MappingProxyType(dict(_BUILTIN_Q)))
+    __slots__ = ()
 
     @classmethod
     def builtin(cls) -> "QTable":
@@ -82,12 +80,9 @@ class QTable:
             raise MissingQ(f"no numerator polynomial for order k={k}") from None
 
 
-@dataclass(frozen=True)
-class ThomResult:
-    k: int
-    codim: int
-    polynomial: Polynomial
-    sign_calibration: int
+#: The Thom polynomial of order k at a codim, and the sign the residue form
+#: carries to calibrate it.
+ThomResult = namedtuple("ThomResult", "k codim polynomial sign_calibration")
 
 
 def denominator_triples(k: int) -> list[tuple[int, int, int]]:
@@ -244,11 +239,12 @@ def thom_scan(kmax: int, lmax: int, q: QTable | None = None) -> list:
         k, lmax, _thom_table(k, lmax, q), range(lmax + 1))]
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    k: int
-    codim: int
-    negative_terms: tuple[tuple[str, Fraction], ...]
+class PositivityReport(namedtuple("PositivityReport",
+                                  "k codim negative_terms")):
+    """The (monomial text, coefficient) pairs of a Thom polynomial with a
+    negative coefficient, sorted."""
+
+    __slots__ = ()
 
     @property
     def all_nonnegative(self) -> bool:
@@ -276,13 +272,13 @@ def generating_coefficient(k: int, exponents,
     return iterated_residue(form).constant_value()
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    k: int
-    depth: int
-    bound: int
-    coefficients: tuple[tuple[tuple[int, ...], Fraction], ...]
-    ratios: tuple[tuple[tuple[int, ...], int, int, Fraction, bool], ...]
+class RatioReport(namedtuple("RatioReport",
+                             "k depth bound coefficients ratios")):
+    """The nonzero generating-function coefficients, as sorted (exponents,
+    value) pairs, and each neighbouring ratio as (exponents, a, b, ratio,
+    ratio < bound)."""
+
+    __slots__ = ()
 
     @property
     def all_within_bound(self) -> bool:

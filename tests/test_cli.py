@@ -131,7 +131,8 @@ class TestGoldenCommands:
 
     # stdout of thom-scan, which no perfbench pin covers, as the scan of
     # one residue per (k, codim) printed it; {q5} is the q-file
-    # {"5": "z1^2*z5"}, whose negative terms print as Python reprs
+    # {"5": "z1^2*z5"}, whose negative terms print as monomial=coefficient
+    # pairs
     THOM_SCAN_DIGESTS = {
         "--kmax 4 --lmax 2":
             "70b6230edaa717b16eb0600a1ef8232d8aec34a71fa24f573b9c7b293abeb460",
@@ -140,7 +141,7 @@ class TestGoldenCommands:
         "--kmax 2 --lmax 29 --format json --check-positivity":
             "fa70900433e97da0a14125d4748fd2c352cc3aac25fe6f495aa587fa43e25f06",
         "--kmax 5 --lmax 0 --check-positivity --q-file {q5}":
-            "cc9881f38c1564e2f765eb8d8d2ad4bd38194cbcda5bd5c558d969ce0a61edae",
+            "91b8316c484f6874b3da30bb8ade91fbbc356663159f54a4be5c152810746594",
     }
 
     @pytest.mark.parametrize("argv", list(THOM_SCAN_DIGESTS), ids=lambda argv:
@@ -671,6 +672,24 @@ class TestScanAndUserTables:
         assert len(lines) == 4
         assert lines[0] == "k=1 codim=0: c1  [all coefficients nonnegative]"
         assert "c1^2 + c2" in lines[2]
+
+    def test_thom_scan_prints_negative_terms_as_json_does(self, capsys,
+                                                          tmp_path):
+        # the text format names each negative term as the JSON format does,
+        # monomial and exact coefficient, with no Python repr
+        qfile = tmp_path / "q5.json"
+        qfile.write_text(json.dumps({"5": "z1^2*z5"}))
+        argv = ["thom-scan", "--kmax", "5", "--lmax", "0",
+                "--check-positivity", "--q-file", str(qfile)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "k=5 codim=0: -c1^2*c3 - 3*c1*c4 - 2*c5  "
+            "[NEGATIVE: c1*c4=-3, c1^2*c3=-1, c5=-2]")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[-1]["negative_terms"] == [
+            ["c1*c4", "-3"], ["c1^2*c3", "-1"], ["c5", "-2"]]
 
     @pytest.mark.parametrize("entry", ["z1 + z2^2 + z1*z5^2",
                                        "z1 + z2^2 - z3*z4*z5 + 2*z2^3",

@@ -145,6 +145,18 @@ def test_factor_check_boundary():
             _table_entry(n, q, low)
 
 
+def test_factor_check_names_the_monomials_it_counts():
+    # the count is of the monomials z^v that weigh the table entries, not
+    # of the terms of a power of z_1 + ... + z_n, which no code builds
+    q = QTable.builtin().with_entry(5, P.one())
+    with pytest.raises(SizeLimitExceeded) as exc:
+        _table_entry(5, q, 20)
+    assert exc.value.code == "size-limit"
+    assert str(exc.value) == (
+        "order 5: the tower weighs its table by 100002 monomials of degree "
+        "20..25 in z_1..z_5, over the limit of 50000")
+
+
 @pytest.fixture(scope="module")
 def gg():
     return {n: intersection_polynomial(n) for n in (1, 2, 3)}

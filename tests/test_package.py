@@ -7,16 +7,20 @@ interpreter, since this one has loaded every module already."""
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import equiloc
+from equiloc.algebra import parse_polynomial, svar, wvar, zvar
+from equiloc.errors import InputError, SingularLinearPart
 
 #: The names ``equiloc`` exported while its ``__init__`` imported them,
 #: and the module of each.
@@ -67,14 +71,87 @@ class TestPublicNames:
             exec("from equiloc import frobnicate", {})
 
 
+def _form(*order, prefactor=None):
+    return equiloc.ResidueForm(parse_polynomial("z1 + l1"), (
+        parse_polynomial("l1 - z1"), parse_polynomial("z2 - z1")), order,
+        prefactor=prefactor)
+
+
+#: Each value type, with a function that builds one from fixed inputs.
+VALUES = {
+    "ResidueForm": lambda: _form(zvar(1), zvar(2)),
+    "QTable": lambda: equiloc.QTable.builtin().with_entry(
+        5, parse_polynomial("z1^2*z5")),
+    "ThomResult": lambda: equiloc.thom_polynomial(2, 1),
+    "PositivityReport": lambda: equiloc.positivity_check(
+        equiloc.thom_polynomial(2, 1)),
+    "RatioReport": lambda: equiloc.ratio_check(2, depth=1),
+    "GGResult": lambda: equiloc.intersection_polynomial(1),
+    "EulerResult": lambda: equiloc.euler_characteristic(1, 3),
+    "ReparamJet": lambda: equiloc.ReparamJet((1, Fraction(1, 2))),
+    "JetCurve": lambda: equiloc.JetCurve([[1, 2], [Fraction(3, 2), 0]]),
+}
+
+
+class TestValueTypes:
+    """Every value is immutable after construction, as README states."""
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_immutable_with_equality_by_fields(self, name):
+        value, twin = VALUES[name](), VALUES[name]()
+        assert type(value).__name__ == name
+        assert value is not twin and value == twin == copy.copy(value)
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        if name == "QTable":  # its entries are a read-only mapping
+            with pytest.raises(TypeError):
+                value.entries[1] = None
+        else:
+            assert hash(value) == hash(twin)
+
+    def test_residue_form_defaults_and_collects_its_variables(self):
+        form = _form(zvar(1), zvar(2))
+        assert form.prefactor == equiloc.Polynomial.one()
+        assert form.variables == {zvar(1), zvar(2), wvar(1)}
+        assert form == _form(zvar(1), zvar(2),
+                             prefactor=equiloc.Polynomial.one())
+
+    @pytest.mark.parametrize("order, message", [
+        ((svar("h"), zvar(1), zvar(2)),
+         "order entries must be residue variables, got h"),
+        ((zvar(1), zvar(1), zvar(2)),
+         "repeated residue variable in the order: z1, z1, z2"),
+        ((zvar(1),), "residue variables not in the order: z2")])
+    def test_residue_form_validates(self, order, message):
+        with pytest.raises(InputError) as exc:
+            _form(*order)
+        assert str(exc.value) == message
+
+    def test_jets_validate(self):
+        with pytest.raises(SingularLinearPart):
+            equiloc.ReparamJet((0, 1))
+        with pytest.raises(SingularLinearPart):
+            equiloc.ReparamJet(())
+        with pytest.raises(ValueError, match="rows must all have length n"):
+            equiloc.JetCurve([[1, 2], [3]])
+        assert equiloc.JetCurve([[1], [2]], n=1).n == 1
+
+
 #: Runs ``cli.main`` on its arguments (none: only the import) and prints,
-#: last, its exit code and the package modules loaded before and after.
+#: last, its exit code and the package modules loaded before and after,
+#: with, after, each of ``dataclasses`` and ``inspect`` that the run loaded
+#: (the interpreter's own start-up may have loaded them already).
 FOOTPRINT = """
-import json, sys
+import sys
+preloaded = set(sys.modules)
+import json
 import equiloc.cli
 def loaded():
     return sorted(m for m in sys.modules
-                  if m == "equiloc" or m.startswith("equiloc."))
+                  if m == "equiloc" or m.startswith("equiloc.")
+                  or m in ("dataclasses", "inspect") and m not in preloaded)
 before = loaded()
 code = equiloc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, before, loaded()]))
@@ -123,3 +200,26 @@ class TestImportFootprint:
         assert {"equiloc.residue", "equiloc.algebra"} <= loaded
         assert not loaded & {"equiloc.jets", "equiloc.thom",
                              "equiloc.hyperbolicity", "equiloc.localization"}
+
+    @pytest.mark.parametrize("argv", [
+        "residue --job {job}", "minors --n 2 --k 4 --jet {jet}",
+        "thom --k 4 --codim 2", "gg --n 3", "flag-check --n 3 --d 1 --trials 2",
+        "grass-integrate --n 4 --k 2 --class c1^2*c2"],
+        ids=lambda argv: argv.split()[0])
+    def test_computing_commands_load_no_dataclasses_or_inspect(self, tmp_path,
+                                                               argv):
+        # the value types are namedtuples, so no module imports dataclasses,
+        # and with it inspect
+        files = {"job": {"numerator": "z1 + l1",
+                         "denominators": ["l1 - z1", "z2 - z1"],
+                         "order": ["z1", "z2"]},
+                 "jet": {"coefficients": [["1", "-1/2"], ["2/3", "0"],
+                                          ["-5/4", "3/7"], ["1", "2"]]}}
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        code, loaded = footprint(*argv.format(job=tmp_path / "job.json",
+                                              jet=tmp_path / "jet.json")
+                                 .split())
+        assert code == 0
+        assert "equiloc.algebra" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
