@@ -72,6 +72,9 @@ class ReparamJet(namedtuple("ReparamJet", "alphas")):
                 "reparametrization must have a nonzero linear part")
         return super().__new__(cls, alphas)
 
+    # _replace calls _make: a copy is checked like a new value
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def k(self) -> int:
         return len(self.alphas)
@@ -90,6 +93,9 @@ class JetCurve(namedtuple("JetCurve", "coefficients n")):
         if any(len(row) != n for row in rows):
             raise ValueError("coefficient rows must all have length n")
         return super().__new__(cls, rows, n)
+
+    # _replace calls _make: a copy is checked like a new value
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def k(self) -> int:

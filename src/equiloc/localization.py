@@ -7,15 +7,21 @@ weights, with agreement across :data:`WEIGHT_DRAWS` independent seeded
 draws as the certificate.
 
 A fixed-point sum runs on integer-scaled weights: the weights are scaled
-once by the common multiple L of their denominators, the class is read
-once per sum, through one ``Slate``, into int terms keyed by exponent
-tuples, with no column layout, and each coordinate subspace adds one exact
+once by the common multiple L of their denominators, and the class is
+read through one ``Slate`` into int terms keyed by exponent tuples, with
+no column layout.  On Grass(k, n) each coordinate subspace adds one exact
 ``Fraction`` of two ints, its class value over its product of tangent
-weights.  On Fl_d(C^n) the d! fixed flags over one d-subspace share their
-tangent weights up to sign, so their signed class values are summed as
-integers first: the class is antisymmetrized into alternants, which are
-evaluated down a prefix tree walked by subsets of lines, one state per
-set of lines chosen so far, not per ordering.  The powers of L and the
+weights.  On Fl_d(C^n) the d! fixed flags over one d-subspace H share
+their tangent weights up to sign, so their signed class values are summed
+as integers first: the class is antisymmetrized into alternants, which
+are evaluated down a prefix tree walked by subsets of lines, one state
+per set of lines chosen so far, not per ordering.  The subsets then share
+one denominator: with Δ = Π_(a<b) (u_b − u_a) over the scaled weights u,
+H's product of tangent weights is (−1)^(m_H)·Δ / V(u_(H^c)), V the
+Vandermonde of the lines outside H, so the flag sum is one int divided
+once by Δ.  The class's reading and alternant tree hold no weight, and
+the last one is cached: a ``flag-check`` trial reads its class once for
+its six values, three draws by two routes.  The powers of L and the
 class's coefficient denominator are applied once, at the end.  A
 negative d or k, a weight list whose length is not n, or a class holding
 a variable the sum does not assign or a negative power of one, is an
@@ -44,14 +50,15 @@ _WEIGHT_POOL = range(-999_983, 1_000_003)
 #: Most torus fixed points of the space :func:`grass_integrate` or
 #: :func:`run_flag_trials` works on: the C(n, k) coordinate subspaces of
 #: Grass(k, n), one fraction of its sum each, or the n!/(n-d)! ordered flags
-#: of Flag_d(C^n), whose sum adds one fraction per d-subset, C(n, d) in
-#: all, and lists no flag.  Checked from n and k or d before any sum starts.
+#: of Flag_d(C^n), whose sum adds one int per d-subset, C(n, d) in all,
+#: and lists no flag.  Checked from n and k or d before any sum starts.
 MAX_FIXED_POINTS = 10_000
 
 #: Most work of one exact fixed-point sum in :func:`grass_integrate` and
-#: :func:`run_flag_trials`, counted as fractions × tangent weights of each ×
-#: C(n, 2), the weight differences the running denominator may hold;
-#: checked after :data:`MAX_FIXED_POINTS`, before any sum starts.
+#: :func:`run_flag_trials`, counted as terms × tangent weights of each ×
+#: C(n, 2), the weight differences a denominator may hold: one term per
+#: coordinate subspace or d-subset; checked after :data:`MAX_FIXED_POINTS`,
+#: before any sum starts.
 MAX_SUM_WORK = 500_000_000
 
 #: Most trials :func:`run_flag_trials` runs, checked before the first.
@@ -76,13 +83,13 @@ def _check_fixed_points(space: str, counts) -> None:
                                     f"{MAX_FIXED_POINTS} fixed points")
 
 
-def _check_sum_work(space: str, n: int, fractions: int, dim: int) -> None:
-    """SizeLimitExceeded when a sum over ``space`` of ``fractions``
-    fractions, each over ``dim`` tangent weights, exceeds MAX_SUM_WORK."""
-    work = fractions * dim * math.comb(n, 2)
+def _check_sum_work(space: str, n: int, terms: int, dim: int) -> None:
+    """SizeLimitExceeded when a sum over ``space`` of ``terms`` terms, each
+    over ``dim`` tangent weights, exceeds MAX_SUM_WORK."""
+    work = terms * dim * math.comb(n, 2)
     if work > MAX_SUM_WORK:
         raise SizeLimitExceeded(
-            f"the fixed-point sum on {space} adds {fractions} fractions of "
+            f"the fixed-point sum on {space} adds {terms} terms of "
             f"{dim} tangent weights each, {work} units of work, over the "
             f"limit of {MAX_SUM_WORK}")
 
@@ -224,7 +231,7 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
     return values[0]
 
 
-def _prefix_levels(terms: dict) -> tuple[list, list]:
+def _prefix_levels(terms: dict) -> tuple[tuple, tuple]:
     """How :func:`_subset_numerators` substitutes z_1, z_2, ... in turn
     into ``terms``, a nonempty dict from exponent tuples of z_1..z_d to
     int coefficients: returns the coefficients in the order the steps read
@@ -237,37 +244,30 @@ def _prefix_levels(terms: dict) -> tuple[list, list]:
     substitutes z_(m+1) = x: it multiplies the value of each key by
     x^exps[i] and sums each slice in ``spans``, one per distinct rest
     z_(m+2)..z_d, in the same order.  The keys depend only on the
-    exponents, so one list serves every value substituted."""
+    exponents, so one tree serves every value substituted; it is all
+    tuples, so no caller can change it under another."""
     keys = sorted(terms, key=lambda key: key[::-1])
-    start = [terms[key] for key in keys]
+    start = tuple(terms[key] for key in keys)
     levels = []
     for _ in range(len(keys[0])):
         starts = [i for i, key in enumerate(keys)
                   if not i or key[1:] != keys[i - 1][1:]]
-        spans = list(map(slice, starts, starts[1:] + [len(keys)]))
-        levels.append(([key[0] for key in keys], spans))
+        spans = tuple(map(slice, starts, starts[1:] + [len(keys)]))
+        levels.append((tuple(key[0] for key in keys), spans))
         keys = [keys[i][1:] for i in starts]
-    return start, levels
+    return start, tuple(levels)
 
 
-def _subset_numerators(u, terms) -> dict[int, int]:
-    """N_H = Σ_σ (−1)^inv(σ)·Q(x_σ(1), ..., x_σ(d)) for each d-subset H of
-    the lines range(n) where it is nonzero, keyed by the bitmask of H: σ
-    runs over the orderings of H, inv(σ) counts their inverted pairs, Q is
-    given by its int ``terms`` keyed by exponent tuples
-    (:func:`_read_class`), and x_i = u[i].
-
-    The signed sum of z^a over the orderings is the alternant
+def _alternant_tree(terms: dict):
+    """The weight-free half of :func:`_subset_numerators` for the class of
+    int ``terms`` keyed by exponent tuples of z_1..z_d (:func:`_read_class`):
+    the signed sum of z^a over the orderings of z_1..z_d is the alternant
     det(x_h^(a_i)), so a term with a repeated exponent adds nothing, and
     every other term is added, with sign (−1)^inv(a), to the strictly
-    decreasing rearrangement λ of a: N_H = Σ_λ C_λ·det(x_h^(λ_i)).  The
-    alternants are then evaluated down a prefix tree walked by subset
-    (:func:`_prefix_levels`): after r steps there is one state per r-set
-    of lines chosen, the signed sum over the orderings of that set, as
-    placing line h next flips the sign once per chosen line above h,
-    whatever order they were chosen in.  Step r thus builds C(n, r)
-    states, not n!/(n−r)!, and each level's states go once the next is
-    built."""
+    decreasing rearrangement λ of a.  Returns (most, start, levels): the
+    largest exponent of a nonzero alternant and the prefix tree of the
+    alternants' coefficients (:func:`_prefix_levels`); None when every
+    alternant cancels."""
     alternants: dict[tuple, int] = {}
     for a, c in terms.items():
         if len(set(a)) == len(a):
@@ -276,10 +276,29 @@ def _subset_numerators(u, terms) -> dict[int, int]:
             alternants[lam] = alternants.get(lam, 0) + (-c if odd else c)
     alternants = {lam: c for lam, c in alternants.items() if c}
     if not alternants:
-        return {}
+        return None
     most = max(itertools.chain(*alternants), default=0)
+    return (most, *_prefix_levels(alternants))
+
+
+def _subset_numerators(u, tree) -> dict[int, int]:
+    """N_H = Σ_σ (−1)^inv(σ)·Q(x_σ(1), ..., x_σ(d)) for each d-subset H of
+    the lines range(n) where it is nonzero, keyed by the bitmask of H: σ
+    runs over the orderings of H, inv(σ) counts their inverted pairs, Q is
+    given by the ``tree`` of its alternants (:func:`_alternant_tree`), and
+    x_i = u[i].
+
+    N_H = Σ_λ C_λ·det(x_h^(λ_i)), and the alternants are evaluated down
+    the prefix tree walked by subset: after r steps there is one state per
+    r-set of lines chosen, the signed sum over the orderings of that set,
+    as placing line h next flips the sign once per chosen line above h,
+    whatever order they were chosen in.  Step r thus builds C(n, r)
+    states, not n!/(n−r)!, and each level's states go once the next is
+    built."""
+    if tree is None:
+        return {}
+    most, start, levels = tree
     powers = [[x ** e for e in range(most + 1)] for x in u]
-    start, levels = _prefix_levels(alternants)
     states = {0: start}
     for exps, spans in levels:
         reached: dict[int, list] = {}
@@ -299,6 +318,27 @@ def _subset_numerators(u, terms) -> dict[int, int]:
     return {mask: value for mask, (value,) in states.items() if value}
 
 
+def _vandermonde(u, lines) -> int:
+    """Π (u_b − u_a) over the pairs a < b of ``lines``, in increasing
+    order."""
+    return math.prod(u[b] - u[a] for a, b in itertools.combinations(lines, 2))
+
+
+@functools.lru_cache(maxsize=1)
+def _flag_reading(Q: Polynomial, d: int, scale: int):
+    """Q read as a class on Fl_d at weights of common denominator
+    ``scale`` (:func:`_read_class`), with everything of the fixed-point
+    sum that no weight changes: (den, top, tree), Q's coefficient
+    denominator, its largest degree and its alternant tree
+    (:func:`_alternant_tree`).  ``scale`` is in the key because a
+    non-homogeneous Q's int terms carry scale^(top − g).  The one reading
+    cached is the last, so the calls of one trial, at each draw and by
+    both routes, read its class once; a bad class raises on every call,
+    as ``lru_cache`` keeps no exception."""
+    terms, den, degrees = _read_class(Q, zvar, d, [1] * d, "Q", scale)
+    return den, max(degrees, default=0), _alternant_tree(terms)
+
+
 def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """Sum over the torus fixed flags of Q at the flag's weights divided by
     the product of tangent weights, exactly at the given weights.
@@ -313,20 +353,34 @@ def flag_fixed_sum(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     N_H / D_H per d-subset H, with N_H the signed sum of Q over the d!
     orderings, a sum of alternants (:func:`_subset_numerators`): the
     fibration of the flags over Grass(d, n).  Fl_0 is a point, where the
-    sum is Q's constant; a negative d is an ``InputError``.  The sum runs
-    on the integer-scaled weights u = L·w, one exact ``Fraction`` per
-    subset; the powers of L and Q's coefficient denominator are applied
-    once, at the end."""
+    sum is Q's constant; a negative d is an ``InputError``.
+
+    The sum runs on the integer-scaled weights u = L·w over one common
+    denominator.  With Δ = Π_(a<b) (u_b − u_a), the pairs inside H give
+    the factors of D_H within H, the pairs outside H give V(u_(H^c)), the
+    Vandermonde of the lines outside H, and the pairs across give D_H's
+    other factors, each with sign −1 when the line outside H is the
+    lower:
+
+        D_H = (−1)^(m_H)·Δ / V(u_(H^c)),  m_H = #{a < b : a ∉ H, b ∈ H}.
+
+    So the sum is the int Σ_H (−1)^(m_H)·N_H·V(u_(H^c)) divided once by
+    Δ; the powers of L and Q's coefficient denominator are applied at the
+    same time.  The last reading of a class is cached
+    (:func:`_flag_reading`), so the sums of one trial read it once."""
     _check_rank("d", d)
     u, scale = _scaled(n, weights)
-    terms, den, degrees = _read_class(Q, zvar, d, [1] * d, "Q", scale)
-    total = Fraction(0)
-    for mask, value in _subset_numerators(u, terms).items():
-        tangent = math.prod(u[b] - u[a] for a in range(n) if mask >> a & 1
-                            for b in range(n) if b > a or not mask >> b & 1)
-        total += Fraction(value, tangent)
-    return (total * Fraction(scale)
-            ** (flag_dimension(n, d) - max(degrees, default=0)) / den)
+    den, top, tree = _flag_reading(Q, d, scale)
+    total = 0
+    for mask, value in _subset_numerators(u, tree).items():
+        rest = [a for a in range(n) if not mask >> a & 1]
+        outer = _vandermonde(u, rest)
+        # m_H counts, for each line a outside H, the lines of H above a
+        odd = sum((mask >> a).bit_count() for a in rest) & 1
+        total += -value * outer if odd else value * outer
+    delta = _vandermonde(u, range(n))
+    return (Fraction(total, delta * den) * Fraction(scale)
+            ** (flag_dimension(n, d) - top))
 
 
 @functools.cache
@@ -341,10 +395,12 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
     """The same pushforward as :func:`flag_fixed_sum`, computed as the
     iterated residue of Q·vandermonde(z_1..z_d) over Π (w_i − z_l), with
     z_1 least and z_d most dominant.  The Vandermonde is the form's
-    prefactor, so Q·V is never formed."""
+    prefactor, so Q·V is never formed.  Q is checked by the reading the
+    fixed sum at the same weights makes (:func:`_flag_reading`), so a
+    trial that has summed its class reads it no more."""
     _check_rank("d", d)
     weights = _distinct(n, weights)
-    _read_class(Q, zvar, d, [1] * d, "Q")
+    _flag_reading(Q, d, math.lcm(*(w.denominator for w in weights)))
     zs, negated, vander = _flag_frame(d)
     constants = list(map(Polynomial.rational, weights))
     dens = tuple(z + c for z in negated for c in constants)
@@ -353,14 +409,15 @@ def flag_residue(n: int, d: int, Q: Polynomial, weights) -> Fraction:
 
 
 def random_flag_class(n: int, d: int, rng: random.Random) -> Polynomial:
-    """Random homogeneous polynomial in z1..zd of degree dim Flag_d(n)."""
-    degree = flag_dimension(n, d)
-    monomials = list(compositions(degree, d))
-    picked = [(rng.randint(1, 9) * rng.choice((-1, 1)), exps)
-              for exps in monomials if rng.random() < 0.35]
-    return Polynomial.from_terms(
-        (c, [(zvar(i + 1), e) for i, e in enumerate(exps) if e])
-        for c, exps in picked or [(1, rng.choice(monomials))])
+    """Random homogeneous polynomial in z1..zd of degree dim Flag_d(n),
+    built on exponent tuples over one ``Slate`` of z1..zd.  Each monomial
+    draws ``random``, then for a kept one ``randint`` and ``choice``; a
+    class that kept none is one monomial, drawn by ``choice``."""
+    monomials = list(compositions(flag_dimension(n, d), d))
+    picked = {exps: rng.randint(1, 9) * rng.choice((-1, 1))
+              for exps in monomials if rng.random() < 0.35}
+    slate = Slate((), [zvar(i) for i in range(1, d + 1)])
+    return slate.polynomial(picked or {rng.choice(monomials): 1})
 
 
 def run_flag_trials(n: int, d: int, trials: int, seed: int = 0) -> dict:

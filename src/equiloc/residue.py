@@ -65,6 +65,7 @@ a term of ``P`` that pass together.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -114,6 +115,11 @@ class ResidueForm(namedtuple("ResidueForm", "numerator denominators order "
 
     def __getnewargs__(self):  # copy.copy rebuilds a form from its four parts
         return self[:4]
+
+    # _replace calls _make: a copy is checked like a new form and collects
+    # its variables anew from the four parts; _replace(variables=...) is a
+    # ValueError, as _make takes no more of the fields than the parts
+    _make = classmethod(lambda cls, fields: cls(*itertools.islice(fields, 4)))
 
 
 def _split(ws: Slate, w: Polynomial, d: int):

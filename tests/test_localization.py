@@ -236,10 +236,8 @@ def _kernel(n, d, Q, weights):
     """``localization._subset_numerators`` on Q read at the weights, and
     den·L^top, the factor the integer reading puts on every value."""
     u, scale = localization._scaled(n, weights)
-    terms, den, degrees = localization._read_class(Q, zvar, d, [1] * d, "Q",
-                                                   scale)
-    return (localization._subset_numerators(u, terms),
-            den * scale ** max(degrees, default=0))
+    den, top, tree = localization._flag_reading(Q, d, scale)
+    return localization._subset_numerators(u, tree), den * scale ** top
 
 
 class TestSubsetNumerators:
@@ -350,7 +348,9 @@ class TestForeignVariables:
     (grass_sum_at, (4, 2, "c1^2*c2 - 1/5*c2^2", [1, 2, 3, 5])),
     (grass_class_degree_check, (4, 2, "c1^2*c2 - 1/5*c2^2"))])
 def test_one_read_of_the_class(monkeypatch, function, args):
-    # the class goes through Slate.dense once: checked and read together
+    # the class goes through Slate.dense once: checked and read together;
+    # the cache starts empty, whatever ran before
+    localization._flag_reading.cache_clear()
     n, k, text, *weights = args
     cls = parse_polynomial(text)
     reads = []
@@ -359,6 +359,65 @@ def test_one_read_of_the_class(monkeypatch, function, args):
                         lambda slate, p: reads.append(p) or dense(slate, p))
     function(n, k, cls, *weights)
     assert sum(p is cls for p in reads) == 1
+
+
+def _counted_reads(monkeypatch) -> list:
+    """The classes ``localization._read_class`` reads from now on, in
+    order, starting from an empty reading cache."""
+    localization._flag_reading.cache_clear()
+    reads = []
+    read = localization._read_class
+    monkeypatch.setattr(localization, "_read_class",
+                        lambda poly, *args: reads.append(poly)
+                        or read(poly, *args))
+    return reads
+
+
+class TestOneReadingPerTrial:
+    """A trial's six values share one reading of its class."""
+
+    @pytest.mark.parametrize("n,d,trials,seed", [(5, 3, 4, 7), (4, 2, 5, 3)])
+    def test_run_flag_trials(self, monkeypatch, n, d, trials, seed):
+        reads = _counted_reads(monkeypatch)
+        report = run_flag_trials(n, d, trials, seed)
+        assert report["all_match"]
+        assert [str(Q) for Q in reads] == [r["class"]
+                                           for r in report["results"]]
+        assert len(reads) == trials == len(set(reads))
+
+    def test_equal_classes_share_a_reading(self, monkeypatch):
+        # in z1 alone the class is a multiple of z1^(n-1): every trial of
+        # this seed draws z1^3, and the reading is keyed by equality
+        reads = _counted_reads(monkeypatch)
+        report = run_flag_trials(4, 1, 3, 0)
+        assert {r["class"] for r in report["results"]} == {"z1^3"}
+        assert len(reads) == 1
+
+    @given(_flag_cases().filter(lambda case: case[0] <= 4),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_classes_and_scales(self, case, data):
+        # two classes at weights of two scales, L and 13·L, in an order
+        # that makes the cache miss and hit: each value is the oracle's
+        n, d, Q, weights = case
+        other = data.draw(_classes([zvar(l) for l in range(1, d + 1)]))
+        shifted = [w + Fraction(1, 13) for w in weights]
+        calls = data.draw(st.lists(st.tuples(
+            st.sampled_from([Q, other]), st.sampled_from([weights, shifted]),
+            st.sampled_from([flag_fixed_sum, flag_residue])),
+            min_size=2, max_size=6))
+        for cls, w, route in calls:
+            assert route(n, d, cls, w) == oracles.flag_fixed_sum(n, d, cls,
+                                                                 w)
+
+    def test_bad_class_raises_on_every_call(self, monkeypatch):
+        # lru_cache keeps no exception: each call reads the class again
+        reads = _counted_reads(monkeypatch)
+        Q = parse_polynomial("z1^3*l1")
+        for route in (flag_fixed_sum, flag_fixed_sum, flag_residue):
+            with pytest.raises(InputError, match="found l1$"):
+                route(4, 2, Q, [1, 2, 3, 5])
+        assert reads == [Q, Q, Q]
 
 
 @pytest.mark.parametrize("function,text", [

@@ -138,6 +138,43 @@ class TestValueTypes:
             equiloc.JetCurve([[1, 2], [3]])
         assert equiloc.JetCurve([[1], [2]], n=1).n == 1
 
+    @pytest.mark.parametrize("name,changes,error,message", [
+        ("ResidueForm", {"order": (svar("h"), zvar(1), zvar(2))}, InputError,
+         "order entries must be residue variables, got h"),
+        ("ResidueForm", {"order": (zvar(1),)}, InputError,
+         "residue variables not in the order: z2"),
+        ("ResidueForm", {"prefactor": parse_polynomial("z3")}, InputError,
+         "residue variables not in the order: z3"),
+        ("ReparamJet", {"alphas": (0, 1)}, SingularLinearPart,
+         "reparametrization must have a nonzero linear part"),
+        ("JetCurve", {"n": 5}, ValueError,
+         "coefficient rows must all have length n")])
+    def test_replace_and_make_check_like_the_constructor(
+            self, name, changes, error, message):
+        # both go through __new__: no copy skips the constructor's checks
+        value = VALUES[name]()
+        fields = [changes.get(f, v) for f, v in zip(value._fields, value)]
+        for copy_of in (lambda: value._replace(**changes),
+                        lambda: type(value)._make(fields)):
+            with pytest.raises(error) as exc:
+                copy_of()
+            assert str(exc.value) == message
+
+    def test_replace_collects_the_new_parts(self):
+        form = _form(zvar(1), zvar(2))
+        moved = form._replace(prefactor=parse_polynomial("l2*z2"))
+        assert moved.variables == {zvar(1), zvar(2), wvar(1), wvar(2)}
+        assert moved == _form(zvar(1), zvar(2),
+                              prefactor=parse_polynomial("l2*z2"))
+        assert type(form)._make(form) == form == type(form)._make(form[:4])
+        with pytest.raises(ValueError, match=r"names: \['variables'\]$"):
+            form._replace(variables=frozenset())
+        jet = VALUES["JetCurve"]()
+        assert jet._replace(coefficients=[[1, 2]]).k == 1
+        with pytest.raises(ValueError, match="rows must all have length n"):
+            jet._replace(coefficients=[[1, 2, 3]])
+        assert VALUES["ReparamJet"]()._replace(alphas=(2,)).alphas == (2,)
+
 
 #: Runs ``cli.main`` on its arguments (none: only the import) and prints,
 #: last, its exit code and the package modules loaded before and after,
