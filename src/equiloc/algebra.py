@@ -26,12 +26,12 @@ are built once, at the end.
 :func:`parse_factored` reads a text that is one product as its prefactor
 and its last factor, and does not form the last product.
 
-Coefficients are exact rationals.  Parsed text and products store an
-integral coefficient as ``int``; a sum, an evaluation or a residue may
-hold it as a ``Fraction`` with denominator 1, which compares, hashes and
-prints as the ``int``.  The canonical term order used for serialization is
-graded lexicographic over the fixed variable order, largest first, which
-makes all printed output byte-stable.
+Coefficients are exact rationals, and an integral one is always an
+``int``: the :class:`Polynomial` constructor makes every integral
+``Fraction`` it is given an ``int``, so no other code normalizes one.  The
+canonical term order used for serialization is graded lexicographic over
+the fixed variable order, largest first, which makes all printed output
+byte-stable.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class Slate:
 
     def polynomial(self, dense: dict) -> "Polynomial":
         """The polynomial of the terms keyed by exponent tuples over the
-        slate; coefficients are kept as they are."""
+        slate; the constructor makes each integral coefficient an int."""
         vs = self.vars
         return Polynomial({
             Monomial(tuple(itertools.compress(zip(vs, key), key))): c
@@ -271,27 +271,24 @@ def mul_dense(a: dict, b: dict) -> dict:
     return out
 
 
-def _integral_ints(terms: dict) -> dict:
-    """``terms``, each integral coefficient made an int in place."""
-    for m, c in terms.items():
-        if type(c) is not int:
-            terms[m] = _num(c)
-    return terms
-
-
 class Polynomial:
     """Immutable exact polynomial, Laurent in the residue variables: only
-    they may carry negative exponents.  No zero terms."""
+    they may carry negative exponents.  No zero terms.  The constructor
+    takes ``terms`` as its own and makes each integral coefficient in it an
+    int; the hash is computed on first use and kept."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict):
-        for m in terms:
+        for m, c in terms.items():
             for v, e in m.exps:
                 if e < 0 and v.kind != RESIDUE:
                     raise ValueError(
                         f"negative exponent on non-residue variable {v.name}")
+            if type(c) is not int:
+                terms[m] = _num(c)
         self.terms = terms
+        self._hash = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -304,7 +301,6 @@ class Polynomial:
 
     @classmethod
     def rational(cls, c) -> "Polynomial":
-        c = _num(c)
         return cls({ONE_MONO: c} if c else {})
 
     @classmethod
@@ -316,7 +312,7 @@ class Polynomial:
         """pairs: iterable of (coefficient, [(var, exp), ...])."""
         acc: dict = {}
         for c, mexps in pairs:
-            _add_into(acc, {Monomial.make(mexps): _num(c)})
+            _add_into(acc, {Monomial.make(mexps): c})
         return cls(acc)
 
     # -- ring operations ----------------------------------------------
@@ -341,13 +337,13 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        """By :func:`mul_dense` over the slate of the variables of both; an
-        integral coefficient is an int."""
+        """By :func:`mul_dense` over the slate of the variables of both; as
+        everywhere, an integral coefficient is an int."""
         other = _coerce(other)
         slate = Slate({v for m in itertools.chain(self.terms, other.terms)
                        for v, _ in m.exps})
-        return slate.polynomial(_integral_ints(
-            mul_dense(slate.dense(self), slate.dense(other))))
+        return slate.polynomial(
+            mul_dense(slate.dense(self), slate.dense(other)))
 
     __rmul__ = __mul__
 
@@ -364,7 +360,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     # -- structure ----------------------------------------------------
     @property
@@ -409,7 +407,7 @@ class Polynomial:
             for v, e in m.exps:
                 if v in values:  # an int to a negative power is a float
                     x = values[v]
-                    c = c * x ** e if e > 0 else _num(c * Fraction(x) ** e)
+                    c = c * x ** e if e > 0 else c * Fraction(x) ** e
                 else:
                     keep.append((v, e))
             rest = Monomial(tuple(keep))
@@ -639,7 +637,7 @@ class _Parser:
     def parse(self) -> Polynomial:
         terms = self.expr()
         self.finish()
-        return self.polynomial(terms)
+        return self.slate.polynomial(terms)
 
     def parse_factored(self) -> tuple[Polynomial, Polynomial]:
         """``(prefactor, body)``: for a product, the factors before the last
@@ -655,14 +653,11 @@ class _Parser:
         elif negative:
             pre = {m: -c for m, c in pre.items()}
         self.finish()
-        return self.polynomial(pre), self.polynomial(body)
+        return self.slate.polynomial(pre), self.slate.polynomial(body)
 
     def finish(self) -> None:
         if self.tokens[self.pos] is not None:
             raise InputError(f"trailing input at {self.value(self.pos)!r}")
-
-    def polynomial(self, terms: dict) -> Polynomial:
-        return self.slate.polynomial(_integral_ints(terms))
 
     def check(self, a: dict, b: dict) -> None:
         """The limits on the product of ``a`` and ``b``, before it is

@@ -76,9 +76,9 @@ def _load_jet(path: str, n: int, k: int):
     if (min(n, k) < 1 or not isinstance(rows, list) or len(rows) != k
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise InputError(f"jet file must hold a {k} x {n} array, n, k >= 1")
-    try:
-        rows = [[Fraction(str(x)) for x in row] for row in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+    try:  # a JSON int, or a string a or a/b; no float, no exponent
+        rows = [[_rat(str(x)) for x in row] for row in rows]
+    except InputError as exc:
         raise InputError(f"bad jet entry: {exc}") from exc
     if derivative:
         return JetCurve.from_derivatives(rows)

@@ -159,17 +159,19 @@ def orbit_table(form: ResidueForm, lambdas) -> dict:
             for (g,), c in Slate([_ORBIT]).dense(tagged).items()}
 
 
-#: Most terms the cut Chern-tail product for (k, codim) may reach, which
-#: bounds the work of :func:`residue_form`; checked before it starts.
+#: Most terms the cut Chern-tail product for (k, codim) may reach, by the
+#: count of :func:`check_tail_size`; checked before any residue starts.
 MAX_TAIL_TERMS = 2_000
 
 
 def check_tail_size(k: int, codim: int) -> None:
     """SizeLimitExceeded when the Chern-tail product for (k, codim), cut at
     weight cmax = k(codim+1), would exceed MAX_TAIL_TERMS terms: after j of
-    the k tails it would hold C(cmax + j, j).  :func:`residue_form` builds
-    only its C(cmax + k - 1, k - 1) terms of weight cmax, so this bounds
-    that work.  The check stops at the first j over the limit."""
+    the k tails it would hold C(cmax + j, j).  No code forms that product:
+    :func:`residue_form` builds one term per permutation of each orbit, so
+    the count bounds no work that runs.  The check stays because it is the
+    only one that refuses every order k >= 7 (C(2k, k) > MAX_TAIL_TERMS at
+    codim 0).  It stops at the first j over the limit."""
     cmax = k * (codim + 1)
     for j in range(1, k + 1):
         terms = math.comb(cmax + j, j)

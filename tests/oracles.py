@@ -61,9 +61,8 @@ from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
                              MAX_PRODUCT_WORK, Monomial,
                              Polynomial, Slate, _add_into, _check_bits,
                              _classify, _coefficient_bits, _height_bits,
-                             _integral_ints, _literal, _num, _power,
-                             compositions, cvar, mul_dense, parse_polynomial,
-                             svar, zvar)
+                             _literal, _num, _power, compositions, cvar,
+                             mul_dense, parse_polynomial, svar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from equiloc.residue import ResidueForm, iterated_residue
 from equiloc.thom import QTable, check_tail_size, curvilinear_form
@@ -481,7 +480,7 @@ class _Parser:
     def parse(self) -> Polynomial:
         terms = self.expr()
         self.finish()
-        return self.polynomial(terms)
+        return self.slate.polynomial(terms)
 
     def parse_factored(self) -> tuple[Polynomial, Polynomial]:
         """``(prefactor, body)``: for a product, the factors before the last
@@ -497,14 +496,11 @@ class _Parser:
         elif sign == "-":
             pre = {m: -c for m, c in pre.items()}
         self.finish()
-        return self.polynomial(pre), self.polynomial(body)
+        return self.slate.polynomial(pre), self.slate.polynomial(body)
 
     def finish(self) -> None:
         if self.peek() != "end":
             raise InputError(f"trailing input at {self.tokens[self.pos][1]!r}")
-
-    def polynomial(self, terms: dict) -> Polynomial:
-        return self.slate.polynomial(_integral_ints(terms))
 
     def check(self, a: dict, b: dict) -> None:
         """The limits on the product of ``a`` and ``b``, before it is

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiloc import algebra
 from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              MAX_POWER_TERMS, MAX_PRODUCT_WORK,
                              MAX_TEXT_VARIABLES, Monomial, Polynomial,
@@ -18,6 +19,8 @@ from equiloc.algebra import (MAX_COEFFICIENT_BITS, MAX_NESTING,
                              parse_factored, parse_polynomial, svar,
                              term_list, wvar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
+from equiloc.residue import ResidueForm, iterated_residue
+from equiloc.thom import orbit_form, orbit_table, orbits
 from oracles import (reference_parse_factored, reference_parse_polynomial,
                      sparse_product)
 
@@ -375,9 +378,41 @@ class TestGrammar:
                          ("c3", Fraction(2))]
 
 
-def _is_int_when_integral(p: Polynomial) -> bool:
-    return all(type(c) is int for c in p.terms.values()
+def _is_int_when_integral(p) -> bool:
+    """Whether every integral coefficient of ``p``, a polynomial or an
+    orbit table, is an int."""
+    values = p.terms.values() if isinstance(p, Polynomial) else p.values()
+    return all(type(c) is int for c in values
                if Fraction(c).denominator == 1)
+
+
+class TestIntegralCoefficients:
+    """The constructor makes every integral coefficient an int, so every
+    polynomial holds one spelling of each integral value."""
+
+    @given(_laurent(), _laurent(), _coeffs(), st.integers(0, 3),
+           st.integers(-3, 3), _coeffs().filter(bool),
+           _polys(vars=(zvar(1), zvar(2)), max_terms=3, max_exp=2))
+    @settings(max_examples=60, deadline=None)
+    def test_every_result_holds_ints(self, a, b, c, e, j, x, q2):
+        dens = (parse_polynomial("2*z2 - z1"), parse_polynomial("z1 - 3"))
+        lambdas = orbits(2, high=1)
+        for p in (a + b, a - b, -a, a * b, a ** e, a.coefficient(zvar(1), j),
+                  a.evaluate({X: x, zvar(1): x, cvar(2): c}), a, P.rational(c),
+                  iterated_residue(ResidueForm(a, dens, (zvar(1), zvar(2)))),
+                  orbit_table(orbit_form(2, q2, lambdas), lambdas)):
+            assert _is_int_when_integral(p)
+
+    def test_hash_is_kept(self, monkeypatch):
+        m = Monomial.make([(X, 1)])
+        p, q = P({m: Fraction(4, 2)}), P({m: 2})
+        assert type(p.terms[m]) is int
+        assert p == q and hash(p) == hash(q)
+
+        def no_frozenset(items):
+            raise AssertionError("the hash was computed again")
+        monkeypatch.setattr(algebra, "frozenset", no_frozenset, raising=False)
+        assert hash(p) == hash(q)
 
 
 class TestFactoredParse:

@@ -823,13 +823,24 @@ class TestJetCommands:
         pytest.param(Raw('{"coefficients": [[1, 2]], '
                          '"coefficients": [[3, 4]]}'), 2, 1,
                      id="repeated-key"),
+        # the entry grammar is a or a/b: a decimal would pass through a
+        # float (this one is not 12345678901234567890123/10^23, and 1e-400
+        # is 0), and an exponent string would be expanded before any check
+        pytest.param(Raw('{"coefficients": [[0.12345678901234567890123, 1]]}'),
+                     2, 1, id="json-decimal"),
+        pytest.param(Raw('{"coefficients": [[1e-400, 1]]}'), 2, 1,
+                     id="json-exponent"),
+        pytest.param({"coefficients": [["1e100000000", 1]]}, 2, 1,
+                     id="exponent-string"),
     ])
     def test_bad_jet_file_exits_2(self, capsys, tmp_path, data, n, k):
         path = tmp_path / "jet.json"
         write_json(path, data)
         for command in ("rho", "minors"):
+            start = time.perf_counter()
             code, out, err = run(capsys, command, "--n", str(n), "--k",
                                  str(k), "--jet", str(path))
+            assert time.perf_counter() - start < 1
             assert (code, out) == (2, "")
             assert json.loads(err)["error"] == "parse-error"
 
