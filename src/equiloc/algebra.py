@@ -8,13 +8,19 @@ Variables come in four disjoint alphabets:
 * Chern symbols ``c1, c2, ...`` (graded: ``ci`` counts with degree ``i``),
 * named scalars (``h``, ``d``, ``delta``, ``m``, jet coordinates, ...).
 
-Terms are stored sparsely, keyed by :class:`Monomial`; no other module
-reads or builds one.  A :class:`Slate` of variables is the only way
-between a :class:`Polynomial` and terms keyed by dense exponent tuples:
-:meth:`Slate.dense` reads a polynomial's terms, :meth:`Slate.polynomial`
-makes dense terms a polynomial.  Every product of two polynomials goes to
-one kernel, :func:`mul_dense`, on such terms; the residue engine and the
-jet embedding matrix (:func:`equiloc.jets.rho`) call it directly.  The
+Terms are stored sparsely, keyed by :class:`Monomial`, which is only a
+key: no other module names one, and in this module a :class:`Slate` of
+variables is the only reader and builder of a term's key.
+:meth:`Slate.dense` reads a polynomial's terms as dense exponent tuples
+over the slate, and :meth:`Slate.polynomial` makes such terms a
+polynomial; every query of a :class:`Polynomial` (printing, a
+coefficient, a degree, an evaluation) and every constructor but the
+constant ones goes through them.  Beyond a slate only the
+:class:`Polynomial` constructor, which checks the exponents, and
+:meth:`Polynomial.variables` read a key.  Every product of two
+polynomials goes to one kernel, :func:`mul_dense`, on such terms; the
+residue engine and the jet embedding matrix (:func:`equiloc.jets.rho`)
+call it directly.  The
 text grammar, :func:`parse_polynomial`, is a recursive descent over the
 text's tokens, each distinct word read once: a number becomes its int and a
 name its slot in one slate of the text's variables (at most
@@ -102,22 +108,16 @@ def _num(c):
 
 
 class Monomial:
-    """Product of variable powers; exponents nonzero, sorted by variable."""
+    """A term's key and nothing else: the tuple ``exps`` of its (variable,
+    exponent) pairs, exponents nonzero, sorted by variable.  A
+    :class:`Slate` is its only reader and builder (see the module
+    docstring)."""
 
     __slots__ = ("exps", "_hash")
 
     def __init__(self, exps):
-        self.exps = exps  # sorted tuple of (Var, exp)
+        self.exps = exps
         self._hash = hash(exps)
-
-    @classmethod
-    def make(cls, pairs) -> "Monomial":
-        """Build from (var, exp) pairs; a variable's exponents add up."""
-        acc: dict[Var, int] = {}
-        for v, e in pairs:
-            acc[v] = acc.get(v, 0) + e
-        return cls(tuple((v, e) for v, e in sorted(
-            acc.items(), key=lambda p: p[0].sort_key) if e))
 
     def __hash__(self):
         return self._hash
@@ -125,42 +125,20 @@ class Monomial:
     def __eq__(self, other):
         return self.exps == other.exps
 
-    def exponent(self, v: Var) -> int:
-        for w, e in self.exps:
-            if w is v:
-                return e
-        return 0
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def weighted_degree(self, weight) -> int:
-        return sum(e * weight(v) for v, e in self.exps)
-
-    def variables(self):
-        return [v for v, _ in self.exps]
-
-    def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self.exps)
-
 
 ONE_MONO = Monomial(())
 
 
-def _grlex_key(m: Monomial, var_order: list[Var]):
-    exp = dict(m.exps)
-    return (m.degree, tuple(exp.get(v, 0) for v in var_order))
-
-
-def _sorted_terms(terms):
-    """Terms in canonical graded-lex order, largest monomial first."""
-    var_order = sorted({v for m in terms for v in m.variables()},
-                       key=lambda v: v.sort_key)
-    return sorted(terms.items(), key=lambda t: _grlex_key(t[0], var_order),
-                  reverse=True)
+def _sorted_terms(p: "Polynomial"):
+    """``(monomial text, coefficient)`` of each term of ``p``, the text
+    empty for the constant term, in canonical graded-lex order over the
+    sorted variables, largest monomial first."""
+    slate = Slate(p.variables())
+    dense = slate.dense(p)
+    names = [v.name for v in slate.vars]
+    return [("*".join(n if e == 1 else f"{n}^{e}"
+                      for n, e in zip(names, key) if e), dense[key])
+            for key in sorted(dense, key=lambda k: (sum(k), k), reverse=True)]
 
 
 def format_rational(x) -> str:
@@ -177,19 +155,19 @@ def format_rational(x) -> str:
         return "/".join(str(decimal.Decimal(i)) for i in parts)
 
 
-def _format_terms(terms) -> str:
-    if not terms:
+def _format_terms(p: "Polynomial") -> str:
+    if not p.terms:
         return "0"
     parts = []
-    for m, c in _sorted_terms(terms):
+    for text, c in _sorted_terms(p):
         sign = "-" if (c < 0) else "+"
         a = format_rational(-c if c < 0 else c)
-        if not m.exps:
+        if not text:
             body = a
         elif a == "1":
-            body = repr(m)
+            body = text
         else:
-            body = f"{a}*{m!r}"
+            body = f"{a}*{text}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     out = ("-" if first_sign == "-" else "") + first_body
@@ -214,9 +192,10 @@ def _add_into(acc: dict, terms, scale=1):
 class Slate:
     """A fixed variable list: ``first`` in the given order, then the other
     variables sorted; over it a term is keyed by its dense exponent tuple.
-    :meth:`polynomial` lists exponents in slate order, so its monomials are
-    canonical as long as the nonzero ``first`` slots of each key are in
-    sorted order."""
+    A slate is the only reader (:meth:`dense`) and builder
+    (:meth:`polynomial`) of a :class:`Monomial`.  :meth:`polynomial` lists
+    exponents in slate order, so its monomials are canonical as long as
+    the nonzero ``first`` slots of each key are in sorted order."""
 
     __slots__ = ("vars", "index")
 
@@ -305,15 +284,21 @@ class Polynomial:
 
     @classmethod
     def var(cls, v: Var, exp: int = 1) -> "Polynomial":
-        return cls({Monomial.make([(v, exp)]): 1})
+        return Slate([v]).polynomial({(exp,): 1})
 
     @classmethod
     def from_terms(cls, pairs) -> "Polynomial":
-        """pairs: iterable of (coefficient, [(var, exp), ...])."""
+        """pairs: iterable of (coefficient, [(var, exp), ...]); a variable's
+        exponents in one list add up."""
+        pairs = [(c, tuple(mexps)) for c, mexps in pairs]
+        slate = Slate({v for _, mexps in pairs for v, _ in mexps})
         acc: dict = {}
         for c, mexps in pairs:
-            _add_into(acc, {Monomial.make(mexps): c})
-        return cls(acc)
+            key = [0] * len(slate.vars)
+            for v, e in mexps:
+                key[slate.index[v]] += e
+            _add_into(acc, {tuple(key): c})
+        return slate.polynomial(acc)
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -340,8 +325,7 @@ class Polynomial:
         """By :func:`mul_dense` over the slate of the variables of both; as
         everywhere, an integral coefficient is an int."""
         other = _coerce(other)
-        slate = Slate({v for m in itertools.chain(self.terms, other.terms)
-                       for v, _ in m.exps})
+        slate = Slate(self.variables() | other.variables())
         return slate.polynomial(
             mul_dense(slate.dense(self), slate.dense(other)))
 
@@ -371,7 +355,7 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return all(not m.exps for m in self.terms)
+        return self.terms.keys() <= {ONE_MONO}
 
     def constant_value(self) -> Fraction:
         if self.is_zero:
@@ -384,42 +368,40 @@ class Polynomial:
         return {v for m in self.terms for v, _ in m.exps}
 
     def degree_in(self, v: Var) -> int:
-        return max((m.exponent(v) for m in self.terms), default=0)
+        slate = Slate(self.variables(), [v])
+        return max((key[0] for key in slate.dense(self)), default=0)
 
     def weighted_degrees(self, weight) -> set[int]:
-        return {m.weighted_degree(weight) for m in self.terms}
+        slate = Slate(self.variables())
+        weights = [weight(v) for v in slate.vars]
+        return {sum(map(mul, key, weights)) for key in slate.dense(self)}
 
     def coefficient(self, v: Var, k: int) -> "Polynomial":
         """The coefficient of ``v^k``, as a polynomial without ``v``."""
-        acc: dict = {}
-        for m, c in self.terms.items():
-            if m.exponent(v) == k:
-                rest = Monomial(tuple(p for p in m.exps if p[0] is not v))
-                acc[rest] = acc.get(rest, 0) + c
-        return Polynomial({m: c for m, c in acc.items() if c})
+        slate = Slate(self.variables(), [v])
+        return Slate(slate.vars[1:]).polynomial({
+            key[1:]: c for key, c in slate.dense(self).items() if key[0] == k})
 
     def evaluate(self, assignment) -> "Polynomial":
         """Partial evaluation at rational values; other variables stay."""
-        values = {v: _num(x) for v, x in assignment.items()}
+        values = [_num(x) for x in assignment.values()]
+        slate = Slate(self.variables(), assignment)
+        s = len(values)
         out: dict = {}
-        for m, c in self.terms.items():
-            keep = []
-            for v, e in m.exps:
-                if v in values:  # an int to a negative power is a float
-                    x = values[v]
+        for key, c in slate.dense(self).items():
+            for x, e in zip(values, key):
+                if e:  # an int to a negative power is a float
                     c = c * x ** e if e > 0 else c * Fraction(x) ** e
-                else:
-                    keep.append((v, e))
-            rest = Monomial(tuple(keep))
+            rest = key[s:]
             nc = out.get(rest, 0) + c
             if nc:
                 out[rest] = nc
             elif rest in out:
                 del out[rest]
-        return Polynomial(out)
+        return Slate(slate.vars[s:]).polynomial(out)
 
     def __str__(self):
-        return _format_terms(self.terms)
+        return _format_terms(self)
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -475,7 +457,7 @@ def compositions(total: int, parts: int):
 
 # -- text grammar -------------------------------------------------------
 
-_VAR_KINDS = {"z": zvar, "l": wvar, "c": cvar}
+_VAR_KINDS = {"z": RESIDUE, "l": WEIGHT, "c": CHERN}
 
 #: One token per match: a run of decimal digits, a run of word characters
 #: (a name; :func:`_tokenize` checks that it starts with a letter or
@@ -497,17 +479,20 @@ def _literal(digits: str) -> int:
         raise InputError(f"a {len(digits)}-digit number is too long") from exc
 
 
-def _classify(name: str) -> Var:
+def _var_key(name: str) -> tuple:
+    """The registry key of the variable a name in text takes, found
+    without interning it: ``z01`` takes ``z1``'s."""
     head, tail = name[0], name[1:]
     if head in _VAR_KINDS and tail.isdecimal():
-        return _VAR_KINDS[head](_literal(tail))
-    return svar(name)
+        i = _literal(tail)
+        return (_VAR_KINDS[head], i, f"{head}{i}")
+    return (SCALAR, None, name)
 
 
 #: Most distinct variables one polynomial text may hold (``z1`` and
 #: ``z01`` are one variable, and a name that no variable can take counts
-#: as one of its own), checked after tokenizing: every term of the text
-#: is a key of one slot per variable.
+#: as one of its own), checked after tokenizing and before any variable
+#: is interned: every term of the text is a key of one slot per variable.
 MAX_TEXT_VARIABLES = 1_000
 
 
@@ -531,7 +516,7 @@ def _tokenize(text: str):
             values[word] = _literal(word)
         elif head.isalpha() or head == "_":
             try:
-                found[word] = _classify(word)
+                found[word] = _var_key(word)
             except InputError:  # raised where the parser reaches the name
                 values[word] = _UNKNOWN
         else:  # a stray character, or a name led by a numeric one like ²
@@ -543,6 +528,7 @@ def _tokenize(text: str):
         raise SizeLimitExceeded(
             f"a text of {width} variables exceeds the limit of "
             f"{MAX_TEXT_VARIABLES} variables")
+    found = {word: Var(*key) for word, key in found.items()}
     slate = Slate(found.values())
     for word, v in found.items():
         values[word] = (1, slate.index[v])
@@ -812,7 +798,7 @@ class _Parser:
             c, self.pos = self.number(pos)
             return self.monomial(c, None)
         if tok is _UNKNOWN:
-            _classify(self.words[pos])  # raises what it raised in _tokenize
+            _var_key(self.words[pos])  # raises what it raised in _tokenize
         if tok != "-" and tok != "(":
             raise InputError(f"unexpected token {self.value(pos)!r} in "
                              "polynomial text")
@@ -850,4 +836,4 @@ def parse_factored(text: str) -> tuple[Polynomial, Polynomial]:
 
 def term_list(p: Polynomial) -> list[tuple[str, Fraction]]:
     """(monomial, coefficient) pairs in the canonical serialization order."""
-    return [(repr(m), Fraction(c)) for m, c in _sorted_terms(p.terms)]
+    return [(text or "1", Fraction(c)) for text, c in _sorted_terms(p)]

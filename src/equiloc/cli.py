@@ -91,7 +91,9 @@ def _load_qtable(path: str):
     table = QTable.builtin()
     data = _load_json(path)
     for key in sorted(data):
-        try:
+        try:  # ASCII digits only: int() also reads " 5", "+5" and "1_0"
+            if not (key.isascii() and key.isdigit()):
+                raise ValueError(key)
             k = int(key)
         except ValueError as exc:
             raise InputError(f"bad order key in q-file: {key!r}") from exc

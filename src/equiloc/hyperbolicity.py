@@ -62,6 +62,8 @@ def _table_entry(n: int, q: QTable | None, low: int) -> Polynomial:
     z_1..z_n are within MAX_FACTOR_TERMS.  For n >= 2, more than n^2 have
     degree n^2 alone, so a larger n is rejected before any binomial is
     formed."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got n={n}")
     qn = (q or QTable.builtin()).get(n)
     terms = (math.comb(n * n + n, n) - math.comb(low + n - 1, n)
              if n * n <= MAX_FACTOR_TERMS else None)

@@ -8,8 +8,8 @@ and reads off the requested Laurent coefficient.  With a large enough
 order the result is exact, and enlarging the order must never change it.
 
 :func:`sparse_product` is the reference for the product kernel: the
-pairwise ``Monomial.make`` merge the package multiplied with before it
-had one dense kernel.  :func:`hypersurface_class` and
+pairwise merge of monomials the package multiplied with before it had
+one dense kernel.  :func:`hypersurface_class` and
 :func:`hypersurface_tail` are the references for the coefficient lists of
 the hyperbolicity module: every product multiplied out in a plain scalar
 ``H``, with no cut at H^n, and coefficients read by
@@ -59,9 +59,9 @@ from operator import add
 
 from equiloc.algebra import (MAX_NESTING, MAX_POWER_TERMS,
                              MAX_PRODUCT_WORK, Monomial,
-                             Polynomial, Slate, _add_into, _check_bits,
-                             _classify, _coefficient_bits, _height_bits,
-                             _literal, _num, _power, compositions, cvar,
+                             Polynomial, Slate, Var, _add_into, _check_bits,
+                             _coefficient_bits, _height_bits, _literal,
+                             _num, _power, _var_key, compositions, cvar,
                              mul_dense, parse_polynomial, svar, zvar)
 from equiloc.errors import InputError, SizeLimitExceeded
 from equiloc.residue import ResidueForm, iterated_residue
@@ -70,12 +70,21 @@ from equiloc.thom import QTable, check_tail_size, curvilinear_form
 H = svar("h")
 
 
+def _merged(pairs) -> Monomial:
+    """The monomial of (var, exp) pairs, a variable's exponents added up."""
+    acc: dict = {}
+    for v, e in pairs:
+        acc[v] = acc.get(v, 0) + e
+    return Monomial(tuple((v, e) for v, e in sorted(
+        acc.items(), key=lambda p: p[0].sort_key) if e))
+
+
 def sparse_product(a: Polynomial, b: Polynomial) -> dict:
-    """Terms of ``a * b``, one ``Monomial.make`` merge per pair of terms."""
+    """Terms of ``a * b``, one :func:`_merged` merge per pair of terms."""
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            m = Monomial.make(ma.exps + mb.exps)
+            m = _merged(ma.exps + mb.exps)
             nc = out.get(m, 0) + ca * cb
             if nc:
                 out[m] = nc
@@ -104,7 +113,7 @@ def hypersurface_tail(n: int, d_poly: Polynomial) -> Polynomial:
     cls = hypersurface_class(n, (1, 1), d_poly)
     acc = Polynomial.one()
     for l in range(1, n + 1):
-        y = Polynomial({Monomial.make([(H, 1), (zvar(l), -1)]): 1})
+        y = Polynomial.from_terms([(1, [(H, 1), (zvar(l), -1)])])
         acc = acc * sum((cls.coefficient(H, i) * y ** i
                          for i in range(n + 1)), Polynomial.zero())
     return acc
@@ -112,8 +121,8 @@ def hypersurface_tail(n: int, d_poly: Polynomial) -> Polynomial:
 
 def zshift(n: int, power: int) -> Polynomial:
     """(z_1...z_n)^-power."""
-    return Polynomial({Monomial.make([(zvar(l), -power)
-                                      for l in range(1, n + 1)]): 1})
+    return Polynomial.from_terms([(1, [(zvar(l), -power)
+                                       for l in range(1, n + 1)])])
 
 
 def zsum(n: int) -> Polynomial:
@@ -147,11 +156,11 @@ def thom_form(k: int, codim: int, q: QTable) -> ResidueForm:
     qk = q.get(k)
     check_tail_size(k, codim)
     cmax = k * (codim + 1)
-    terms = {}
+    terms = []
     for parts in compositions(cmax, k):
         pairs = [(zvar(l), codim - a) for l, a in enumerate(parts, 1)]
-        terms[Monomial.make(pairs + [(cvar(a), 1) for a in parts if a])] = 1
-    return curvilinear_form(k, qk, Polynomial(terms))
+        terms.append((1, pairs + [(cvar(a), 1) for a in parts if a]))
+    return curvilinear_form(k, qk, Polynomial.from_terms(terms))
 
 
 def orbits(k: int, low: int, high: int) -> list[tuple[int, ...]]:
@@ -449,7 +458,7 @@ class _Parser:
         found, unknown = {}, 0
         for name in {v for kind, v in self.tokens if kind == "var"}:
             try:
-                found[name] = _classify(name)
+                found[name] = Var(*_var_key(name))
             except InputError:  # raised where the parser reaches the name
                 unknown += 1
         slate = self.slate = Slate(found.values())
@@ -592,7 +601,7 @@ class _Parser:
             return {self.zero: value} if value else {}
         if kind == "var":
             if value not in self.units:
-                _classify(value)  # raises what it raised in __init__
+                _var_key(value)  # raises what it raised in __init__
             return {self.units[value]: 1}
         if kind not in ("-", "("):
             raise InputError(f"unexpected token {value!r} in polynomial text")

@@ -4,7 +4,10 @@ package names ``Monomial`` or ``ONE_MONO``, or reads ``.terms``,
 and dense terms through a ``Slate`` instead, so a change of the storage
 touches ``algebra`` alone.  ``__init__`` is held to the same rule: it
 names its public ``Monomial`` only as a string, resolved on first
-access."""
+access.  Inside ``algebra`` a ``Slate`` is the only reader and builder of
+a term's key: no ``.exps`` and no ``Monomial(...)`` call stands outside
+``Monomial``, ``ONE_MONO``, ``Slate``, ``Polynomial.__init__`` and
+``Polynomial.variables``."""
 
 from __future__ import annotations
 
@@ -57,3 +60,85 @@ def test_the_walk_finds_every_kind_of_site():
 def test_init_is_held_to_the_same_rule():
     assert sites(SAMPLE, "__init__.py") == [
         site.replace("m.py", "__init__.py") for site in sites(SAMPLE, "m.py")]
+
+
+#: Where inside ``algebra`` a term's key may be read or built: a ``Slate``
+#: is the only reader and builder; the constructor checks exponents and
+#: ``variables`` collects a slate's variables.  The name of a module-level
+#: assignment is the scope of its value.
+KEY_SCOPES = frozenset({"Monomial", "ONE_MONO", "Slate",
+                        "Polynomial.__init__", "Polynomial.variables"})
+
+
+def key_sites(source: str) -> list[tuple[int, int, str, str]]:
+    """``(line, column, scope, what)`` of each ``.exps`` and each
+    ``Monomial(...)`` call in the source; ``scope`` is the dotted path of
+    the enclosing classes and functions."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = (*scope, child.name)
+            elif (not scope and isinstance(child, ast.Assign)
+                  and isinstance(child.targets[0], ast.Name)):
+                inner = (child.targets[0].id,)
+            elif isinstance(child, ast.Attribute) and child.attr == "exps":
+                found.append((child.lineno, child.col_offset,
+                              ".".join(scope), ".exps"))
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Name)
+                  and child.func.id == "Monomial"):
+                found.append((child.lineno, child.col_offset,
+                              ".".join(scope), "Monomial("))
+            walk(child, inner)
+
+    walk(ast.parse(source), ())
+    return sorted(found)
+
+
+def outside_key_scopes(source: str, module: str) -> list[str]:
+    return [f"{module}:{line} {scope} {what}"
+            for line, _, scope, what in key_sites(source)
+            if not any(scope == s or scope.startswith(s + ".")
+                       for s in KEY_SCOPES)]
+
+
+def test_only_a_slate_reads_or_builds_a_key_in_algebra():
+    source = (PACKAGE / "algebra.py").read_text(encoding="utf-8")
+    found = outside_key_scopes(source, "algebra.py")
+    assert not found, "term keys read or built outside a Slate:\n" + (
+        "\n".join(found))
+
+
+KEY_SAMPLE = """ONE_MONO = Monomial(())
+ONE = Monomial(())
+class Monomial:
+    def __init__(self, exps):
+        self.exps = exps
+class Polynomial:
+    def variables(self):
+        return {v for m in self.terms for v, _ in m.exps}
+    def degree(self):
+        def inner(m):
+            return m.exps
+        return Monomial(inner(self))
+def f(p):
+    return Monomial(p.exps)
+"""
+
+
+def test_the_key_walk_finds_every_kind_of_site():
+    assert [(line, scope, what)
+            for line, _, scope, what in key_sites(KEY_SAMPLE)] == [
+        (1, "ONE_MONO", "Monomial("), (2, "ONE", "Monomial("),
+        (5, "Monomial.__init__", ".exps"),
+        (8, "Polynomial.variables", ".exps"),
+        (11, "Polynomial.degree.inner", ".exps"),
+        (12, "Polynomial.degree", "Monomial("),
+        (14, "f", "Monomial("), (14, "f", ".exps")]
+    assert outside_key_scopes(KEY_SAMPLE, "m.py") == [
+        "m.py:2 ONE Monomial(", "m.py:11 Polynomial.degree.inner .exps",
+        "m.py:12 Polynomial.degree Monomial(", "m.py:14 f Monomial(",
+        "m.py:14 f .exps"]

@@ -239,6 +239,13 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
+    @pytest.mark.parametrize("command", ["gg", "theta", "euler"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_order_below_one_names_n(self, capsys, command, n):
+        code, out, err = run(capsys, command, "--n", n)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == f"need n >= 1, got n={n}"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["thom", "--help"])
@@ -732,6 +739,8 @@ class TestScanAndUserTables:
         # two keys that name one order
         {"05": "z1", "5": "z2"},
         {"x": "z1"}, {"1e3": "z1"},
+        # int() reads each of these as an order: 10, 5, 5 and 5
+        {"1_0": "z1"}, {" 5": "z1"}, {"+5": "z1"}, {"\u0665": "z1"},
         pytest.param(Raw('{"5": "z1", "5": "z2"}'), id="repeated-key"),
     ])
     def test_bad_q_file_exits_2(self, capsys, tmp_path, table):

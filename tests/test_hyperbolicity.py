@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from equiloc import hyperbolicity, thom
-from equiloc.algebra import Polynomial, parse_polynomial, zvar
+from equiloc.algebra import Polynomial, Slate, parse_polynomial, zvar
 from equiloc.errors import MissingQ, SizeLimitExceeded
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR,
                                    MAX_FACTOR_TERMS, EulerResult,
@@ -83,10 +83,12 @@ def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
     _tower_residue(n, qn, [1] * (n + 1))
     (form,) = forms
     groups = {}
-    for m, c in form.numerator.terms.items():
-        assert c == 1 and set(m.variables()) <= {*form.order, thom._ORBIT}
-        groups.setdefault(m.exponent(thom._ORBIT), set()).add(
-            tuple(m.exponent(z) for z in form.order))
+    numerator = form.numerator
+    assert numerator.variables() <= {*form.order, thom._ORBIT}
+    slate = Slate(numerator.variables(), [thom._ORBIT, *form.order])
+    for (tag, *exps), c in slate.dense(numerator).items():
+        assert c == 1
+        groups.setdefault(tag, set()).add(tuple(exps))
     assert sorted(groups) == list(range(len(groups)))
     orbits = set()
     for exps in groups.values():
@@ -95,8 +97,8 @@ def test_tower_form_is_the_read_part_of_the_product(n, monkeypatch):
         orbits.add(tuple(sorted(first)))
     assert len(orbits) == len(groups)
     read = oracles.tower_form(n, qn, [1] * (n + 1), P.var(D_VAR)).numerator
-    assert orbits == {tuple(sorted(m.exponent(z) for z in form.order))
-                      for m in read.terms}
+    slate = Slate(read.variables(), form.order)
+    assert orbits == {tuple(sorted(key[:n])) for key in slate.dense(read)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiloc import hyperbolicity, residue, thom
-from equiloc.algebra import (CHERN, RESIDUE, Polynomial, parse_polynomial,
-                             zvar)
+from equiloc.algebra import (CHERN, RESIDUE, Polynomial, Slate,
+                             parse_polynomial, zvar)
 from equiloc.cli import main
 from equiloc.errors import InputError, MissingQ, SizeLimitExceeded
 from equiloc.thom import (MAX_TAIL_TERMS, QTable, ThomResult,
@@ -124,11 +124,12 @@ class TestGoldenValues:
         numerator = form.numerator
         assert len(numerator.terms) == math.comb(cmax + k - 1, k - 1)
         groups = {}
-        for m, c in numerator.terms.items():
+        assert numerator.variables() <= {*form.order, thom._ORBIT}
+        slate = Slate(numerator.variables(), [thom._ORBIT, *form.order])
+        for (tag, *exps), c in slate.dense(numerator).items():
             assert c == 1
-            assert set(m.variables()) <= {*form.order, thom._ORBIT}
-            groups.setdefault(m.exponent(thom._ORBIT), set()).add(
-                tuple(codim - m.exponent(z) for z in form.order))
+            groups.setdefault(tag, set()).add(
+                tuple(codim - e for e in exps))
         assert sorted(groups) == list(range(len(groups)))
         orbits = set()
         for parts in groups.values():
@@ -289,9 +290,11 @@ class TestOneResiduePerOrder:
         # with i sorted and sum_j i_j = 0: a_i must not depend on l
         seen = {}
         for l in range(_TOPS[k] + 1):
-            for m, c in thom_polynomial(k, l).polynomial.terms.items():
-                indices = [v.index for v in m.variables()
-                           for _ in range(m.exponent(v))]
+            poly = thom_polynomial(k, l).polynomial
+            slate = Slate(poly.variables())
+            for key, c in slate.dense(poly).items():
+                indices = [v.index for v, e in zip(slate.vars, key)
+                           for _ in range(e)]
                 indices += [0] * (k - len(indices))
                 i = tuple(sorted(a - l - 1 for a in indices))
                 assert sum(i) == 0
