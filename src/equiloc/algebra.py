@@ -459,10 +459,10 @@ def compositions(total: int, parts: int):
 
 _VAR_KINDS = {"z": RESIDUE, "l": WEIGHT, "c": CHERN}
 
-#: One token per match: a run of decimal digits, a run of word characters
+#: One token per match: a run of ASCII digits, a run of word characters
 #: (a name; :func:`_tokenize` checks that it starts with a letter or
 #: ``_``), or any other character but whitespace, which only separates.
-_TOKEN = re.compile(r"\d+|\w+|\S")
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
 
 _OPERATORS = frozenset("-+*^()/")
 
@@ -481,9 +481,13 @@ def _literal(digits: str) -> int:
 
 def _var_key(name: str) -> tuple:
     """The registry key of the variable a name in text takes, found
-    without interning it: ``z01`` takes ``z1``'s."""
+    without interning it: ``z01`` takes ``z1``'s.  A ``z``, ``l`` or ``c``
+    index is read in ASCII digits only: ``z\u0665`` is an InputError, not
+    ``z5``."""
     head, tail = name[0], name[1:]
     if head in _VAR_KINDS and tail.isdecimal():
+        if not tail.isascii():
+            raise InputError(f"the index of {name!r} is not in ASCII digits")
         i = _literal(tail)
         return (_VAR_KINDS[head], i, f"{head}{i}")
     return (SCALAR, None, name)
@@ -512,14 +516,14 @@ def _tokenize(text: str):
         head = word[0]
         if word in _OPERATORS:
             values[word] = word
-        elif head.isdecimal():
+        elif head in "0123456789":
             values[word] = _literal(word)
         elif head.isalpha() or head == "_":
             try:
                 found[word] = _var_key(word)
             except InputError:  # raised where the parser reaches the name
                 values[word] = _UNKNOWN
-        else:  # a stray character, or a name led by a numeric one like ²
+        else:  # a stray character, or a word led by a digit like ² or ٥
             raise InputError(f"unexpected character {head!r} "
                              "in polynomial text")
     width = (len(set(found.values()))

@@ -33,6 +33,19 @@ def _rat(text: str) -> Fraction:
     raise InputError(f"not a rational number: {text!r}")
 
 
+def _int(text: str) -> int:
+    """An integer read from outside, an option or a q-file order key:
+    ASCII digits with an optional minus sign.  ``int()`` alone also reads
+    ``" 5"``, ``"+5"``, ``"1_0"`` and the digits of other scripts.
+    Raises ValueError, which argparse reports as a bad value."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value: ..."
+
+
 def _unique_keys(pairs) -> dict:
     """A JSON object's dict; InputError when a key repeats, since any one
     reading of it would be a guess."""
@@ -91,10 +104,8 @@ def _load_qtable(path: str):
     table = QTable.builtin()
     data = _load_json(path)
     for key in sorted(data):
-        try:  # ASCII digits only: int() also reads " 5", "+5" and "1_0"
-            if not (key.isascii() and key.isdigit()):
-                raise ValueError(key)
-            k = int(key)
+        try:
+            k = _int(key)
         except ValueError as exc:
             raise InputError(f"bad order key in q-file: {key!r}") from exc
         table = table.with_entry(k, parse_polynomial(data[key]))
@@ -247,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = _ArgParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     seeded = _ArgParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+    seeded.add_argument("--seed", type=_int, default=0,
                         help="seed for randomized weight draws")
     tabled = _ArgParser(add_help=False)
     tabled.add_argument("--q-file", type=_load_qtable, default=None,
                         help="JSON map of extra numerator polynomials")
     jet = _ArgParser(add_help=False)
-    jet.add_argument("--n", type=int, required=True)
-    jet.add_argument("--k", type=int, required=True)
+    jet.add_argument("--n", type=_int, required=True)
+    jet.add_argument("--k", type=_int, required=True)
     jet.add_argument("--jet", required=True, help="path to the jet file")
 
     parser = _ArgParser(
@@ -269,47 +280,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grass-integrate", parents=[common, seeded],
                        help="intersection number on Grass(k, n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--class", required=True,
                    help="polynomial in c1..ck, e.g. 'c1^2*c2'")
     p.set_defaults(func=_cmd_grass_integrate)
 
     p = sub.add_parser("flag-check", parents=[common, seeded],
                        help="fixed-point vs residue identity trials")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=20)
     p.set_defaults(func=_cmd_flag_check)
 
     p = sub.add_parser("thom", parents=[common, tabled],
                        help="singularity-locus polynomial")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--codim", type=int, default=0)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--codim", type=_int, default=0)
     p.set_defaults(func=_cmd_thom)
 
     p = sub.add_parser("thom-scan", parents=[common, tabled],
                        help="table of polynomials over a (k, codim) range")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--lmax", type=int, required=True)
+    p.add_argument("--kmax", type=_int, required=True)
+    p.add_argument("--lmax", type=_int, required=True)
     p.add_argument("--check-positivity", action="store_true")
     p.set_defaults(func=_cmd_thom_scan)
 
     p = sub.add_parser("gg", parents=[common, tabled],
                        help="hypersurface intersection polynomial p(n, d, delta)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta", default=None)
     p.add_argument("--d", default=None)
     p.set_defaults(func=_cmd_gg)
 
     p = sub.add_parser("theta", parents=[common, tabled],
                        help="leading-coefficient constant")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("euler", parents=[common, tabled],
                        help="Euler characteristic of the weight-m jet sheaf")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--d", default=None, help="hypersurface degree; "
                    "omit to keep it symbolic")
     p.set_defaults(func=_cmd_euler)

@@ -70,7 +70,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (MAX_COEFFICIENT_BITS, RESIDUE, Polynomial, Slate,
-                      _add_into, _height_bits, _num, _literal, mul_dense,
+                      _add_into, _height_bits, _num, _var_key, mul_dense,
                       parse_factored, parse_polynomial, zvar)
 from .errors import (InputError, NoDominantVariable, SizeLimitExceeded,
                      WindowOverflow)
@@ -284,12 +284,12 @@ def residue_job(job: dict) -> dict:
         raise InputError("malformed residue job: denominators and order "
                          "must be lists")
     order = []
-    for name in order_names:
-        if not (isinstance(name, str) and name.startswith("z")
-                and name[1:].isdecimal()):
+    for name in order_names:  # read as polynomial text reads a name
+        key = _var_key(name) if isinstance(name, str) and name else None
+        if key is None or key[0] != RESIDUE:
             raise InputError(
                 f"order entries must be residue variables, got {name!r}")
-        order.append(zvar(_literal(name[1:])))
+        order.append(zvar(key[1]))
     prefactor, body = parse_factored(num_text)
     dens = tuple(parse_polynomial(t) for t in den_texts)
     result = iterated_residue(ResidueForm(body, dens, tuple(order),

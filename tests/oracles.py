@@ -421,10 +421,10 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
 # variable can take (a 4,301-digit index) counts as one variable of its own,
 # and no limit bounds the variables of one text.
 
-#: One token per match, after any whitespace: a run of decimal digits, a
+#: One token per match, after any whitespace: a run of ASCII digits, a
 #: run of word characters (a name; :func:`_tokenize` checks that it starts
 #: with a letter or ``_``), an operator, or any other character.
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()/])|(\S))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|([-+*^()/])|(\S))")
 
 
 def _tokenize(text: str) -> list:

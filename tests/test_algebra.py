@@ -300,19 +300,29 @@ class TestGrammar:
             (z ** i for i in range(500)), P.zero())
 
     def test_tokens(self):
-        # the character classes of str: isdecimal digits start a number,
+        # the character classes of str: ASCII digits start a number,
         # isalpha or _ start a name, isalnum or _ continue it, isspace is
         # whitespace
-        assert parse_polynomial("z\u0661") == P.var(zvar(1))  # Arabic-Indic 1
         assert parse_polynomial("x\u00b2") == P.var(svar("x\u00b2"))
         assert parse_polynomial("\u01c51") == P.var(svar("\u01c51"))
         assert parse_polynomial("_a*b") == P.var(svar("_a")) * P.var(svar("b"))
         assert parse_polynomial("x\u00a0+\u00a0y") == P.var(X) + P.var(Y)
-        for text, char in (("\u00b2x", "\u00b2"), ("1.5", "."), ("$", "$")):
+        for text, char in (("\u00b2x", "\u00b2"), ("1.5", "."), ("$", "$"),
+                           ("\u0661 + 1", "\u0661"), ("5\u0665", "\u0665")):
             with pytest.raises(InputError) as exc:
                 parse_polynomial(text)
             assert str(exc.value) == \
                 f"unexpected character {char!r} in polynomial text"
+
+    @pytest.mark.parametrize("text, name", [
+        ("z\u0661", "z\u0661"), ("z\u0665 + z5", "z\u0665"),
+        ("l\u0663*z1", "l\u0663"), ("c1\u0662", "c1\u0662")])
+    def test_variable_index_takes_ascii_digits_only(self, text, name):
+        # an Arabic-Indic digit is decimal to str, but z\u0665 is not z5
+        with pytest.raises(InputError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == \
+            f"the index of {name!r} is not in ASCII digits"
 
     @given(_polys(vars=(X, Y, zvar(1)), max_terms=1),
            _polys(vars=(X, Y, zvar(1))))

@@ -231,6 +231,12 @@ class TestErrors:
         ("gg", "--n", "1", "--delta", "1/0"),
         ("grass-integrate", "--n", "3", "--k", "3", "--class", "1"),
         ("grass-integrate", "--n", "3", "--k", "0", "--class", "1"),
+        # int() reads each of these: 2, 10, 2 and 1; an integer option
+        # takes ASCII digits with an optional minus sign only
+        ("thom", "--k", "\u0662"),
+        ("thom", "--k", "1_0"),
+        ("thom", "--k", " 2"),
+        ("thom", "--k", "2", "--codim", "+1"),
     ])
     def test_argument_errors_exit_2(self, capsys, argv):
         start = time.perf_counter()

@@ -497,3 +497,11 @@ class TestJsonJobs:
         with pytest.raises(InputError):
             residue_job({"numerator": "1", "denominators": ["z1"],
                          "order": ["q1"]})
+
+    def test_order_names_take_ascii_digits_only(self):
+        # an order name is read as polynomial text reads a name: z05 is
+        # z5, and z\u0665 (an Arabic-Indic 5) is no residue variable
+        job = {"numerator": "1", "denominators": ["z5 - 1"]}
+        assert residue_job({**job, "order": ["z05"]}) == {"residue": "-1"}
+        with pytest.raises(InputError, match="not in ASCII digits"):
+            residue_job({**job, "order": ["z\u0665"]})
