@@ -8,7 +8,12 @@ arguments with code 2, both with a JSON error object on stderr.
 
 Each handler imports the modules it runs when it runs, so a process
 loads only the computing modules of its one subcommand, and ``--help``
-and usage errors load none.
+and usage errors load none.  Likewise a process builds only its own
+subcommand's parser: when the first argument names a subcommand,
+:func:`main` builds that one subparser, and any other invocation (none,
+``-h``, an unknown name) gets the full parser.  The help, usage and
+error texts are the same either way.  Under ``--format text`` no JSON
+value is built.
 """
 
 from __future__ import annotations
@@ -72,8 +77,10 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(args, text_value, json_value):
+    """Print ``text_value``, or under ``--format json`` the value that the
+    zero-argument callable ``json_value`` builds, which text never calls."""
     if args.format == "json":
-        print(json.dumps(json_value, sort_keys=True, indent=2))
+        print(json.dumps(json_value(), sort_keys=True, indent=2))
     else:
         print(text_value)
 
@@ -128,7 +135,7 @@ def _cmd_residue(args):
     from .residue import residue_job
     job = _load_json(args.job)
     out = residue_job(job)
-    _emit(args, out["residue"], out)
+    _emit(args, out["residue"], lambda: out)
 
 
 def _cmd_grass_integrate(args):
@@ -136,9 +143,10 @@ def _cmd_grass_integrate(args):
     from .localization import grass_integrate
     cls = parse_polynomial(getattr(args, "class"))
     value = grass_integrate(args.n, args.k, cls, seed=args.seed)
-    _emit(args, format_rational(value),
-          {"n": args.n, "k": args.k, "class": getattr(args, "class"),
-           "integral": format_rational(value)})
+    text = format_rational(value)
+    _emit(args, text, lambda: {"n": args.n, "k": args.k,
+                               "class": getattr(args, "class"),
+                               "integral": text})
 
 
 def _cmd_flag_check(args):
@@ -147,7 +155,7 @@ def _cmd_flag_check(args):
     lines = [f"trial {r['trial']}: value={r['value']} match={r['match']}"
              for r in report["results"]]
     lines.append(f"all_match={report['all_match']}")
-    _emit(args, "\n".join(lines), report)
+    _emit(args, "\n".join(lines), lambda: report)
     if not report["all_match"]:
         raise DomainError("fixed-point and residue values disagreed")
 
@@ -165,26 +173,27 @@ def _thom_json(result) -> dict:
 def _cmd_thom(args):
     from .thom import thom_polynomial
     result = thom_polynomial(args.k, args.codim, args.q_file)
-    _emit(args, str(result.polynomial), _thom_json(result))
+    _emit(args, str(result.polynomial), lambda: _thom_json(result))
 
 
 def _cmd_thom_scan(args):
     from .algebra import format_rational
     from .thom import positivity_check, thom_scan
-    rows, lines = [], []
+    rows, lines = [], []  # rows: each result and the JSON keys it adds
     for result in thom_scan(args.kmax, args.lmax, args.q_file):
-        entry = _thom_json(result)
         line = f"k={result.k} codim={result.codim}: {result.polynomial}"
+        extra = {}
         if args.check_positivity:
             report = positivity_check(result)
             terms = [[m, format_rational(c)] for m, c in report.negative_terms]
-            entry["negative_terms"] = terms
+            extra["negative_terms"] = terms
             line += ("  [all coefficients nonnegative]"
                      if report.all_nonnegative else "  [NEGATIVE: "
                      + ", ".join(f"{m}={c}" for m, c in terms) + "]")
-        rows.append(entry)
+        rows.append((result, extra))
         lines.append(line)
-    _emit(args, "\n".join(lines), rows)
+    _emit(args, "\n".join(lines),
+          lambda: [{**_thom_json(result), **extra} for result, extra in rows])
 
 
 def _cmd_gg(args):
@@ -192,28 +201,29 @@ def _cmd_gg(args):
     from .algebra import format_rational
     delta, d = (None if t is None else _rat(t) for t in (args.delta, args.d))
     result = hyperbolicity.intersection_polynomial(args.n, args.q_file)
-    payload = {"n": args.n, "polynomial": str(result.polynomial),
+    values = {v: x for v, x in ((hyperbolicity.DELTA_VAR, delta),
+                                (hyperbolicity.D_VAR, d)) if x is not None}
+    poly = result.polynomial.evaluate(values) if values else result.polynomial
+    text = str(poly)
+
+    def payload():
+        out = {"n": args.n, "polynomial": str(result.polynomial),
                "theta": format_rational(result.theta),
                "leading": str(result.leading)}
-    values = {}
-    if delta is not None:
-        values[hyperbolicity.DELTA_VAR] = delta
-        payload["delta"] = args.delta
-    if d is not None:
-        values[hyperbolicity.D_VAR] = d
-        payload["d"] = args.d
-    poly = result.polynomial
-    if values:
-        poly = poly.evaluate(values)
-        payload["value"] = str(poly)
-    _emit(args, str(poly), payload)
+        out.update((key, value) for key, value in (("delta", args.delta),
+                                                   ("d", args.d))
+                   if value is not None)
+        if values:
+            out["value"] = text
+        return out
+    _emit(args, text, payload)
 
 
 def _cmd_theta(args):
     from .algebra import format_rational
     from .hyperbolicity import leading_constant
     value = format_rational(leading_constant(args.n, args.q_file))
-    _emit(args, value, {"n": args.n, "theta": value})
+    _emit(args, value, lambda: {"n": args.n, "theta": value})
 
 
 def _cmd_euler(args):
@@ -221,10 +231,9 @@ def _cmd_euler(args):
     from .hyperbolicity import euler_characteristic
     d = _rat(args.d) if args.d is not None else None
     result = euler_characteristic(args.n, d, args.q_file)
-    payload = {"n": args.n, "chi": str(result.chi)}
-    if d is not None:
-        payload["d"] = format_rational(d)
-    _emit(args, str(result.chi), payload)
+    chi = str(result.chi)
+    _emit(args, chi, lambda: {"n": args.n, "chi": chi, **(
+        {} if d is None else {"d": format_rational(d)})})
 
 
 def _cmd_rho(args):
@@ -233,9 +242,9 @@ def _cmd_rho(args):
     curve = _load_jet(args.jet, args.n, args.k)
     matrix = [[format_rational(x) for x in row] for row in rho(curve)]
     text = "\n".join("\t".join(row) for row in matrix)
-    _emit(args, text, {"n": args.n, "k": args.k,
-                       "basis": _basis_labels(args.n, args.k),
-                       "matrix": matrix})
+    _emit(args, text, lambda: {"n": args.n, "k": args.k,
+                               "basis": _basis_labels(args.n, args.k),
+                               "matrix": matrix})
 
 
 def _cmd_minors(args):
@@ -244,7 +253,7 @@ def _cmd_minors(args):
     curve = _load_jet(args.jet, args.n, args.k)
     minors = [format_rational(x) for x in invariant_minors(curve)]
     _emit(args, "\n".join(minors),
-          {"n": args.n, "k": args.k, "minors": minors})
+          lambda: {"n": args.n, "k": args.k, "minors": minors})
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -254,90 +263,78 @@ class _ArgParser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _ArgParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    seeded = _ArgParser(add_help=False)
-    seeded.add_argument("--seed", type=_int, default=0,
-                        help="seed for randomized weight draws")
-    tabled = _ArgParser(add_help=False)
-    tabled.add_argument("--q-file", type=_load_qtable, default=None,
-                        help="JSON map of extra numerator polynomials")
-    jet = _ArgParser(add_help=False)
-    jet.add_argument("--n", type=_int, required=True)
-    jet.add_argument("--k", type=_int, required=True)
-    jet.add_argument("--jet", required=True, help="path to the jet file")
+def _option(*flags, **kwargs) -> tuple:
+    """One ``add_argument`` call, as its (flags, keywords)."""
+    return flags, kwargs
 
+
+_FORMAT = _option("--format", choices=("text", "json"), default="text")
+_SEED = _option("--seed", type=_int, default=0,
+                help="seed for randomized weight draws")
+_Q_FILE = _option("--q-file", type=_load_qtable, default=None,
+                  help="JSON map of extra numerator polynomials")
+_N = _option("--n", type=_int, required=True)
+_K = _option("--k", type=_int, required=True)
+_JET = (_N, _K, _option("--jet", required=True, help="path to the jet file"))
+
+#: Each subcommand: its handler, its help line and its options after
+#: ``--format``, in the order ``--help`` lists them.
+_COMMANDS = {
+    "residue": (_cmd_residue, "run a JSON residue job", (
+        _option("--job", required=True, help="path to the job file"),)),
+    "grass-integrate": (
+        _cmd_grass_integrate, "intersection number on Grass(k, n)", (
+            _SEED, _N, _K, _option("--class", required=True,
+                                   help="polynomial in c1..ck, "
+                                   "e.g. 'c1^2*c2'"))),
+    "flag-check": (
+        _cmd_flag_check, "fixed-point vs residue identity trials", (
+            _SEED, _N, _option("--d", type=_int, required=True),
+            _option("--trials", type=_int, default=20))),
+    "thom": (_cmd_thom, "singularity-locus polynomial", (
+        _Q_FILE, _K, _option("--codim", type=_int, default=0))),
+    "thom-scan": (
+        _cmd_thom_scan, "table of polynomials over a (k, codim) range", (
+            _Q_FILE, _option("--kmax", type=_int, required=True),
+            _option("--lmax", type=_int, required=True),
+            _option("--check-positivity", action="store_true"))),
+    "gg": (
+        _cmd_gg, "hypersurface intersection polynomial p(n, d, delta)", (
+            _Q_FILE, _N, _option("--delta", default=None),
+            _option("--d", default=None))),
+    "theta": (_cmd_theta, "leading-coefficient constant", (_Q_FILE, _N)),
+    "euler": (
+        _cmd_euler, "Euler characteristic of the weight-m jet sheaf", (
+            _Q_FILE, _N, _option("--d", default=None,
+                                 help="hypersurface degree; "
+                                 "omit to keep it symbolic"))),
+    "rho": (_cmd_rho, "jet embedding matrix", _JET),
+    "minors": (_cmd_minors, "maximal minors of the jet embedding matrix",
+               _JET),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The ``equiloc`` parser, with the subparser of every subcommand, or
+    of the one named ``only``."""
     parser = _ArgParser(
         prog="equiloc",
         description="exact localization / iterated-residue calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("residue", parents=[common],
-                       help="run a JSON residue job")
-    p.add_argument("--job", required=True, help="path to the job file")
-    p.set_defaults(func=_cmd_residue)
-
-    p = sub.add_parser("grass-integrate", parents=[common, seeded],
-                       help="intersection number on Grass(k, n)")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--class", required=True,
-                   help="polynomial in c1..ck, e.g. 'c1^2*c2'")
-    p.set_defaults(func=_cmd_grass_integrate)
-
-    p = sub.add_parser("flag-check", parents=[common, seeded],
-                       help="fixed-point vs residue identity trials")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--d", type=_int, required=True)
-    p.add_argument("--trials", type=_int, default=20)
-    p.set_defaults(func=_cmd_flag_check)
-
-    p = sub.add_parser("thom", parents=[common, tabled],
-                       help="singularity-locus polynomial")
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--codim", type=_int, default=0)
-    p.set_defaults(func=_cmd_thom)
-
-    p = sub.add_parser("thom-scan", parents=[common, tabled],
-                       help="table of polynomials over a (k, codim) range")
-    p.add_argument("--kmax", type=_int, required=True)
-    p.add_argument("--lmax", type=_int, required=True)
-    p.add_argument("--check-positivity", action="store_true")
-    p.set_defaults(func=_cmd_thom_scan)
-
-    p = sub.add_parser("gg", parents=[common, tabled],
-                       help="hypersurface intersection polynomial p(n, d, delta)")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--d", default=None)
-    p.set_defaults(func=_cmd_gg)
-
-    p = sub.add_parser("theta", parents=[common, tabled],
-                       help="leading-coefficient constant")
-    p.add_argument("--n", type=_int, required=True)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("euler", parents=[common, tabled],
-                       help="Euler characteristic of the weight-m jet sheaf")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--d", default=None, help="hypersurface degree; "
-                   "omit to keep it symbolic")
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("rho", parents=[common, jet],
-                       help="jet embedding matrix")
-    p.set_defaults(func=_cmd_rho)
-
-    p = sub.add_parser("minors", parents=[common, jet],
-                       help="maximal minors of the jet embedding matrix")
-    p.set_defaults(func=_cmd_minors)
+    for name, (func, text, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flags, kwargs in (_FORMAT, *options):
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(only).parse_args(argv)
         args.func(args)
     except EquilocError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}),

@@ -21,7 +21,8 @@ H's product of tangent weights is (−1)^(m_H)·Δ / V(u_(H^c)), V the
 Vandermonde of the lines outside H, so the flag sum is one int divided
 once by Δ.  The class's reading and alternant tree hold no weight, and
 the last one is cached: a ``flag-check`` trial reads its class once for
-its six values, three draws by two routes.  The powers of L and the
+its six values, three draws by two routes.  ``grass_integrate`` reads its
+class once, in the degree check, for all its draws.  The powers of L and the
 class's coefficient denominator are applied once, at the end.  A
 negative d or k, a weight list whose length is not n, or a class holding
 a variable the sum does not assign or a negative power of one, is an
@@ -117,13 +118,16 @@ def draw_weights(n: int, rng: random.Random) -> list[Fraction]:
 
 def grass_class_degree_check(n: int, k: int, cls: Polynomial):
     """Require every monomial to use c_1..c_k only, with weighted degree
-    (deg c_i = i) equal to dim Grass(k, n) = k(n-k)."""
+    (deg c_i = i) equal to dim Grass(k, n) = k(n-k).  Returns the class's
+    reading (:func:`_read_class`), which then holds at every scale, since
+    each of its terms has the largest degree."""
     target = k * (n - k)
-    _, _, degrees = _read_class(cls, cvar, k, range(1, k + 1), "class")
-    wrong = set(degrees) - {target}
+    reading = _read_class(cls, cvar, k, range(1, k + 1), "class")
+    wrong = set(reading[2]) - {target}
     if wrong:
         raise DegreeMismatch(
             f"class has weighted degree {sorted(wrong)}, expected {target}")
+    return reading
 
 
 def _scaled(n: int, weights) -> tuple[list[int], int]:
@@ -194,8 +198,14 @@ def grass_sum_at(n: int, k: int, cls: Polynomial, mu) -> Fraction:
     """
     _check_rank("k", k)
     u, scale = _scaled(n, mu)
-    terms, den, degrees = _read_class(cls, cvar, k, range(1, k + 1),
-                                      "class", scale)
+    reading = _read_class(cls, cvar, k, range(1, k + 1), "class", scale)
+    return _grass_sum(n, k, reading, u, scale)
+
+
+def _grass_sum(n: int, k: int, reading, u, scale: int) -> Fraction:
+    """:func:`grass_sum_at` at the weights u/scale, u as from
+    :func:`_scaled`, of the class read at that scale."""
+    terms, den, degrees = reading
     tops = list(map(max, zip(*terms)))
     total = Fraction(0)
     for subset in itertools.combinations(range(n), k):
@@ -214,16 +224,17 @@ def grass_integrate(n: int, k: int, cls: Polynomial, *,
                     seed: int = 0) -> Fraction:
     """Fixed-point pairing of a polynomial in the Chern classes of the
     tautological bundle over Grass(k, n), evaluated at random weights (see
-    :func:`grass_sum_at` for the ordered-tuple normalization)."""
+    :func:`grass_sum_at` for the ordered-tuple normalization).  The class
+    is read once, by the degree check, for every draw."""
     if not (0 < k < n):
         raise InputError(f"need 0 < k < n, got k={k}, n={n}")
     space = f"Grass({k}, {n})"
     _check_fixed_points(space, (
         math.comb(n, j) for j in range(min(k, n - k) + 1)))
     _check_sum_work(space, n, math.comb(n, k), k * (n - k))
-    grass_class_degree_check(n, k, cls)
+    reading = grass_class_degree_check(n, k, cls)
     rng = random.Random(seed)
-    values = [grass_sum_at(n, k, cls, draw_weights(n, rng))
+    values = [_grass_sum(n, k, reading, *_scaled(n, draw_weights(n, rng)))
               for _ in range(WEIGHT_DRAWS)]
     if any(v != values[0] for v in values[1:]):
         raise InconsistentDraws(

@@ -3,8 +3,10 @@ round-trip of JSON outputs through the input grammars."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import decimal
+import gc
 import hashlib
 import io
 import json
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiloc import cli
 from equiloc.algebra import parse_polynomial, zvar
 from equiloc.cli import main
 from equiloc.residue import ResidueForm, iterated_residue
@@ -192,6 +195,33 @@ class TestGoldenCommands:
         assert digest == self.HELP_DIGESTS[command]
 
 
+#: Invocations that exit 2 with a ``parse-error``: usage errors and
+#: values an option or a computing command refuses before any work.
+ARGUMENT_ERRORS = [
+    ("thom", "--k", "abc"),
+    ("frobnicate", "--k", "1"),
+    (),
+    ("thom", "--k", "1", "--format", "xml"),
+    ("gg", "--n", "1", "--d", "1e30000000"),
+    ("gg", "--n", "4", "--delta", "0.5"),
+    ("euler", "--n", "1", "--d", " 4"),
+    ("thom-scan", "--kmax", "0", "--lmax", "0"),
+    ("thom-scan", "--kmax", "2", "--lmax", "-1"),
+    ("gg", "--n", "0"),
+    ("theta", "--n", "-2"),
+    ("euler", "--n", "0"),
+    ("gg", "--n", "1", "--delta", "1/0"),
+    ("grass-integrate", "--n", "3", "--k", "3", "--class", "1"),
+    ("grass-integrate", "--n", "3", "--k", "0", "--class", "1"),
+    # int() reads each of these: 2, 10, 2 and 1; an integer option
+    # takes ASCII digits with an optional minus sign only
+    ("thom", "--k", "\u0662"),
+    ("thom", "--k", "1_0"),
+    ("thom", "--k", " 2"),
+    ("thom", "--k", "2", "--codim", "+1"),
+]
+
+
 class TestErrors:
     def test_missing_job_file_exits_2(self, capsys):
         code, out, err = run(capsys, "residue", "--job", "missing.json")
@@ -215,29 +245,7 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "parse-error"
 
-    @pytest.mark.parametrize("argv", [
-        ("thom", "--k", "abc"),
-        ("frobnicate", "--k", "1"),
-        (),
-        ("thom", "--k", "1", "--format", "xml"),
-        ("gg", "--n", "1", "--d", "1e30000000"),
-        ("gg", "--n", "4", "--delta", "0.5"),
-        ("euler", "--n", "1", "--d", " 4"),
-        ("thom-scan", "--kmax", "0", "--lmax", "0"),
-        ("thom-scan", "--kmax", "2", "--lmax", "-1"),
-        ("gg", "--n", "0"),
-        ("theta", "--n", "-2"),
-        ("euler", "--n", "0"),
-        ("gg", "--n", "1", "--delta", "1/0"),
-        ("grass-integrate", "--n", "3", "--k", "3", "--class", "1"),
-        ("grass-integrate", "--n", "3", "--k", "0", "--class", "1"),
-        # int() reads each of these: 2, 10, 2 and 1; an integer option
-        # takes ASCII digits with an optional minus sign only
-        ("thom", "--k", "\u0662"),
-        ("thom", "--k", "1_0"),
-        ("thom", "--k", " 2"),
-        ("thom", "--k", "2", "--codim", "+1"),
-    ])
+    @pytest.mark.parametrize("argv", ARGUMENT_ERRORS)
     def test_argument_errors_exit_2(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -267,6 +275,79 @@ class TestErrors:
             code, out, err = run(capsys, "residue", "--job", str(path))
             assert (code, out) == (2, ""), path
             assert json.loads(err)["error"] == "parse-error"
+
+
+class TestOneSubparser:
+    """``main`` builds the subparser of the command it runs and no other;
+    every other invocation gets the full parser, with the same text."""
+
+    COMMANDS = ("residue", "grass-integrate", "flag-check", "thom",
+                "thom-scan", "gg", "theta", "euler", "rho", "minors")
+
+    @staticmethod
+    def choices(parser) -> list:
+        return [name for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+                for name in action.choices]
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """The ``only`` of each ``build_parser`` call from now on."""
+        calls, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda only=None: calls.append(only)
+                            or build(only))
+        return calls
+
+    def test_the_ten_commands(self):
+        assert self.choices(cli.build_parser()) == list(self.COMMANDS)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_a_command_builds_its_own_subparser(self, capsys, built, name):
+        # every command has a required option: a usage error, no work
+        assert run(capsys, name)[0] == 2
+        assert built == [name]
+
+    @pytest.mark.parametrize("argv", [(), ("-h",), ("--help",),
+                                      ("frobnicate", "--k", "1")])
+    def test_other_invocations_build_the_full_parser(self, capsys, built,
+                                                     argv):
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        capsys.readouterr()
+        assert built == [None]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_subparser_choice(self, name):
+        assert self.choices(cli.build_parser(name)) == [name]
+
+    @pytest.mark.parametrize("argv", ARGUMENT_ERRORS)
+    def test_errors_as_on_the_full_parser(self, capsys, monkeypatch, argv):
+        own = run(capsys, *argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda only=None: build(None))
+        assert run(capsys, *argv) == own
+
+    def test_one_call_leaves_little_cyclic_garbage(self, capsys, tmp_path):
+        # a parser tree is cyclic: only the collector frees it.  One call
+        # built ten subparsers and left 390 such objects
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"coefficients": [
+            [1, 2], [3, -1], ["1/2", 5], [7, 0]]}))
+        argv = ("minors", "--n", "2", "--k", "4", "--jet", str(jet))
+        assert run(capsys, *argv)[0] == 0  # imports and caches filled
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(capsys, *argv)[0] == 0
+            gc.collect()
+            garbage = len(gc.garbage) - before
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[before:]
+        assert garbage < 200
 
 
 class TestResidueJobs:
@@ -595,7 +676,8 @@ class TestArgumentGuards:
     def test_varying_draws_exit_1(self, capsys, monkeypatch):
         from equiloc import localization
         draws = iter(range(1, 100))
-        monkeypatch.setattr(localization, "grass_sum_at",
+        # each draw's sum, on the one reading of the class
+        monkeypatch.setattr(localization, "_grass_sum",
                             lambda *args: next(draws))
         code, out, err = run(capsys, "grass-integrate", "--n", "4", "--k",
                              "2", "--class", "c1^2*c2")
@@ -674,6 +756,24 @@ class TestJsonRoundTrip:
         payload = json.loads(out)
         assert payload["all_match"] is True
         assert len(payload["results"]) == 2
+
+    @pytest.mark.parametrize("argv,builder", [
+        (("thom", "--k", "3"), "_thom_json"),
+        (("thom-scan", "--kmax", "2", "--lmax", "1", "--check-positivity"),
+         "_thom_json"),
+        (("rho", "--n", "2", "--k", "2"), "_basis_labels")])
+    def test_only_json_builds_the_json_value(self, capsys, monkeypatch,
+                                             tmp_path, argv, builder):
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"coefficients": [[1, 0], [2, 3]]}))
+        argv = (*argv, "--jet", str(jet)) if argv[0] == "rho" else argv
+        calls, build = [], getattr(cli, builder)
+        monkeypatch.setattr(cli, builder,
+                            lambda *a: calls.append(a) or build(*a))
+        assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+        assert calls
 
 
 class TestScanAndUserTables:

@@ -346,7 +346,9 @@ class TestForeignVariables:
 @pytest.mark.parametrize("function,args", [
     (flag_fixed_sum, (4, 2, "z1^3*z2^2 + 2/3*z1*z2^4", [1, 2, 3, 5])),
     (grass_sum_at, (4, 2, "c1^2*c2 - 1/5*c2^2", [1, 2, 3, 5])),
-    (grass_class_degree_check, (4, 2, "c1^2*c2 - 1/5*c2^2"))])
+    (grass_class_degree_check, (4, 2, "c1^2*c2 - 1/5*c2^2")),
+    # the degree check's reading serves all WEIGHT_DRAWS sums
+    (grass_integrate, (4, 2, "c1^2*c2 - 1/5*c2^2"))])
 def test_one_read_of_the_class(monkeypatch, function, args):
     # the class goes through Slate.dense once: checked and read together;
     # the cache starts empty, whatever ran before

@@ -31,6 +31,7 @@ from equiloc.algebra import term_list
 #: Each stage, by its dotted name in ``equiloc``, and what :func:`sizes`
 #: reads of its results (None: nothing).
 STAGES = {
+    "cli.build_parser": None,
     "algebra.parse_polynomial": "terms", "algebra.parse_factored": "pair",
     "algebra.Polynomial.__str__": "characters",
     "residue.ResidueForm.__new__": "form", "residue.iterated_residue": "terms",
