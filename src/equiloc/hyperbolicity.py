@@ -117,13 +117,12 @@ def _multinomial_sum(table: dict, p: int, shift) -> Fraction:
     orbits lambda of ``table`` with every lambda_l + shift_l >= 0: the
     residue of the orbit-form body whose z^lambda coefficient is that
     multinomial.  Each multinomial is an int before it meets S."""
-    total = Fraction(0)
+    total, top = 0, math.factorial(p)
     for orbit, s in table.items():
         vs = [e + b for e, b in zip(orbit, shift)]
         if min(vs) >= 0:
-            total += s * (math.factorial(p)
-                          // math.prod(map(math.factorial, vs)))
-    return total
+            total += s * (top // math.prod(map(math.factorial, vs)))
+    return Fraction(total)
 
 
 def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
@@ -145,10 +144,17 @@ def _tower_residue(n: int, qn: Polynomial, xs) -> Polynomial:
     table = orbit_table(orbit_form(n, qn, lambdas), lambdas)
     total = Polynomial.zero()
     for j in range(n + 1):
+        # prod_l cls[a_l] depends only on the multiset of a
+        weights: dict = {}
         for a in compositions(n - j, n):
-            weight = _multinomial_sum(table, n * n - j, [n + b for b in a])
-            total = total + xs[j] * weight * math.prod(
-                (cls[b] for b in a), start=Polynomial.one())
+            key = tuple(sorted(a))
+            weights[key] = weights.get(key, 0) + _multinomial_sum(
+                table, n * n - j, [n + b for b in a])
+        r_j = Polynomial.zero()
+        for key, weight in weights.items():
+            r_j = r_j + weight * math.prod((cls[b] for b in key),
+                                           start=Polynomial.one())
+        total = total + xs[j] * r_j
     return total
 
 

@@ -61,6 +61,16 @@ the first term's, would drop terms that the largest lifts to the residue
 when ``P`` is not homogeneous (a q-file entry ``Q_k`` need not be).  Each
 ``B_t`` left meets every ``P_e``, to the largest order of a ``B_t`` and
 a term of ``P`` that pass together.
+
+The test also prunes the product of the peel before: the last product of
+a peel, ``B_t`` times its part of the expansions, forms only the pairs
+whose keys pass the test of the next peel (with no prefactor, so no
+gain).  That is exact.  The test reads only a key's exponent in the next
+variable and its degree ``D``, and each is, for a product key, the sum
+of its two factors' numbers; so each operand is grouped by the pair of
+numbers, and two groups pass or fail whole.  Every pair of a kept key is
+formed, with its coefficient, and every key left out is one that the
+next peel would drop on entry, so it sees the same slices.
 """
 
 from __future__ import annotations
@@ -148,27 +158,42 @@ def _split(ws: Slate, w: Polynomial, d: int):
     return zi, (rest, a, _height_bits(terms))
 
 
-def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
-          pre: dict) -> dict:
+def _budget(factors, zi: int, need: int) -> tuple:
+    """The budget test of the peel of slot ``zi``, whose factors are
+    ``factors`` (each ``(b, a, bits)``), as ``(zi, s, upto, low)``: a term
+    of ``z``-degree ``t`` can reach the residue only if ``t + 1 >= s`` and
+    its degree in the slots below ``upto`` is at least ``low``, gains of a
+    prefactor aside.  With a lower residue variable in some ``b`` the reach
+    ``t + 1 - s`` counts, so the degree reads slots ``0..zi`` and ``need``
+    is raised by ``s - 1``."""
+    s = len(factors)
+    if any(any(m[:zi]) for b, _, _ in factors for m in b):
+        return zi, s, zi + 1, need + s - 1
+    return zi, s, zi, need
+
+
+def _peel(ws: Slate, num: dict, factors, test: tuple, pre: dict,
+          after) -> dict:
     """Coefficient of ``z^-1`` (variable slot ``zi``) of ``pre * num``
     times the expansions of the factors dominated by that variable, each
-    given as ``(b, a, bits)`` for the factor w = a z + b of height ``bits``.
-    The slots below ``zi`` hold the less dominant residue variables.
+    given as ``(b, a, bits)`` for the factor w = a z + b of height ``bits``,
+    less the terms that fail ``after``, the budget test of the next peel
+    (None at the last).  ``test``, this peel's budget test, reads slot
+    ``zi``; the slots below it hold the less dominant residue variables.
 
     With ``num_t`` and ``pre_e`` the ``z^t`` and ``z^e`` slices of ``num``
     and ``pre`` and ``E_j`` the order-j part of the product of the factor
     expansions, the peel is ``sum_t num_t * sum_e pre_e * E_(t+e+1-s)``:
     the small factors meet first and ``pre * num`` is never formed.  A
-    term of ``num`` is dropped first unless its degree in the lower slots
-    plus its reach plus the gain of ``pre`` is at least ``need`` (the
-    degree budget of the module docstring).  With a lower residue variable
-    in some ``b`` the reach is the expansion order, so the test reads the
-    degree in slots ``0..zi``; the gain is the largest such degree among
-    the terms of ``pre``.  The expansions are built once, to the largest
-    order of a ``num_t`` and a term of ``pre`` that pass together."""
-    s = len(factors)
-    lifts = any(any(m[:zi]) for b, _, _ in factors for m in b)
-    upto, low = (zi + 1, need + s - 1) if lifts else (zi, need)
+    term of ``num`` is dropped first unless it passes ``test`` once ``pre``
+    lends it its gain, the largest degree in the slots the test reads
+    among its terms, and its largest ``z``-exponent (the degree budget of
+    the module docstring).  The expansions are built once, to the largest
+    order of a ``num_t`` and a term of ``pre`` that pass together, and
+    each last product forms only the pairs that pass ``after``
+    (:func:`_kept_product`)."""
+    zi, s, upto, low = test
+    lifts = upto > zi
     pres: dict[int, dict] = {}
     for m, c in pre.items():
         pres.setdefault(m[zi], {})[m[:zi] + (0,) + m[zi + 1:]] = c
@@ -209,7 +234,8 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
     one = {zero: 1}
     prod = [one]
     for base, a, _ in factors:
-        inv_a = _num(Fraction(1) / a)
+        # a = +-1 in every flag, Thom and tower factor
+        inv_a = a if a in (1, -1) else _num(Fraction(1) / a)
         step = {m: c * -inv_a for m, c in base.items()}
         tails = [{zero: inv_a}]
         for _ in range(jtot):
@@ -231,8 +257,40 @@ def _peel(ws: Slate, num: dict, factors, zi: int, need: int,
                      for e, pe in pres.items()
                      if 0 <= (j := t + e + 1 - s) <= jtot and prod[j]])
         if near:
-            _add_into(out, sl if near == one else mul_dense(sl, near))
+            _kept_product(out, sl, near, after)
     return out
+
+
+def _kept_product(out: dict, a: dict, b: dict, test) -> None:
+    """Add to ``out`` the terms of ``a * b`` whose keys pass ``test``, the
+    budget test ``(q, s, upto, low)`` of a peel with no prefactor (all of
+    them when ``test`` is None), forming no pair whose key fails.  The
+    test reads a key's exponent in slot ``q`` and its degree in the slots
+    below ``upto``, and each is the sum of the two factors' numbers; so
+    each operand is grouped by that pair, and each group of ``a`` meets
+    the groups of ``b`` it passes with, those of ``a`` that pass with the
+    same groups in one product.  A ``b`` of the one term 1 forms none."""
+    unit = len(b) == 1 and 1 in b.values() and not any(next(iter(b)))
+    if test is None:
+        _add_into(out, a if unit else mul_dense(a, b))
+        return
+    q, s, upto, low = test
+    groups = []
+    for terms in (a, b):
+        by: dict = {}
+        for m, c in terms.items():
+            by.setdefault((m[q], sum(m[:upto])), {})[m] = c
+        groups.append(by)
+    parts: dict = {}
+    for (ea, da), ta in groups[0].items():
+        meets = tuple(k for k in groups[1]
+                      if ea + k[0] + 1 >= s and da + k[1] >= low)
+        if meets:
+            parts.setdefault(meets, {}).update(ta)
+    for meets, ta in parts.items():
+        tb = groups[1][meets[0]] if len(meets) == 1 else {
+            m: c for k in meets for m, c in groups[1][k].items()}
+        _add_into(out, ta if unit else mul_dense(ta, tb))
 
 
 def _sum(parts: list) -> dict:
@@ -259,10 +317,13 @@ def iterated_residue(form: ResidueForm) -> Polynomial:
     if not d:  # nothing to peel
         return form.prefactor * form.numerator
     pre, num = ws.dense(form.prefactor), ws.dense(form.numerator)
-    need = sum(len(factors) - 1 for factors in groups)
+    tests, need = [], 0
+    for zi, factors in enumerate(groups):
+        tests.append(_budget(factors, zi, need))
+        need += len(factors) - 1
     for zi in reversed(range(d)):
-        need -= len(groups[zi]) - 1
-        num = _peel(ws, num, groups[zi], zi, need, pre)
+        num = _peel(ws, num, groups[zi], tests[zi], pre,
+                    tests[zi - 1] if zi else None)
         pre = {(0,) * len(ws.vars): 1}
     return ws.polynomial({m: -c for m, c in num.items()} if d % 2 else num)
 

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import oracles
 from equiloc import hyperbolicity, thom
-from equiloc.algebra import Polynomial, Slate, parse_polynomial, zvar
+from equiloc.algebra import (Polynomial, Slate, compositions,
+                             parse_polynomial, zvar)
 from equiloc.errors import MissingQ, SizeLimitExceeded
 from equiloc.hyperbolicity import (D_VAR, DELTA_VAR, M_VAR,
                                    MAX_FACTOR_TERMS, EulerResult,
-                                   _hypersurface_class, _table_entry,
-                                   _todd_class, _tower_residue,
+                                   _hypersurface_class, _multinomial_sum,
+                                   _table_entry, _todd_class, _tower_residue,
                                    euler_characteristic,
                                    intersection_polynomial, leading_constant,
                                    positivity_threshold)
@@ -133,6 +134,32 @@ def test_tower_residue_is_the_residue_of_the_tower_form(n, data):
     else:
         d_poly, got = P.rational(d), got.evaluate({D_VAR: d})
     assert got == iterated_residue(oracles.tower_form(n, qn, xs, d_poly))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tower_weighs_each_multiset_once(n, monkeypatch):
+    # one product of cls entries per multiset of a composition stands for
+    # one per composition, since prod_l cls[a_l] does not see the order;
+    # the x_j are powers of m, so each R_j shows apart, at a symbolic d
+    tables = []
+
+    def capture(form, lambdas):
+        tables.append(thom.orbit_table(form, lambdas))
+        return tables[-1]
+
+    monkeypatch.setattr(hyperbolicity, "orbit_table", capture)
+    xs = [P.var(M_VAR, j) for j in range(n + 1)]
+    got = _tower_residue(n, QTable.builtin().get(n), xs)
+    (table,) = tables
+    cls = _hypersurface_class(n, (1, 1))
+    want = P.zero()
+    for j in range(n + 1):
+        for a in compositions(n - j, n):
+            weight = _multinomial_sum(table, n * n - j, [n + b for b in a])
+            want = want + xs[j] * weight * math.prod(
+                (cls[b] for b in a), start=P.one())
+    assert got == want
+    assert got.degree_in(D_VAR) >= 1 and got.degree_in(M_VAR) == n
 
 
 def test_factor_check_boundary():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiloc.algebra import (Polynomial, Slate, compositions, cvar,
+from equiloc import residue
+from equiloc.algebra import (Polynomial, Slate, compositions, cvar, mul_dense,
                              parse_polynomial, svar, vandermonde, wvar, zvar)
 from equiloc.errors import InputError, NoDominantVariable, WindowOverflow
 from equiloc.localization import flag_dimension, flag_fixed_sum
 from equiloc.residue import ResidueForm, iterated_residue, residue_job
+from equiloc.thom import thom_polynomial
 from oracles import brute_residue, multiplied_out_job
 
 P = Polynomial
@@ -346,6 +348,96 @@ class TestPrefactor:
     def test_prefactor_variable_missing_from_order(self):
         with pytest.raises(InputError, match="not in the order: z2"):
             ResidueForm(P.one(), (P.var(Z1),), (Z1,), P.var(Z2))
+
+
+def _lifting_form(rng):
+    """A random form with 3 or 4 residue variables under a shuffled order,
+    at most five factors, and a prefactor of terms of degrees 0, 1 and 2:
+    the rest of every factor above the least dominant variable holds one
+    lower z, often with a constant, so every peel after the first lifts,
+    and a variable may carry two factors, so the budget asks for degree."""
+    d = rng.randint(3, 4)
+    order = [zvar(i) for i in range(1, d + 1)]
+    rng.shuffle(order)
+    dens = []
+    for q, z in enumerate(order):
+        for _ in range(rng.randint(1, 2) if q and len(dens) < 4 else 1):
+            parts = [f"{rng.choice((-2, -1, 1))}*{z.name}"]
+            if q:
+                low = rng.choice(order[:q])
+                parts.append(f"{rng.choice((-2, -1, 1, 2))}*{low.name}")
+            if not q or rng.random() < 0.3:
+                parts.append(rng.choice(("1", "-2", "l1")))
+            dens.append(" + ".join(parts))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        mono = [(z, rng.randint(-1, 1)) for z in order[:-1]]
+        mono.append((order[-1], rng.randint(0, 2)))
+        terms.append((rng.choice((-3, -1, 1, 2)), mono))
+    pre = [(rng.choice((-1, 1, 2)), [])]
+    for _ in range(rng.randint(1, 2)):
+        pre.append((rng.choice((-2, -1, 1, 3)),
+                    [(z, 1) for z in rng.sample(order, rng.randint(1, 2))]))
+    return (Polynomial.from_terms(terms), dens, tuple(order),
+            Polynomial.from_terms(pre))
+
+
+def _order_bound(numerator, dens, order) -> int:
+    """An expansion order past which no factor's tail reaches the residue.
+    With F_q factors dominated by z_q .. z_d, a numerator term of exponents
+    t and tails of orders j, the z_q .. z_d exponents of a product term sum
+    to sum_(p>=q) t_p, plus the lifts of the tails above z_q, less the
+    orders and the factors from z_q up; the residue reads the sum
+    -(d - q + 1), and the lifts are at most the orders above z_q, so the
+    orders of the factors of z_q add up to at most sum_(p>=q) t_p + d - q
+    + 1 - F_q (slots counted from 0 below)."""
+    d = len(order)
+    groups = [0] * d
+    for w in dens:
+        groups[max(order.index(v) for v in w.variables() if v in order)] += 1
+    bound = 0
+    for m in numerator.terms:
+        exps = dict(m.exps)
+        for q in range(d):
+            bound = max(bound, sum(exps.get(v, 0) for v in order[q:])
+                        + d - q - sum(groups[q:]))
+    return bound
+
+
+class TestPeelProduct:
+    """Each peel forms only the pairs of its last product whose keys pass
+    the next peel's budget test; the brute-force oracle forms every pair."""
+
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_lifting_forms_match_brute_force(self, seed):
+        num, dens, order, pre = _lifting_form(random.Random(seed))
+        parsed = tuple(parse_polynomial(t) for t in dens)
+        engine = iterated_residue(ResidueForm(num, parsed, order, pre))
+        full = pre * num
+        assert engine == brute_residue(full, parsed, [v.name for v in order],
+                                       _order_bound(full, parsed, order))
+
+    def test_lifting_forms_reach_the_residue(self):
+        # the forms above are not vacuous: most have a nonzero residue
+        rng = random.Random(38)
+        values = [iterated_residue(ResidueForm(num, tuple(map(
+            parse_polynomial, dens)), order, pre))
+            for num, dens, order, pre in (_lifting_form(rng)
+                                          for _ in range(30))]
+        assert sum(not v.is_zero for v in values) >= 20
+
+    def test_thom_polynomial_forms_few_pairs(self, monkeypatch):
+        # 6,052 term pairs when each peel formed its whole last product
+        pairs = []
+
+        def counting(a, b):
+            pairs.append(len(a) * len(b))
+            return mul_dense(a, b)
+
+        monkeypatch.setattr(residue, "mul_dense", counting)
+        thom_polynomial(4, 2)
+        assert sum(pairs) <= 3_300
 
 
 def _flag_form(n, d, cls, zs):
